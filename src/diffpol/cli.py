@@ -186,6 +186,49 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _flag_actions(command: str) -> dict[str, argparse.Action]:
+    """The command's flags by destination key."""
+    ap = build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+def _from_config(key: str, value, action: argparse.Action | None, default):
+    """Convert one config-file value as its flag would convert the same
+    text: the flag's type and choices, or, for a key with no flag, the
+    type of its default.  None means "not given" and passes through."""
+    if value is None:
+        return None
+    if action is not None and action.nargs == 2:
+        if not (isinstance(value, list) and len(value) == 2
+                and all(isinstance(v, str) for v in value)):
+            raise ValueError(f"config key {key!r} wants a list of two "
+                             f"strings, got {value!r}")
+        return value
+    if action is not None:
+        conv = action.type or str
+    elif isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} wants true or false, "
+                             f"got {value!r}")
+        return value
+    else:
+        conv = type(default)
+    if isinstance(value, (bool, list, dict)):
+        raise ValueError(f"config key {key!r} wants a {conv.__name__}, "
+                         f"got {value!r}")
+    try:
+        out = conv(str(value))
+    except ValueError:
+        raise ValueError(f"config key {key!r}: invalid {conv.__name__} "
+                         f"value {value!r}") from None
+    if action is not None and action.choices and out not in action.choices:
+        raise ValueError(f"config key {key!r}: {out!r} is not one of "
+                         f"{list(action.choices)}")
+    return out
+
+
 def resolve_args(command: str, ns: argparse.Namespace) -> dict:
     """Merge flags over config file over defaults; check required keys."""
     given = dict(vars(ns))
@@ -201,7 +244,9 @@ def resolve_args(command: str, ns: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(
                 f"unknown config keys for {command}: {sorted(unknown)}")
-        merged.update(loaded)
+        actions = _flag_actions(command)
+        merged.update({k: _from_config(k, v, actions.get(k), merged[k])
+                       for k, v in loaded.items()})
     merged.update(given)
     for key in _REQUIRED[command]:
         if merged.get(key) is None:

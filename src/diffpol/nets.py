@@ -61,16 +61,45 @@ def _embed_table(dim: int, T: int) -> np.ndarray:
 # -- generic MLP: forward, backward, init ------------------------------------
 
 
-@dataclass
 class MlpParams:
-    """Layer weights (fan_in x fan_out) and biases, hidden tanh, linear out."""
+    """Layer weights (fan_in x fan_out) and biases, hidden tanh, linear out.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    Every array is a view into one contiguous float64 vector ``flat``,
+    laid out W0 b0 W1 b1 ... with each array raveled row-major (the
+    checkpoint payload order).  Gradients and Adam moments share this
+    layout, so an optimizer step is a handful of passes over ``flat``.
+    """
+
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        if len(weights) != len(biases):
+            raise ValueError("need one bias per weight matrix")
+        shapes = [(np.shape(w), np.shape(b)) for w, b in zip(weights, biases)]
+        n = sum(int(np.prod(ws)) + int(np.prod(bs)) for ws, bs in shapes)
+        self._bind(np.empty(n), shapes)
+        for dst, src in zip(self.weights + self.biases, weights + biases):
+            dst[...] = src
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        self.flat = flat
+        self.shapes = tuple(shapes)
+        self.weights, self.biases = [], []
+        off = 0
+        for ws, bs in self.shapes:
+            for shape, out in ((ws, self.weights), (bs, self.biases)):
+                size = int(np.prod(shape))
+                out.append(flat[off:off + size].reshape(shape))
+                off += size
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes) -> "MlpParams":
+        """Views into ``flat`` (not copied); shapes lists each layer's
+        (weight shape, bias shape)."""
+        p = cls.__new__(cls)
+        p._bind(flat, shapes)
+        return p
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
+        return MlpParams.from_flat(self.flat.copy(), self.shapes)
 
 
 def init_mlp(rng: np.random.Generator, sizes: list[int]) -> MlpParams:
@@ -102,63 +131,86 @@ def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
 
 def mlp_backward(p: MlpParams, cache: list[np.ndarray],
                  dy: np.ndarray) -> MlpParams:
-    """Gradients of a scalar loss wrt every weight, given dL/dy."""
-    dw = [np.empty(0)] * len(p.weights)
-    db = [np.empty(0)] * len(p.biases)
+    """Gradients of a scalar loss wrt every weight, given dL/dy; written
+    straight into a fresh vector laid out like ``p.flat``."""
+    grads = MlpParams.from_flat(np.empty_like(p.flat), p.shapes)
     g = np.asarray(dy, dtype=np.float64)
     for i in range(len(p.weights) - 1, -1, -1):
         if i < len(p.weights) - 1:
             g = g * (1.0 - cache[i + 1] ** 2)  # tanh'
-        dw[i] = cache[i].T @ g
-        db[i] = g.sum(axis=0)
+        np.matmul(cache[i].T, g, out=grads.weights[i])
+        np.sum(g, axis=0, out=grads.biases[i])
         if i > 0:
             g = g @ p.weights[i].T
-    return MlpParams(dw, db)
+    return grads
 
 
 # -- Adam --------------------------------------------------------------------
 
+# Elements per block of the in-place Adam update.  Six block-sized float64
+# arrays are live in a block (parameters, gradient, both moments and two
+# scratch arrays); at 32,768 elements each is 256 KiB, so together they
+# fit in a 2 MiB per-core L2, and the update's dozen passes over a block
+# read it from cache instead of from memory.
+ADAM_BLOCK = 32_768
+
 
 @dataclass
 class AdamState:
+    """Hyperparameters, step count and the two moment vectors, which are
+    laid out like ``MlpParams.flat`` (None until the first step)."""
+
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: MlpParams | None = None
-    v: MlpParams | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def _zeros_like(p: MlpParams) -> MlpParams:
-    return MlpParams([np.zeros_like(w) for w in p.weights],
-                     [np.zeros_like(b) for b in p.biases])
+def optimizer_step(p: MlpParams, grads: MlpParams, st: AdamState) -> None:
+    """One Adam update of ``p.flat``, ``st.m``, ``st.v`` and ``st.t``, in
+    place; ``grads`` is left untouched.
 
-
-def optimizer_step(p: MlpParams, grads: MlpParams,
-                   st: AdamState) -> tuple[MlpParams, AdamState]:
-    """One Adam update.  Inputs are left untouched; returns new values."""
-    m = st.m if st.m is not None else _zeros_like(p)
-    v = st.v if st.v is not None else _zeros_like(p)
-    t = st.t + 1
-    new_p, new_m, new_v = [], [], []
-    for arrs in zip(p.weights + p.biases, grads.weights + grads.biases,
-                    m.weights + m.biases, v.weights + v.biases):
-        theta, g, m_i, v_i = arrs
-        m_n = st.beta1 * m_i + (1 - st.beta1) * g
-        v_n = st.beta2 * v_i + (1 - st.beta2) * g * g
-        m_hat = m_n / (1 - st.beta1 ** t)
-        v_hat = v_n / (1 - st.beta2 ** t)
-        new_p.append(theta - st.lr * m_hat / (np.sqrt(v_hat) + st.eps))
-        new_m.append(m_n)
-        new_v.append(v_n)
-    n = len(p.weights)
-    return (
-        MlpParams(new_p[:n], new_p[n:]),
-        replace(st, t=t,
-                m=MlpParams(new_m[:n], new_m[n:]),
-                v=MlpParams(new_v[:n], new_v[n:])),
-    )
+    Works through the vectors in ADAM_BLOCK-sized pieces, applying per
+    element exactly the operations, in the order, of the textbook form
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        theta -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
+    with c1 = 1 - b1**t and c2 = 1 - b2**t, so results are bit-identical
+    to it.
+    """
+    if grads.flat.shape != p.flat.shape:
+        raise ValueError(f"gradient vector {grads.flat.shape} != "
+                         f"parameter vector {p.flat.shape}")
+    if st.m is None:
+        st.m = np.zeros_like(p.flat)
+    if st.v is None:
+        st.v = np.zeros_like(p.flat)
+    st.t += 1
+    b1, b2 = st.beta1, st.beta2
+    c1, c2 = 1 - b1 ** st.t, 1 - b2 ** st.t
+    n = p.flat.size
+    s1, s2 = np.empty(min(n, ADAM_BLOCK)), np.empty(min(n, ADAM_BLOCK))
+    for lo in range(0, n, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, n)
+        theta, g = p.flat[lo:hi], grads.flat[lo:hi]
+        m, v = st.m[lo:hi], st.v[lo:hi]
+        a, b = s1[:hi - lo], s2[:hi - lo]
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1 - b1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, 1 - b2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(v, a, out=v)
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, st.eps, out=a)
+        np.divide(m, c1, out=b)
+        np.multiply(b, st.lr, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(theta, b, out=theta)
 
 
 # -- denoiser: obs + noisy action window + step embedding -> noise estimate --
@@ -258,18 +310,18 @@ def denoiser_batch_grads(p: DenoiserParams, obs_b: np.ndarray, ak_b: np.ndarray,
 # -- checkpoint: magic + dims header + flat little-endian float64 payload ----
 
 
+HEADER_BYTES = len(CHECKPOINT_MAGIC) + 7 * 8
+
+
 def save_checkpoint(path: str, p: DenoiserParams) -> None:
     """Layout: 8-byte magic; 7 little-endian int64 dims (d_o, T_p, d_a,
     embed_dim, hidden, n_hidden, T); then every layer's W and b raveled
-    row-major as little-endian float64, in layer order."""
+    row-major as little-endian float64, in layer order (``net.flat``)."""
     dims = (p.d_o, p.T_p, p.d_a, p.embed_dim, p.hidden,
             len(p.net.weights) - 1, p.T)
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<7q", *dims))
-        for w, b in zip(p.net.weights, p.net.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        f.write(CHECKPOINT_MAGIC + struct.pack("<7q", *dims))
+        f.write(np.ascontiguousarray(p.net.flat, dtype="<f8"))
 
 
 def load_checkpoint(path: str) -> DenoiserParams:
@@ -277,20 +329,20 @@ def load_checkpoint(path: str) -> DenoiserParams:
         blob = f.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a denoiser checkpoint (bad magic)")
+    if len(blob) < HEADER_BYTES:
+        raise ValueError(f"{path}: truncated header")
     d_o, T_p, d_a, embed_dim, hidden, n_hidden, T = struct.unpack_from(
         "<7q", blob, 8)
+    if min(d_o, T_p, d_a, embed_dim, hidden, T) < 1 or n_hidden < 0:
+        raise ValueError(f"{path}: bad dims in header")
     sizes = [d_o + T_p * d_a + embed_dim] + [hidden] * n_hidden + [T_p * d_a]
-    off = 8 + 7 * 8
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        n = fan_in * fan_out
-        w = np.frombuffer(blob, dtype="<f8", count=n, offset=off)
-        off += n * 8
-        b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=off)
-        off += fan_out * 8
-        weights.append(w.reshape(fan_in, fan_out).astype(np.float64))
-        biases.append(b.astype(np.float64))
-    if off != len(blob):
+    shapes = [((fan_in, fan_out), (fan_out,))
+              for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+    n = sum(fan_in * fan_out + fan_out for (fan_in, fan_out), _ in shapes)
+    if len(blob) != HEADER_BYTES + 8 * n:
         raise ValueError(f"{path}: payload size mismatch")
+    flat = np.frombuffer(blob, dtype="<f8", offset=HEADER_BYTES).astype(
+        np.float64)
     return DenoiserParams(d_o=d_o, T_p=T_p, d_a=d_a, embed_dim=embed_dim,
-                          hidden=hidden, T=T, net=MlpParams(weights, biases))
+                          hidden=hidden, T=T,
+                          net=MlpParams.from_flat(flat, shapes))

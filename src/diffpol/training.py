@@ -17,7 +17,7 @@ batch-normalized loss signals:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,13 +110,16 @@ def sampler_entropy(ts: TimestepSampler) -> float:
 
 
 def sample_timestep(ts: TimestepSampler, rng: np.random.Generator,
-                    step_count: int) -> int:
+                    step_count: int, size: int | None = None):
     """Draw a step index in 1..T: uniform while step_count < warmup, from
-    the learned distribution afterwards."""
+    the learned distribution afterwards.  Like numpy's ``size``: None
+    gives an int, an int n an array of n draws, consuming ``rng`` exactly
+    as n single draws would."""
     if step_count < ts.warmup:
-        return int(rng.integers(1, ts.T + 1))
-    p = sampler_distribution(ts)
-    return int(rng.choice(ts.T, p=p)) + 1
+        ks = rng.integers(1, ts.T + 1, size=size)
+    else:
+        ks = rng.choice(ts.T, size=size, p=sampler_distribution(ts)) + 1
+    return int(ks) if size is None else ks
 
 
 def _policy_entropy_grad(ts: TimestepSampler, ks: np.ndarray,
@@ -139,10 +142,9 @@ def _apply_sampler_grad(ts: TimestepSampler, dz: np.ndarray,
     x = _embed_table(ts.embed_dim, ts.T)
     _, cache = mlp_forward(ts.net, x)
     grads = mlp_backward(ts.net, cache, dz[:, None])
-    st = ts.adam
-    if lr is not None and lr != st.lr:
-        st = replace(st, lr=lr)
-    ts.net, ts.adam = optimizer_step(ts.net, grads, st)
+    if lr is not None:
+        ts.adam.lr = lr
+    optimizer_step(ts.net, grads, ts.adam)
     ts._logits = None
     return ts
 
@@ -246,10 +248,12 @@ def update_traj_weights_batch(tw: TrajectoryWeights, idxs: np.ndarray,
     return TrajectoryWeights(_renormalize(w))
 
 
-def weighted_sample_index(tw: TrajectoryWeights,
-                          rng: np.random.Generator) -> int:
-    """Draw one trajectory index with probability proportional to weight."""
-    return int(rng.choice(tw.n, p=tw.w / tw.w.sum()))
+def weighted_sample_index(tw: TrajectoryWeights, rng: np.random.Generator,
+                          size: int | None = None):
+    """Draw a trajectory index with probability proportional to weight;
+    ``size`` as in sample_timestep."""
+    idxs = rng.choice(tw.n, size=size, p=tw.w / tw.w.sum())
+    return int(idxs) if size is None else idxs
 
 
 # -- training loop -----------------------------------------------------------
@@ -361,7 +365,7 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
 
     for step in range(config.total_steps):
         if adaptive:
-            idxs = np.array([weighted_sample_index(tw, rng) for _ in range(B)])
+            idxs = weighted_sample_index(tw, rng, size=B)
         else:
             idxs = rng.integers(0, dataset.n_traj, size=B)
         obs_b = np.empty((B, dataset.d_o))
@@ -372,7 +376,7 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
             obs_b[e] = traj.obs[wi]
             a0_b[e] = traj.actions[wi]
         if adaptive:
-            ks = np.array([sample_timestep(ts, rng, step) for _ in range(B)])
+            ks = sample_timestep(ts, rng, step, size=B)
         else:
             ks = rng.integers(1, config.T + 1, size=B)
         eps_b = rng.standard_normal(a0_b.shape)
@@ -381,7 +385,11 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
 
         losses, grads = denoiser_batch_grads(params, policy_features(obs_b),
                                              ak_b, ks, eps_b)
-        params.net, adam = optimizer_step(params.net, grads, adam)
+        loss = float(losses.mean())
+        if not np.isfinite(loss):
+            raise ValueError(f"training loss became non-finite ({loss}) "
+                             f"at step {step + 1}")
+        optimizer_step(params.net, grads, adam)
 
         if adaptive and step >= config.warmup:
             rs = normalize_rewards(losses, config.reward_eps)
@@ -393,7 +401,7 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
             tw = update_traj_weights_batch(tw, idxs, rs, alpha)
 
         report.steps.append(step + 1)
-        report.losses.append(float(losses.mean()))
+        report.losses.append(loss)
         report.entropies.append(sampler_entropy(ts) if adaptive
                                 else uniform_entropy)
         if config.snapshot_every > 0 and (step + 1) % config.snapshot_every == 0:

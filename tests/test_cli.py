@@ -84,6 +84,35 @@ class TestResolve:
         args = resolved(["gen-data", "--out", "rel"])
         assert args["out"] == str(tmp_path / "rel")
 
+    def test_config_values_convert_like_flags(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"steps": "12", "lr": "5e-4", "hidden": 8,
+                                   "beta_end": 1, "negate_reward": True,
+                                   "mode": "aln"}))
+        args = resolved(["train", "--config", str(cfg), "--data", "d",
+                         "--out", str(tmp_path)])
+        assert args["steps"] == 12 and args["lr"] == 5e-4
+        assert args["hidden"] == 8 and type(args["beta_end"]) is float
+        assert args["negate_reward"] is True and args["mode"] == "aln"
+        cfg.write_text(json.dumps({"seeds": 3, "gap": "0.5"}))
+        args = resolved(["eval", "--config", str(cfg), "--policy", "p",
+                         "--out", str(tmp_path)])
+        assert args["seeds"] == "3" and args["gap"] == 0.5
+
+    @pytest.mark.parametrize("bad", [
+        {"steps": "abc"}, {"steps": 2.5}, {"steps": True}, {"lr": [1]},
+        {"mode": "fast"}, {"negate_reward": 1}, {"hidden": "wide"},
+        {"data": ["a"]},
+    ])
+    def test_bad_config_values_exit_1(self, tmp_path, demo_file, bad, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(bad))
+        rc = main(["train", "--config", str(cfg), "--data", demo_file,
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key") and next(iter(bad)) in err
+
     def test_bad_cli_strings_exit_nonzero(self, tmp_path, checkpoint):
         base = ["eval", "--policy", checkpoint, "--out", str(tmp_path)]
         assert main(base + ["--schedule", "fixed:16"]) == 1

@@ -1,9 +1,16 @@
 """Denoiser network: embeddings, exact gradients, Adam, checkpoints."""
 
+import json
+import pathlib
+import struct
+
 import numpy as np
 import pytest
 
+from diffpol.env import generate_demos
 from diffpol.nets import (
+    ADAM_BLOCK,
+    CHECKPOINT_MAGIC,
     AdamState,
     MlpParams,
     denoiser_backward,
@@ -18,6 +25,9 @@ from diffpol.nets import (
     sinusoidal_embed,
     _embed_table,
 )
+from diffpol.training import TrainConfig, train
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def rel_err(a, b):
@@ -143,42 +153,155 @@ class TestGradients:
             denoiser_forward(p, rng.normal(size=6), rng.normal(size=(2, 16)), 5)
 
 
+def reference_adam(p, grads, st):
+    """Per-tensor functional Adam, the reference for the blocked in-place
+    update: returns new params and state and leaves its inputs alone."""
+    t = st["t"] + 1
+    new_p, new_m, new_v = [], [], []
+    for theta, g, m_i, v_i in zip(p, grads, st["m"], st["v"]):
+        m_n = 0.9 * m_i + (1 - 0.9) * g
+        v_n = 0.999 * v_i + (1 - 0.999) * g * g
+        m_hat = m_n / (1 - 0.9 ** t)
+        v_hat = v_n / (1 - 0.999 ** t)
+        new_p.append(theta - st["lr"] * m_hat / (np.sqrt(v_hat) + 1e-8))
+        new_m.append(m_n)
+        new_v.append(v_n)
+    return new_p, {"lr": st["lr"], "t": t, "m": new_m, "v": new_v}
+
+
+def in_layer_order(p):
+    """W0 b0 W1 b1 ..., the order of the flat vector."""
+    return [a for pair in zip(p.weights, p.biases) for a in pair]
+
+
 class TestAdam:
     def test_zero_grad_noop(self):
         rng = np.random.default_rng(5)
         p = init_mlp(rng, [3, 4, 2])
+        before = p.copy()
         zero = MlpParams([np.zeros_like(w) for w in p.weights],
                          [np.zeros_like(b) for b in p.biases])
-        p2, st = optimizer_step(p, zero, AdamState())
+        st = AdamState()
+        assert optimizer_step(p, zero, st) is None
         assert st.t == 1
-        for a, b in zip(p.weights + p.biases, p2.weights + p2.biases):
+        for a, b in zip(in_layer_order(before), in_layer_order(p)):
             np.testing.assert_array_equal(a, b)
 
     def test_first_step_magnitude(self):
         # bias correction makes step one move by ~lr * sign(g)
         p = MlpParams([np.array([[1.0]])], [np.array([0.0])])
         g = MlpParams([np.array([[3.0]])], [np.array([0.0])])
-        p2, _ = optimizer_step(p, g, AdamState(lr=0.1))
+        optimizer_step(p, g, AdamState(lr=0.1))
         expected = 1.0 - 0.1 * 3.0 / (3.0 + 1e-8)
-        assert abs(p2.weights[0][0, 0] - expected) < 1e-9
+        assert abs(p.weights[0][0, 0] - expected) < 1e-9
 
-    def test_inputs_untouched(self):
+    def test_params_change_in_place_grads_untouched(self):
         rng = np.random.default_rng(6)
         p = init_mlp(rng, [2, 3, 1])
-        before = p.copy()
+        views, flat, before = in_layer_order(p), p.flat, p.copy()
         g = MlpParams([np.ones_like(w) for w in p.weights],
                       [np.ones_like(b) for b in p.biases])
-        optimizer_step(p, g, AdamState())
-        for a, b in zip(p.weights + p.biases, before.weights + before.biases):
-            np.testing.assert_array_equal(a, b)
+        g_before = g.copy()
+        st = AdamState()
+        optimizer_step(p, g, st)
+        assert p.flat is flat
+        assert all(a is b for a, b in zip(views, in_layer_order(p)))
+        assert np.all(p.flat != before.flat)
+        for a, b in zip(in_layer_order(before), views):
+            assert np.all(a != b)  # every view moved with the vector
+        np.testing.assert_array_equal(g.flat, g_before.flat)
+        assert st.m.shape == st.v.shape == p.flat.shape
+
+    def test_blocked_update_matches_functional_reference(self):
+        rng = np.random.default_rng(7)
+        p = init_mlp(rng, [100, 300, 200, 7])
+        n = p.flat.size
+        assert n > 2 * ADAM_BLOCK and n % ADAM_BLOCK != 0
+        ref_p = [a.copy() for a in in_layer_order(p)]
+        ref_st = {"lr": 3e-3, "t": 0, "m": [np.zeros_like(a) for a in ref_p],
+                  "v": [np.zeros_like(a) for a in ref_p]}
+        st = AdamState(lr=3e-3)
+        for _ in range(4):
+            g = init_mlp(rng, [100, 300, 200, 7])
+            g.flat *= rng.lognormal(0.0, 2.0, size=n)  # spread magnitudes
+            optimizer_step(p, g, st)
+            ref_p, ref_st = reference_adam(ref_p, in_layer_order(g), ref_st)
+        assert st.t == ref_st["t"] == 4
+        for got, want in ((p.flat, ref_p), (st.m, ref_st["m"]),
+                          (st.v, ref_st["v"])):
+            np.testing.assert_array_equal(
+                got, np.concatenate([x.ravel() for x in want]))
+
+    def test_rejects_mismatched_gradient(self):
+        p = init_mlp(np.random.default_rng(0), [2, 3, 1])
+        g = init_mlp(np.random.default_rng(0), [2, 4, 1])
+        with pytest.raises(ValueError):
+            optimizer_step(p, g, AdamState())
 
     def test_descends_quadratic(self):
         p = MlpParams([np.array([[4.0]])], [np.array([0.0])])
         st = AdamState(lr=0.05)
         for _ in range(300):
             g = MlpParams([2.0 * p.weights[0]], [np.zeros(1)])
-            p, st = optimizer_step(p, g, st)
+            optimizer_step(p, g, st)
         assert abs(p.weights[0][0, 0]) < 0.1
+
+
+class TestFlatLayout:
+    """Every MlpParams array is a view into its one flat vector."""
+
+    @staticmethod
+    def assert_views_of_flat(p):
+        assert p.flat.ndim == 1 and p.flat.flags.c_contiguous
+        off = 0
+        for a in in_layer_order(p):
+            assert np.shares_memory(a, p.flat)
+            np.testing.assert_array_equal(a.ravel(), p.flat[off:off + a.size])
+            off += a.size
+        assert off == p.flat.size
+
+    def test_results_are_views(self, tmp_path):
+        rng = np.random.default_rng(8)
+        self.assert_views_of_flat(init_mlp(rng, [3, 5, 2]))
+        params = init_params(8, d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8,
+                             T=10)
+        self.assert_views_of_flat(params.net)
+        path = str(tmp_path / "c.bin")
+        save_checkpoint(path, params)
+        loaded = load_checkpoint(path)
+        self.assert_views_of_flat(loaded.net)
+        assert loaded.net.flat.flags.writeable
+        _, grads = denoiser_backward(params, rng.normal(size=3),
+                                     rng.normal(size=(4, 2)), 3,
+                                     rng.normal(size=(4, 2)))
+        self.assert_views_of_flat(grads)
+        assert not np.shares_memory(grads.flat, params.net.flat)
+
+    def test_writes_through_views_reach_flat(self):
+        p = init_mlp(np.random.default_rng(9), [3, 5, 2])
+        p.weights[1][4, 1] = 123.0
+        p.biases[0][2] = -7.0
+        assert p.flat[3 * 5 + 2] == -7.0
+        assert p.flat[3 * 5 + 5 + 4 * 2 + 1] == 123.0
+
+    def test_copy_shares_no_memory(self):
+        p = init_mlp(np.random.default_rng(10), [3, 5, 2])
+        q = p.copy()
+        self.assert_views_of_flat(q)
+        np.testing.assert_array_equal(p.flat, q.flat)
+        for a in [q.flat] + in_layer_order(q):
+            for b in [p.flat] + in_layer_order(p):
+                assert not np.shares_memory(a, b)
+
+
+class TestGoldenLosses:
+    def test_tiny_runs_reproduce_recorded_losses(self):
+        doc = json.loads((FIXTURES / "golden_losses.json").read_text())
+        demos = generate_demos(doc["demos"]["n"], seed=doc["demos"]["seed"])
+        cfg = TrainConfig(**doc["config"])
+        for mode, want in doc["losses"].items():
+            _, report = train(cfg, demos, mode)
+            assert [x.hex() for x in report.losses] == want, mode
 
 
 class TestCheckpoint:
@@ -209,3 +332,27 @@ class TestCheckpoint:
         short.write_bytes(blob[:-16])
         with pytest.raises(ValueError):
             load_checkpoint(str(short))
+
+    def test_rejects_bad_headers(self, tmp_path):
+        p = init_params(0, d_o=2, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
+        path = tmp_path / "c.bin"
+        save_checkpoint(str(path), p)
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob[:20])
+        with pytest.raises(ValueError, match="header"):
+            load_checkpoint(str(bad))
+        bad.write_bytes(blob[:8] + struct.pack("<7q", 2, 4, 2, 8, -8, 2, 10)
+                        + blob[64:])
+        with pytest.raises(ValueError, match="dims"):
+            load_checkpoint(str(bad))
+
+    def test_bytes_match_independent_layout(self, tmp_path):
+        p = init_params(12, d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
+        path = tmp_path / "c.bin"
+        save_checkpoint(str(path), p)
+        want = CHECKPOINT_MAGIC + struct.pack("<7q", 3, 4, 2, 8, 8, 3, 10)
+        for w, b in zip(p.net.weights, p.net.biases):
+            want += np.ravel(w).astype("<f8").tobytes()
+            want += np.ravel(b).astype("<f8").tobytes()
+        assert path.read_bytes() == want

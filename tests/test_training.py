@@ -151,6 +151,16 @@ class TestTrajectoryWeights:
         expected = n * tw.w / tw.w.sum()
         assert stats.chisquare(counts, expected).pvalue > 1e-3
 
+    def test_batched_draw_matches_single_draws(self):
+        tw = TrajectoryWeights(np.array([0.5, 1.0, 2.5, 0.25]))
+        one, many = np.random.default_rng(2), np.random.default_rng(2)
+        singles = [weighted_sample_index(tw, one) for _ in range(50)]
+        assert all(type(i) is int for i in singles)
+        batch = weighted_sample_index(tw, many, size=50)
+        assert batch.shape == (50,)
+        np.testing.assert_array_equal(batch, singles)
+        assert one.random() == many.random()  # same generator state after
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             make_traj_weights(0)
@@ -194,6 +204,17 @@ class TestTimestepSampler:
             counts[sample_timestep(ts, rng, step_count=99) - 1] += 1
         assert stats.chisquare(counts, n * p).pvalue > 1e-3
 
+    def test_batched_draws_match_single_draws(self):
+        ts = make_timestep_sampler(0, T=20, warmup=5, hidden=8, embed_dim=8)
+        for step in (0, 5):  # in warmup, then from the learned softmax
+            one, many = np.random.default_rng(3), np.random.default_rng(3)
+            singles = [sample_timestep(ts, one, step) for _ in range(40)]
+            assert all(type(k) is int for k in singles)
+            batch = sample_timestep(ts, many, step, size=40)
+            assert batch.shape == (40,)
+            np.testing.assert_array_equal(batch, singles)
+            assert one.random() == many.random()
+
     def test_gradient_matches_finite_differences(self):
         ts = make_timestep_sampler(0, T=12, warmup=0, entropy_coef=0.7,
                                    hidden=32, embed_dim=16)
@@ -235,6 +256,14 @@ class TestTimestepSampler:
         after = sampler_distribution(ts)[k - 1]
         assert after > 0.5
         assert after > 3.0 * before
+
+    def test_lr_override_persists(self):
+        ts = make_timestep_sampler(0, T=12, warmup=0, hidden=8, embed_dim=8,
+                                   lr=1e-3)
+        sampler_update(ts, 3, 1.0, lr=0.05)
+        assert ts.adam.lr == 0.05 and ts.adam.t == 1
+        sampler_update(ts, 3, 1.0)
+        assert ts.adam.lr == 0.05 and ts.adam.t == 2
 
     def test_entropy_term_pushes_toward_uniform(self):
         ts = make_timestep_sampler(0, T=12, warmup=0, entropy_coef=0.0,
@@ -339,6 +368,12 @@ class TestTrainLoop:
         cfg = tiny_config(total_steps=20, warmup=5, negate_reward=True)
         _, rep = train(cfg, tiny_dataset(), "aln")
         assert len(rep.losses) == 20
+
+    def test_non_finite_loss_stops_with_the_step(self):
+        ds = tiny_dataset()
+        ds.trajectories[2].actions[4, 7, 1] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite.*at step \d+"):
+            train(tiny_config(), ds, "uniform")
 
     def test_rejects_bad_mode_and_config(self):
         with pytest.raises(ValueError):
