@@ -27,12 +27,7 @@ from .diffusion import make_noise_schedule
 from .env import TASK_DESCRIPTION, generate_demos, load_demos, save_demos
 from .nets import load_checkpoint, save_checkpoint
 from .rollout import compare_speedup, evaluate, hvts_schedule_table
-from .scheduling import (
-    ENDPOINT_ENV_VAR,
-    ClassifierError,
-    ResponseParseError,
-    http_post,
-)
+from .scheduling import ENDPOINT_ENV_VAR, ClassifierError, complete_text
 from .stages import (
     ScheduleRanges,
     StageParseError,
@@ -361,31 +356,6 @@ def _metrics_rows(m) -> list[tuple[str, str]]:
     return rows
 
 
-def _completion_text(raw: bytes) -> str:
-    try:
-        data = json.loads(raw)
-        return data["choices"][0]["message"]["content"]
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as e:
-        raise ResponseParseError(f"malformed completion response: {e}") from e
-
-
-def _remote_text(prompt: str, args: dict, transport) -> str:
-    endpoint = args["endpoint"] or os.environ.get(ENDPOINT_ENV_VAR)
-    if not endpoint:
-        raise ValueError(
-            f"no endpoint given and {ENDPOINT_ENV_VAR} is not set; "
-            "use --mock for offline runs")
-    body = json.dumps({
-        "messages": [{"role": "user",
-                      "content": [{"type": "text", "text": prompt}]}],
-        "temperature": 0.1,
-        "top_p": 0.7,
-        "max_new_tokens": 1024,
-    }).encode("utf-8")
-    post = transport if transport is not None else http_post
-    return _completion_text(post(endpoint, body, args["timeout"]))
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -458,30 +428,31 @@ def cmd_decompose(args: dict, transport=None) -> int:
     """Produce stages.json and schedule.json, from canned response files
     in --mock mode or from the completion endpoint otherwise."""
     mock = args["mock"]
+    endpoint = args["endpoint"] or os.environ.get(ENDPOINT_ENV_VAR)
     if mock is not None:
         for p in mock:
             _require_file(p, "canned response")
+    elif not endpoint:
+        raise ValueError(f"no endpoint given and {ENDPOINT_ENV_VAR} is not "
+                         "set; use --mock for offline runs")
     out = _ensure_out(args["out"])
     ranges = _parse_ranges(args["ranges"])
 
-    prompt = build_decomposition_prompt(args["task"], args["num_images"],
-                                        args["num_stages"])
-    if mock is not None:
-        with open(mock[0]) as f:
-            decomp_text = f.read()
-    else:
-        decomp_text = _remote_text(prompt, args, transport)
-    stage_templates = parse_stage_templates(decomp_text,
-                                            expected_n=args["num_stages"])
+    def respond(i: int, prompt: str) -> str:
+        if mock is not None:
+            with open(mock[i]) as f:
+                return f.read()
+        return complete_text(endpoint, [{"type": "text", "text": prompt}],
+                             args["timeout"], transport)
 
-    prompt = build_schedule_prompt(stage_templates, ranges)
-    if mock is not None:
-        with open(mock[1]) as f:
-            sched_text = f.read()
-    else:
-        sched_text = _remote_text(prompt, args, transport)
-    table = parse_schedule(sched_text, [s.name for s in stage_templates],
-                           ranges)
+    stage_templates = parse_stage_templates(
+        respond(0, build_decomposition_prompt(args["task"],
+                                              args["num_images"],
+                                              args["num_stages"])),
+        expected_n=args["num_stages"])
+    table = parse_schedule(
+        respond(1, build_schedule_prompt(stage_templates, ranges)),
+        [s.name for s in stage_templates], ranges)
 
     _write_text(os.path.join(out, "stages.json"),
                 templates_to_json(stage_templates))

@@ -94,16 +94,24 @@ def _check_like(name: str, x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward_noise(s: NoiseSchedule, a0: np.ndarray, k: int,
+def forward_noise(s: NoiseSchedule, a0: np.ndarray, k: int | np.ndarray,
                   eps: np.ndarray) -> np.ndarray:
     """Noise a clean sequence to level k:
 
         a_k = sqrt(alpha_bar_k) * a0 + sqrt(1 - alpha_bar_k) * eps
+
+    k is an int, or an int array of shape (B,) giving the level of each
+    entry along a0's leading axis of length B.
     """
     a0 = np.asarray(a0, dtype=np.float64)
     eps = _check_like("eps", eps, a0)
-    i = _check_step(s, k)
-    ab = s.alpha_bar[i]
+    ks = np.asarray(k)
+    if ks.shape not in ((), a0.shape[:1]) \
+            or not np.issubdtype(ks.dtype, np.integer) \
+            or np.any((ks < 1) | (ks > s.T)):
+        raise ValueError(f"k must be an int or {a0.shape[:1]} ints in "
+                         f"[1, {s.T}], got {k!r}")
+    ab = s.alpha_bar[ks - 1].reshape(ks.shape + (1,) * (a0.ndim - ks.ndim))
     return np.sqrt(ab) * a0 + np.sqrt(1.0 - ab) * eps
 
 
@@ -183,14 +191,3 @@ def theoretical_weights(s: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:
     q = w / np.sum(w)
     return w, q
 
-
-def weighted_loss(s: NoiseSchedule, eps: np.ndarray, eps_hat: np.ndarray,
-                  k: int) -> float:
-    """Step-weighted loss: w_k * mse_loss(eps, eps_hat).
-
-    The entry-mean convention of mse_loss carries over unchanged; only
-    the scalar step weight differs from the vanilla objective.
-    """
-    i = _check_step(s, k)
-    w, _ = theoretical_weights(s)
-    return float(w[i]) * mse_loss(eps, eps_hat)

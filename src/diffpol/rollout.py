@@ -163,10 +163,6 @@ class Metrics:
     total_steps: int
     mean_wall_time: float = field(compare=False, default=0.0)
 
-    @property
-    def success_std(self) -> float:
-        return float(np.std(self.per_seed_success))
-
 
 def episode_seeds(seed: int, n_episodes: int) -> list[int]:
     """Environment seeds for one evaluation seed, disjoint across seeds."""

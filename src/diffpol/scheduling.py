@@ -11,9 +11,9 @@ flagged degraded until the next successful classification.
 from __future__ import annotations
 
 import base64
+import http.client
 import json
 import os
-import socket
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
@@ -57,6 +57,38 @@ def http_post(url: str, body: bytes, timeout: float) -> bytes:
         return resp.read()
 
 
+def complete_text(endpoint: str, content: list[dict], timeout: float,
+                  transport=None) -> str:
+    """One chat-completion exchange: post a single user message made of
+    ``content`` parts and return the reply text.
+
+    ``transport(url, body, timeout) -> bytes`` defaults to http_post.
+    Failures surface as RemoteTimeout, RemoteTransportError or, for a
+    reply without a text completion, ResponseParseError.
+    """
+    body = json.dumps({
+        "messages": [{"role": "user", "content": content}],
+        "temperature": 0.1,
+        "top_p": 0.7,
+        "max_new_tokens": 1024,
+    }).encode("utf-8")
+    post = transport if transport is not None else http_post
+    try:
+        raw = post(endpoint, body, timeout)
+    except (OSError, http.client.HTTPException) as e:
+        cause = getattr(e, "reason", e)  # URLError wraps the socket error
+        if isinstance(cause, TimeoutError):
+            raise RemoteTimeout(f"endpoint timed out: {e}") from e
+        raise RemoteTransportError(f"endpoint unreachable: {e}") from e
+    try:
+        text = json.loads(raw)["choices"][0]["message"]["content"]
+        if not isinstance(text, str):
+            raise TypeError(f"content is {type(text).__name__}, not text")
+    except (ValueError, KeyError, IndexError, TypeError) as e:
+        raise ResponseParseError(f"malformed reply: {e}") from e
+    return text
+
+
 # -- classifiers --------------------------------------------------------------
 
 
@@ -77,10 +109,10 @@ class RemoteStageClassifier:
     """Stage classification over HTTP against a chat-completions-style
     endpoint.
 
-    Frames are base64 payloads in chronological order.  The transport is
-    injectable for tests; the default posts JSON with urllib and a hard
-    timeout.  All failures surface as distinct ClassifierError
-    subclasses so the scheduler can degrade gracefully.
+    Frames are bytes-like, sent base64-encoded in chronological order.
+    The transport is injectable for tests; the default posts JSON with
+    urllib and a hard timeout.  Every failure, an unencodable frame
+    included, is a ClassifierError, so the scheduler degrades gracefully.
     """
 
     def __init__(self, stages, endpoint: str | None = None, top_k: int = 3,
@@ -94,39 +126,19 @@ class RemoteStageClassifier:
         self.endpoint = endpoint
         self.top_k = top_k
         self.timeout = timeout
-        self.transport = transport if transport is not None else http_post
+        self.transport = transport
 
-    def request_body(self, frames) -> bytes:
+    def classify(self, frames) -> StageBelief:
         prompt = build_classification_prompt(self.stages, self.top_k)
         content = [{"type": "text", "text": prompt}]
         for frame in frames:
-            payload = base64.b64encode(bytes(frame)).decode("ascii")
+            try:
+                payload = base64.b64encode(bytes(frame)).decode("ascii")
+            except (TypeError, ValueError) as e:
+                raise ClassifierError(f"cannot encode frame: {e}") from e
             content.append({"type": "image", "image": payload})
-        body = {
-            "messages": [{"role": "user", "content": content}],
-            "temperature": 0.1,
-            "top_p": 0.7,
-            "max_new_tokens": 1024,
-        }
-        return json.dumps(body).encode("utf-8")
-
-    def classify(self, frames) -> StageBelief:
-        body = self.request_body(frames)
-        try:
-            raw = self.transport(self.endpoint, body, self.timeout)
-        except (socket.timeout, TimeoutError) as e:
-            raise RemoteTimeout(f"classification timed out: {e}") from e
-        except urllib.error.URLError as e:
-            if isinstance(e.reason, (socket.timeout, TimeoutError)):
-                raise RemoteTimeout(f"classification timed out: {e}") from e
-            raise RemoteTransportError(f"endpoint unreachable: {e}") from e
-        except OSError as e:
-            raise RemoteTransportError(f"endpoint unreachable: {e}") from e
-        try:
-            reply = json.loads(raw.decode("utf-8"))
-            text = reply["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as e:
-            raise ResponseParseError(f"malformed reply: {e}") from e
+        text = complete_text(self.endpoint, content, self.timeout,
+                             self.transport)
         try:
             return parse_stage_probs(text, self.stages, self.top_k)
         except StageParseError as e:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import make_noise_schedule
+from .diffusion import forward_noise, make_noise_schedule
 from .env import DemoDataset, policy_features
 from .nets import (
     AdamState,
@@ -137,27 +137,6 @@ def _policy_entropy_grad(ts: TimestepSampler, ks: np.ndarray,
     return dz
 
 
-def _apply_sampler_grad(ts: TimestepSampler, dz: np.ndarray,
-                        lr: float | None) -> TimestepSampler:
-    x = _embed_table(ts.embed_dim, ts.T)
-    _, cache = mlp_forward(ts.net, x)
-    grads = mlp_backward(ts.net, cache, dz[:, None])
-    if lr is not None:
-        ts.adam.lr = lr
-    optimizer_step(ts.net, grads, ts.adam)
-    ts._logits = None
-    return ts
-
-
-def sampler_update(ts: TimestepSampler, k: int, r: float,
-                   lr: float | None = None) -> TimestepSampler:
-    """One score-function step for a single (step, reward) pair."""
-    if not (1 <= k <= ts.T):
-        raise ValueError(f"step index {k} outside [1, {ts.T}]")
-    dz = _policy_entropy_grad(ts, np.array([k]), np.array([float(r)]))
-    return _apply_sampler_grad(ts, dz, lr)
-
-
 def sampler_update_batch(ts: TimestepSampler, ks: np.ndarray, rs: np.ndarray,
                          lr: float | None = None) -> TimestepSampler:
     """One optimizer step on the per-batch mean of the per-sample
@@ -169,7 +148,13 @@ def sampler_update_batch(ts: TimestepSampler, ks: np.ndarray, rs: np.ndarray,
     if np.any((ks < 1) | (ks > ts.T)):
         raise ValueError("step indices outside [1, T]")
     dz = _policy_entropy_grad(ts, ks, rs)
-    return _apply_sampler_grad(ts, dz, lr)
+    _, cache = mlp_forward(ts.net, _embed_table(ts.embed_dim, ts.T))
+    grads = mlp_backward(ts.net, cache, dz[:, None])
+    if lr is not None:
+        ts.adam.lr = lr
+    optimizer_step(ts.net, grads, ts.adam)
+    ts._logits = None
+    return ts
 
 
 def sampler_objective(ts: TimestepSampler, k: int, r: float) -> float:
@@ -226,22 +211,16 @@ def _renormalize(w: np.ndarray, floor: float = WEIGHT_FLOOR) -> np.ndarray:
     return w
 
 
-def update_traj_weight(tw: TrajectoryWeights, i: int, r_i: float,
-                       alpha: float) -> TrajectoryWeights:
-    """EMA update of one weight, then floor and mean-one renormalization."""
-    if not (0 <= i < tw.n):
-        raise IndexError(f"trajectory index {i} outside [0, {tw.n})")
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    w = tw.w.copy()
-    w[i] = ema_weight(w[i], r_i, alpha)
-    return TrajectoryWeights(_renormalize(w))
-
-
 def update_traj_weights_batch(tw: TrajectoryWeights, idxs: np.ndarray,
                               rs: np.ndarray,
                               alpha: float) -> TrajectoryWeights:
-    """EMA updates for every drawn trajectory, then one floor + renorm."""
+    """EMA updates for every drawn trajectory, then one floor + renorm.
+    An index outside [0, n) or alpha outside (0, 1] raises."""
+    idxs = np.asarray(idxs)
+    if np.any((idxs < 0) | (idxs >= tw.n)):
+        raise IndexError(f"trajectory index outside [0, {tw.n})")
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     w = tw.w.copy()
     for i, r in zip(idxs, rs):
         w[i] = ema_weight(w[i], float(r), alpha)
@@ -380,8 +359,7 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
         else:
             ks = rng.integers(1, config.T + 1, size=B)
         eps_b = rng.standard_normal(a0_b.shape)
-        ab = sched.alpha_bar[ks - 1][:, None, None]
-        ak_b = np.sqrt(ab) * a0_b + np.sqrt(1.0 - ab) * eps_b
+        ak_b = forward_noise(sched, a0_b, ks, eps_b)
 
         losses, grads = denoiser_batch_grads(params, policy_features(obs_b),
                                              ak_b, ks, eps_b)

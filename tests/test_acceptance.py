@@ -22,7 +22,7 @@ from diffpol.diffusion import (
 )
 from diffpol.env import generate_demos, save_demos
 from diffpol.nets import (
-    denoiser_backward,
+    denoiser_batch_grads,
     denoiser_forward,
     init_params,
     mlp_backward,
@@ -74,7 +74,8 @@ def test_01_analytic_gradients_match_finite_differences():
         ak = rng.standard_normal((2, 1))
         eps = rng.standard_normal((2, 1))
         k = int(rng.integers(1, 11))
-        _, grads = denoiser_backward(p, obs, ak, k, eps)
+        _, grads = denoiser_batch_grads(p, obs[None], ak[None],
+                                        np.array([k]), eps[None])
         li = int(rng.integers(len(p.net.weights)))
         W = p.net.weights[li]
         i, j = int(rng.integers(W.shape[0])), int(rng.integers(W.shape[1]))

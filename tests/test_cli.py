@@ -2,11 +2,13 @@
 
 import json
 import pathlib
+import urllib.error
 
 import numpy as np
 
 import pytest
 
+import diffpol.scheduling
 from diffpol.cli import (
     DEFAULTS,
     build_parser,
@@ -244,6 +246,25 @@ class TestDecompose:
         assert "robot_arm" in second  # built from the parsed stage names
         assert (out / "schedule.json").read_bytes() == \
             (FIXTURES / "schedule_expected.json").read_bytes()
+
+    @pytest.mark.parametrize("reply", [
+        urllib.error.URLError(ConnectionRefusedError("refused")),
+        b"not json"])
+    def test_endpoint_failures_print_one_error_line(self, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    reply):
+        def post(url, body, timeout):
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        monkeypatch.setattr(diffpol.scheduling, "http_post", post)
+        rc = main(["decompose", "--endpoint", "http://unit.test/v1",
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_no_endpoint_and_no_mock_fails(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)

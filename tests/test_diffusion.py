@@ -12,7 +12,6 @@ from diffpol.diffusion import (
     respaced_schedule,
     schedule_from_betas,
     theoretical_weights,
-    weighted_loss,
 )
 
 
@@ -100,6 +99,25 @@ class TestForwardNoise:
             forward_noise(s, np.zeros((2, 2)), 1, np.zeros(3))
         with pytest.raises(ValueError):
             forward_noise(s, np.zeros(2), 3, np.zeros(2))
+
+    def test_step_array_matches_per_row_calls(self):
+        s = make_noise_schedule(10)
+        rng = np.random.default_rng(3)
+        a0 = rng.normal(size=(6, 4, 2))
+        eps = rng.normal(size=a0.shape)
+        ks = np.array([1, 10, 4, 4, 7, 2])
+        out = forward_noise(s, a0, ks, eps)
+        rows = [forward_noise(s, a0[e], int(k), eps[e])
+                for e, k in enumerate(ks)]
+        np.testing.assert_array_equal(out, np.stack(rows))
+
+    def test_step_array_rejects_bad_steps(self):
+        s = make_noise_schedule(10)
+        a0 = np.zeros((3, 2))
+        for ks in ([1, 0, 2], [1, 11, 2], [1, 2], [1.0, 2.0, 3.0],
+                   [[1, 2, 3]]):
+            with pytest.raises(ValueError, match=r"in \[1, 10\]"):
+                forward_noise(s, a0, np.array(ks), a0)
 
 
 class TestDdpmReverseStep:
@@ -203,11 +221,6 @@ class TestLosses:
             w, q = theoretical_weights(make_noise_schedule(T))
             assert np.all(w > 0)
             assert abs(q.sum() - 1.0) < 1e-12
-
-    def test_weighted_loss_hand_value(self):
-        s = two_step()
-        val = weighted_loss(s, np.zeros((2, 2)), np.ones((2, 2)), 2)
-        np.testing.assert_allclose(val, 0.08928571428571429, atol=1e-15)
 
     def test_importance_identity_exact(self):
         # expectation under q of the vanilla loss equals expectation under

@@ -13,7 +13,6 @@ from diffpol.nets import (
     CHECKPOINT_MAGIC,
     AdamState,
     MlpParams,
-    denoiser_backward,
     denoiser_batch_grads,
     denoiser_forward,
     init_mlp,
@@ -32,6 +31,13 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
+
+
+def one_sample_grads(p, obs, ak, k, eps):
+    """Loss and gradients of one sample: a batch of one."""
+    losses, grads = denoiser_batch_grads(p, obs[None], ak[None],
+                                         np.array([k]), eps[None])
+    return float(losses[0]), grads
 
 
 def central_diff(f, arr, idx, eps=1e-6):
@@ -103,7 +109,7 @@ class TestGradients:
         ak = rng.normal(size=(4, 2))
         eps = rng.normal(size=(4, 2))
         k = int(rng.integers(1, 11))
-        _, grads = denoiser_backward(p, obs, ak, k, eps)
+        _, grads = one_sample_grads(p, obs, ak, k, eps)
         worst = 0.0
         arrays = list(zip(p.net.weights, grads.weights))
         arrays += list(zip(p.net.biases, grads.biases))
@@ -111,7 +117,7 @@ class TestGradients:
             arr, g = arrays[rng.integers(len(arrays))]
             idx = tuple(rng.integers(s) for s in arr.shape)
             num = central_diff(
-                lambda: denoiser_backward(p, obs, ak, k, eps)[0], arr, idx)
+                lambda: one_sample_grads(p, obs, ak, k, eps)[0], arr, idx)
             worst = max(worst, rel_err(num, g[idx]))
         return worst
 
@@ -130,8 +136,8 @@ class TestGradients:
         losses, grads = denoiser_batch_grads(p, obs_b, ak_b, ks, eps_b)
         acc = None
         for i in range(B):
-            loss_i, g_i = denoiser_backward(p, obs_b[i], ak_b[i], int(ks[i]),
-                                            eps_b[i])
+            loss_i, g_i = one_sample_grads(p, obs_b[i], ak_b[i], int(ks[i]),
+                                           eps_b[i])
             assert rel_err(loss_i, losses[i]) < 1e-12
             if acc is None:
                 acc = g_i
@@ -141,6 +147,23 @@ class TestGradients:
                     [a + b for a, b in zip(acc.biases, g_i.biases)])
         for a, b in zip(acc.weights, grads.weights):
             np.testing.assert_allclose(a / B, b, atol=1e-12)
+
+    def test_batch_grads_reject_bad_inputs(self):
+        p = init_params(0, d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
+        rng = np.random.default_rng(5)
+        obs_b = rng.normal(size=(2, 3))
+        win = rng.normal(size=(2, 4, 2))
+        ks = np.array([1, 10])
+        denoiser_batch_grads(p, obs_b, win, ks, win)  # the valid baseline
+        for bad_ks in ([0, 3], [3, 11], [3], [[3, 3]], [3.0, 3.0]):
+            with pytest.raises(ValueError):
+                denoiser_batch_grads(p, obs_b, win, np.array(bad_ks), win)
+        with pytest.raises(ValueError):
+            denoiser_batch_grads(p, obs_b, win, ks, win[:, :3])
+        with pytest.raises(ValueError):
+            denoiser_batch_grads(p, obs_b, win[:1], ks, win)
+        with pytest.raises(ValueError):
+            denoiser_batch_grads(p, obs_b[:, :2], win, ks, win)
 
     def test_forward_shape_and_validation(self):
         p = init_params(0, d_o=6, T_p=16, d_a=2)
@@ -271,9 +294,9 @@ class TestFlatLayout:
         loaded = load_checkpoint(path)
         self.assert_views_of_flat(loaded.net)
         assert loaded.net.flat.flags.writeable
-        _, grads = denoiser_backward(params, rng.normal(size=3),
-                                     rng.normal(size=(4, 2)), 3,
-                                     rng.normal(size=(4, 2)))
+        _, grads = one_sample_grads(params, rng.normal(size=3),
+                                    rng.normal(size=(4, 2)), 3,
+                                    rng.normal(size=(4, 2)))
         self.assert_views_of_flat(grads)
         assert not np.shares_memory(grads.flat, params.net.flat)
 

@@ -1,6 +1,7 @@
 """Classifiers (oracle and remote) and the periodic scheduler tick."""
 
 import base64
+import http.client
 import json
 import socket
 import urllib.error
@@ -144,6 +145,12 @@ class TestRemoteClassifier:
         with pytest.raises(RemoteTransportError):
             self.make(dead).classify([b"f"])
 
+        def truncated(url, body, timeout):  # urllib's short-body error
+            raise http.client.IncompleteRead(b'{"ch', 96)
+
+        with pytest.raises(RemoteTransportError):
+            self.make(truncated).classify([b"f"])
+
     def test_garbage_reply_is_parse_error(self):
         with pytest.raises(ResponseParseError):
             self.make(lambda u, b, t: b"not json").classify([b"f"])
@@ -152,6 +159,26 @@ class TestRemoteClassifier:
         with pytest.raises(ResponseParseError):
             self.make(lambda u, b, t:
                       canned_reply("nothing usable here")).classify([b"f"])
+
+    def test_non_text_content_is_parse_error(self):
+        for content in (None, 5, ["push: 0.9"]):
+            with pytest.raises(ResponseParseError):
+                self.make(lambda u, b, t, c=content:
+                          canned_reply(c)).classify([b"f"])
+
+    def test_unencodable_frames_degrade_the_tick(self):
+        # rollouts buffer EnvState frames, which have no byte encoding
+        def transport(url, body, timeout):
+            raise AssertionError("transport called with unencodable frames")
+
+        table = push_table()
+        st = make_scheduler(seed=0, period=4)
+        st.active = 3
+        na, nd, st = scheduler_tick(st, [reset_env(0)], self.make(transport),
+                                    table)
+        assert st.degraded
+        assert st.active == 3
+        assert (na, nd) == table.entries[3].pair
 
     def test_all_remote_errors_are_classifier_errors(self):
         for err in (RemoteTimeout, RemoteTransportError, ResponseParseError):

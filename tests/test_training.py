@@ -25,10 +25,8 @@ from diffpol.training import (
     sampler_distribution,
     sampler_entropy,
     sampler_objective,
-    sampler_update,
     sampler_update_batch,
     train,
-    update_traj_weight,
     update_traj_weights_batch,
     weighted_sample_index,
 )
@@ -97,7 +95,7 @@ class TestTrajectoryWeights:
 
     def test_update_renormalizes_to_mean_one(self):
         tw = make_traj_weights(2)
-        out = update_traj_weight(tw, 0, 0.5, 0.2)
+        out = update_traj_weights_batch(tw, [0], [0.5], 0.2)
         np.testing.assert_allclose(out.w, [22.0 / 21.0, 20.0 / 21.0],
                                    rtol=0, atol=1e-15)
         assert out.w.mean() == pytest.approx(1.0, abs=1e-15)
@@ -106,7 +104,7 @@ class TestTrajectoryWeights:
         # a large negative reward floors the weight; the mean-one rescale
         # then lifts everything by a common factor, preserving ratios
         tw = make_traj_weights(3)
-        out = update_traj_weight(tw, 0, -24.0, 1.0)
+        out = update_traj_weights_batch(tw, [0], [-24.0], 1.0)
         scale = 3.0 / (2.0 + WEIGHT_FLOOR)
         np.testing.assert_allclose(
             out.w, [WEIGHT_FLOOR * scale, scale, scale], rtol=0, atol=1e-15)
@@ -128,7 +126,7 @@ class TestTrajectoryWeights:
             i = int(rng.integers(8))
             r = float(rng.normal(scale=3.0))
             a = float(rng.uniform(0.01, 1.0))
-            tw = update_traj_weight(tw, i, r, a)
+            tw = update_traj_weights_batch(tw, [i], [r], a)
             assert np.all(tw.w >= WEIGHT_FLOOR - 1e-15)
             assert tw.w.mean() == pytest.approx(1.0, abs=1e-9)
 
@@ -165,12 +163,13 @@ class TestTrajectoryWeights:
         with pytest.raises(ValueError):
             make_traj_weights(0)
         tw = make_traj_weights(2)
-        with pytest.raises(IndexError):
-            update_traj_weight(tw, 2, 0.0, 0.1)
+        for i in (-1, 2):
+            with pytest.raises(IndexError):
+                update_traj_weights_batch(tw, [i], [0.0], 0.1)
         with pytest.raises(ValueError):
-            update_traj_weight(tw, 0, 0.0, 0.0)
+            update_traj_weights_batch(tw, [0], [0.0], 0.0)
         with pytest.raises(ValueError):
-            update_traj_weight(tw, 0, 0.0, 1.5)
+            update_traj_weights_batch(tw, [0], [0.0], 1.5)
 
 
 class TestTimestepSampler:
@@ -195,7 +194,7 @@ class TestTimestepSampler:
         ts = make_timestep_sampler(3, T=8, warmup=0, hidden=32, embed_dim=16)
         # push the logits away from uniform first
         for _ in range(30):
-            sampler_update(ts, 3, 1.0)
+            sampler_update_batch(ts, [3], [1.0])
         p = sampler_distribution(ts)
         rng = np.random.default_rng(4)
         counts = np.zeros(8)
@@ -252,7 +251,7 @@ class TestTimestepSampler:
         k = 5
         before = sampler_distribution(ts)[k - 1]
         for _ in range(50):
-            sampler_update(ts, k, 1.0)
+            sampler_update_batch(ts, [k], [1.0])
         after = sampler_distribution(ts)[k - 1]
         assert after > 0.5
         assert after > 3.0 * before
@@ -260,20 +259,20 @@ class TestTimestepSampler:
     def test_lr_override_persists(self):
         ts = make_timestep_sampler(0, T=12, warmup=0, hidden=8, embed_dim=8,
                                    lr=1e-3)
-        sampler_update(ts, 3, 1.0, lr=0.05)
+        sampler_update_batch(ts, [3], [1.0], lr=0.05)
         assert ts.adam.lr == 0.05 and ts.adam.t == 1
-        sampler_update(ts, 3, 1.0)
+        sampler_update_batch(ts, [3], [1.0])
         assert ts.adam.lr == 0.05 and ts.adam.t == 2
 
     def test_entropy_term_pushes_toward_uniform(self):
         ts = make_timestep_sampler(0, T=12, warmup=0, entropy_coef=0.0,
                                    hidden=32, embed_dim=16)
         for _ in range(40):
-            sampler_update(ts, 4, 1.0)
+            sampler_update_batch(ts, [4], [1.0])
         ts.entropy_coef = 10.0
         h0 = sampler_entropy(ts)
         for _ in range(40):
-            sampler_update(ts, 4, 0.0)
+            sampler_update_batch(ts, [4], [0.0])
         assert sampler_entropy(ts) > h0
 
     def test_objective_value(self):
@@ -301,9 +300,9 @@ class TestTimestepSampler:
     def test_rejects_bad_args(self):
         ts = make_timestep_sampler(0, T=10, hidden=32, embed_dim=16)
         with pytest.raises(ValueError):
-            sampler_update(ts, 0, 1.0)
+            sampler_update_batch(ts, [0], [1.0])
         with pytest.raises(ValueError):
-            sampler_update(ts, 11, 1.0)
+            sampler_update_batch(ts, [11], [1.0])
         with pytest.raises(ValueError):
             sampler_update_batch(ts, np.array([1, 2]), np.array([1.0]))
         with pytest.raises(ValueError):
