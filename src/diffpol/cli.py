@@ -394,6 +394,7 @@ def cmd_train(args: dict) -> int:
     save_checkpoint(os.path.join(out, "checkpoint.bin"), params)
     report.to_csv(os.path.join(out, "report.csv"))
     report.snapshots_to_csv(os.path.join(out, "snapshots.csv"))
+    report.weights_to_csv(os.path.join(out, "weights.csv"))
     write_manifest(out, "train", args)
     if report.eval_success:
         tail = f"final eval success {report.eval_success[-1]:.3f}"

@@ -118,15 +118,23 @@ def init_mlp(rng: np.random.Generator, sizes: list[int]) -> MlpParams:
 def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Batched forward pass; x is (n, d_in).  Returns (y, cache) where the
     cache holds each layer's input for the backward pass."""
-    h = np.asarray(x, dtype=np.float64)
-    cache = [h]
-    last = len(p.weights) - 1
-    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        h = h @ w + b
-        if i < last:
-            h = np.tanh(h)
-        cache.append(h)
-    return h, cache
+    x = np.asarray(x, dtype=np.float64)
+    cache = [x]
+    return _mlp_from_first(p, x @ p.weights[0] + p.biases[0], cache), cache
+
+
+def _mlp_from_first(p: MlpParams, z: np.ndarray,
+                    cache: list[np.ndarray] | None = None) -> np.ndarray:
+    """The rest of a forward pass, given layer 0's pre-activation z;
+    appends each layer's output to ``cache`` when one is given."""
+    for w, b in zip(p.weights[1:], p.biases[1:]):
+        z = np.tanh(z)
+        if cache is not None:
+            cache.append(z)
+        z = z @ w + b
+    if cache is not None:
+        cache.append(z)
+    return z
 
 
 def mlp_backward(p: MlpParams, cache: list[np.ndarray],
@@ -250,25 +258,51 @@ def init_params(seed: int, d_o: int, T_p: int, d_a: int, hidden: int = 256,
                           hidden=hidden, T=T, net=net)
 
 
-def _denoiser_input(p: DenoiserParams, obs: np.ndarray, ak: np.ndarray,
-                    k: int) -> np.ndarray:
+def _check_steps(ks: np.ndarray, T: int) -> None:
+    if ks.ndim != 1 or not np.issubdtype(ks.dtype, np.integer) \
+            or np.any((ks < 1) | (ks > T)):
+        raise ValueError(f"steps must be integers in [1, {T}], got {ks!r}")
+
+
+def denoiser_context(p: DenoiserParams, obs: np.ndarray,
+                     ks: np.ndarray) -> np.ndarray:
+    """The first layer's step-invariant part for one observation and
+    steps ``ks`` (integers in 1..T, else ValueError): row i is
+    ``obs @ W0[obs rows] + b0 + embed(ks[i]) @ W0[embed rows]``, shape
+    (len(ks), hidden).  A reverse chain builds it once per window."""
     obs = np.asarray(obs, dtype=np.float64)
-    ak = np.asarray(ak, dtype=np.float64)
     if obs.shape != (p.d_o,):
         raise ValueError(f"obs shape {obs.shape} != ({p.d_o},)")
+    ks = np.asarray(ks)
+    _check_steps(ks, p.T)
+    w0 = p.net.weights[0]
+    table = _embed_table(p.embed_dim, p.T)
+    ctx = table[ks - 1] @ w0[p.d_o + p.T_p * p.d_a:]
+    ctx += obs @ w0[:p.d_o] + p.net.biases[0]
+    return ctx
+
+
+# First layer split: obs and step terms per window, the action term per step.
+def denoiser_forward(p: DenoiserParams, obs: np.ndarray, ak: np.ndarray,
+                     k: int, context: np.ndarray | None = None) -> np.ndarray:
+    """Noise estimate for one noisy window at step k; returns (T_p, d_a).
+
+    ``context`` is k's row of ``denoiser_context(p, obs, ks)`` when the
+    caller built one for a whole window (obs is then not read); without
+    it the row is built here, a window of one.  k must be an integer in
+    1..T, else ValueError.
+    """
+    if context is None:
+        context = denoiser_context(p, obs, [k])[0]
+    elif isinstance(k, bool) or not isinstance(k, (int, np.integer)) \
+            or not 1 <= k <= p.T:
+        raise ValueError(f"step must be an integer in [1, {p.T}], got {k!r}")
+    ak = np.asarray(ak, dtype=np.float64)
     if ak.shape != (p.T_p, p.d_a):
         raise ValueError(f"ak shape {ak.shape} != ({p.T_p}, {p.d_a})")
-    emb = sinusoidal_embed(k, p.embed_dim, p.T)
-    return np.concatenate([obs, ak.ravel(), emb])
-
-
-# Separate from denoiser_batch_grads: measured faster for batch-1 rollouts.
-def denoiser_forward(p: DenoiserParams, obs: np.ndarray, ak: np.ndarray,
-                     k: int) -> np.ndarray:
-    """Noise estimate for one noisy window; returns (T_p, d_a)."""
-    x = _denoiser_input(p, obs, ak, k)[None, :]
-    y, _ = mlp_forward(p.net, x)
-    return y[0].reshape(p.T_p, p.d_a)
+    w_act = p.net.weights[0][p.d_o:p.d_o + p.T_p * p.d_a]
+    y = _mlp_from_first(p.net, ak.reshape(-1) @ w_act + context)
+    return y.reshape(p.T_p, p.d_a)
 
 
 def denoiser_batch_grads(p: DenoiserParams, obs_b: np.ndarray, ak_b: np.ndarray,
@@ -289,10 +323,9 @@ def denoiser_batch_grads(p: DenoiserParams, obs_b: np.ndarray, ak_b: np.ndarray,
     for name, arr in (("ak_b", ak_b), ("eps_b", eps_b)):
         if arr.shape != window:
             raise ValueError(f"{name} shape {arr.shape} != {window}")
-    if ks.shape != (B,) or not np.issubdtype(ks.dtype, np.integer) \
-            or np.any((ks < 1) | (ks > p.T)):
-        raise ValueError(f"ks must be {B} integer steps in [1, {p.T}], "
-                         f"got {ks!r}")
+    if ks.shape != (B,):
+        raise ValueError(f"ks shape {ks.shape} != ({B},)")
+    _check_steps(ks, p.T)
     table = _embed_table(p.embed_dim, p.T)
     x = np.concatenate([obs_b, ak_b.reshape(B, -1), table[ks - 1]], axis=1)
     y, cache = mlp_forward(p.net, x)

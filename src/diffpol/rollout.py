@@ -19,7 +19,7 @@ from .diffusion import NoiseSchedule, ddim_reverse_step, ddpm_reverse_step, \
     respaced_schedule
 from .env import MAX_STEPS, STAGES, EnvState, env_step, is_success, observe, \
     policy_features, reset_env
-from .nets import DenoiserParams, denoiser_forward
+from .nets import DenoiserParams, denoiser_context, denoiser_forward
 from .scheduling import OracleStageClassifier, SchedulerState, make_scheduler, \
     scheduler_tick
 from .stages import ScheduleEntry, ScheduleTable
@@ -57,14 +57,21 @@ def denoise_action_window(params: DenoiserParams, sched: NoiseSchedule,
         raise ValueError(f"kind must be one of {SAMPLER_KINDS}, got {kind!r}")
     if not (1 <= n_steps <= sched.T):
         raise ValueError(f"n_steps {n_steps} outside [1, {sched.T}]")
-    if forward_fn is None:
-        forward_fn = denoiser_forward
     obs = policy_features(obs)  # same lift the denoiser was trained on
     a = rng.standard_normal((params.T_p, params.d_a))
     derived, idx = respaced_schedule(sched, n_steps)
+    # the default denoiser's step-invariant first-layer terms, per window
+    ctx = denoiser_context(params, obs, idx) if forward_fn is None else None
+
+    def predict_noise(j: int, a: np.ndarray) -> np.ndarray:
+        k = int(idx[j - 1])
+        if ctx is None:
+            return forward_fn(params, obs, a, k)
+        return denoiser_forward(params, obs, a, k, ctx[j - 1])
+
     if kind == "ddpm":
         for j in range(n_steps, 0, -1):
-            eps_hat = forward_fn(params, obs, a, int(idx[j - 1]))
+            eps_hat = predict_noise(j, a)
             z = rng.standard_normal(a.shape) if j > 1 else np.zeros_like(a)
             a = ddpm_reverse_step(derived, eps_hat, a, j, z)
     else:
@@ -72,7 +79,7 @@ def denoise_action_window(params: DenoiserParams, sched: NoiseSchedule,
         for j in range(n_steps, 0, -1):
             k = int(idx[j - 1])
             k_prev = int(idx[j - 2]) if j > 1 else 0
-            eps_hat = forward_fn(params, obs, a, k)
+            eps_hat = predict_noise(j, a)
             a = ddim_reverse_step(sched, eps_hat, a, k, k_prev, 0.0, zero)
     return np.clip(a, -1.0, 1.0)
 

@@ -296,16 +296,27 @@ class TrainReport:
                 wr.writerow([s, f"{l:.17g}", ev, f"{h:.17g}"])
 
     def snapshots_to_csv(self, path: str) -> None:
-        """Wide rows: step then the full draw distribution at that step."""
-        with open(path, "w", newline="") as f:
-            wr = csv.writer(f)
-            if self.sampler_snapshots:
-                T = self.sampler_snapshots[0][1].size
-                wr.writerow(["step"] + [f"p{k}" for k in range(1, T + 1)])
-                for s, p in self.sampler_snapshots:
-                    wr.writerow([s] + [f"{x:.17g}" for x in p])
-            else:
-                wr.writerow(["step"])
+        """Wide rows: step then the full draw distribution at that step
+        (columns p1..pT)."""
+        _wide_csv(path, self.sampler_snapshots, "p", 1)
+
+    def weights_to_csv(self, path: str) -> None:
+        """Wide rows: step then every trajectory's replay weight at that
+        step (columns w0..w{n-1})."""
+        _wide_csv(path, self.weight_snapshots, "w", 0)
+
+
+def _wide_csv(path: str, snapshots: list[tuple[int, np.ndarray]],
+              prefix: str, first: int) -> None:
+    """Header step, {prefix}{first}, ...; one row per snapshot, values as
+    .17g; just the step column when there are no snapshots."""
+    n = snapshots[0][1].size if snapshots else 0
+    with open(path, "w", newline="") as f:
+        wr = csv.writer(f)
+        wr.writerow(["step"]
+                    + [f"{prefix}{i}" for i in range(first, first + n)])
+        for s, v in snapshots:
+            wr.writerow([s] + [f"{x:.17g}" for x in v])
 
 
 def train(config: TrainConfig, dataset: DemoDataset, mode: str,
@@ -340,6 +351,7 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     tw = make_traj_weights(dataset.n_traj)
     report = TrainReport(mode=mode)
     B = config.batch_size
+    n_windows = np.array([tr.n_windows for tr in dataset.trajectories])
     uniform_entropy = float(np.log(config.T))
 
     for step in range(config.total_steps):
@@ -347,11 +359,12 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
             idxs = weighted_sample_index(tw, rng, size=B)
         else:
             idxs = rng.integers(0, dataset.n_traj, size=B)
+        # one draw per row, consuming the generator like B scalar draws
+        wis = rng.integers(n_windows[idxs])
         obs_b = np.empty((B, dataset.d_o))
         a0_b = np.empty((B, dataset.T_p, dataset.d_a))
-        for e, ti in enumerate(idxs):
+        for e, (ti, wi) in enumerate(zip(idxs, wis)):
             traj = dataset.trajectories[ti]
-            wi = int(rng.integers(traj.n_windows))
             obs_b[e] = traj.obs[wi]
             a0_b[e] = traj.actions[wi]
         if adaptive:

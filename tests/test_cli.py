@@ -164,6 +164,31 @@ class TestTrain:
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["args"]["steps"] == 5
 
+    def test_weights_csv_replays_byte_for_byte(self, tmp_path, demo_file):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {**json.loads((FIXTURES / "tiny_train.json").read_text()),
+             "steps": 6, "snapshot_every": 2, "mode": "aln",
+             "data": demo_file}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["train", "--config", str(cfg), "--out", str(a)]) == 0
+        assert run_from_manifest(str(a / "manifest.json"), str(b)) == 0
+        blob = (a / "weights.csv").read_bytes()
+        assert blob == (b / "weights.csv").read_bytes()
+        rows = [line.split(",") for line in blob.decode().splitlines()]
+        assert rows[0] == ["step", "w0", "w1"]  # two demo trajectories
+        assert [r[0] for r in rows[1:]] == ["2", "4", "6"]
+        w = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
+        np.testing.assert_allclose(w.mean(axis=1), 1.0)  # mean-one weights
+        assert not np.allclose(w[-1], 1.0)  # aln moved them after warmup
+
+    def test_weights_csv_without_snapshots_is_a_header(self, tmp_path,
+                                                        demo_file):
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "0", "--data", demo_file,
+                     "--out", str(out)] + TINY) == 0
+        assert (out / "weights.csv").read_bytes() == b"step\r\n"
+
 
 class TestEval:
     def test_report_structure(self, tmp_path, checkpoint):

@@ -14,6 +14,7 @@ from diffpol.nets import (
     AdamState,
     MlpParams,
     denoiser_batch_grads,
+    denoiser_context,
     denoiser_forward,
     init_mlp,
     init_params,
@@ -174,6 +175,51 @@ class TestGradients:
             denoiser_forward(p, rng.normal(size=5), rng.normal(size=(16, 2)), 5)
         with pytest.raises(ValueError):
             denoiser_forward(p, rng.normal(size=6), rng.normal(size=(2, 16)), 5)
+
+    def test_forward_rejects_steps_outside_the_chain(self):
+        # k = 0 used to run on an embedding training never sees
+        p = init_params(0, d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
+        rng = np.random.default_rng(6)
+        obs, ak = rng.normal(size=3), rng.normal(size=(4, 2))
+        row = denoiser_context(p, obs, [5])[0]
+        for bad_k in (0, -1, 11, 5.0, np.float64(5), True, None):
+            with pytest.raises(ValueError):
+                denoiser_forward(p, obs, ak, bad_k)
+            with pytest.raises(ValueError):
+                denoiser_forward(p, obs, ak, bad_k, row)
+        for bad_ks in ([0, 3], [3, 11], [3.0], [[3]], [True]):
+            with pytest.raises(ValueError):
+                denoiser_context(p, obs, bad_ks)
+        with pytest.raises(ValueError):
+            denoiser_context(p, obs[:2], [3])
+        for k in (1, np.int64(10)):  # the valid edges
+            denoiser_forward(p, obs, ak, k)
+
+    @pytest.mark.parametrize("dims", [
+        dict(d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10),
+        dict(d_o=17, T_p=16, d_a=2, hidden=384, embed_dim=128, T=100),
+    ], ids=["tiny", "bench"])
+    def test_context_split_matches_concatenated_forward(self, dims):
+        """Every step, split first layer against mlp_forward on the
+        concatenated (obs, window, embedding) input of the training path."""
+        p = init_params(7, **dims)
+        rng = np.random.default_rng(8)
+        T = dims["T"]
+        obs = rng.normal(size=dims["d_o"])
+        ak_b = rng.normal(size=(T, dims["T_p"], dims["d_a"]))
+        ks = np.arange(1, T + 1)
+        x = np.concatenate([np.tile(obs, (T, 1)), ak_b.reshape(T, -1),
+                            _embed_table(dims["embed_dim"], T)], axis=1)
+        want, _ = mlp_forward(p.net, x)
+        ctx = denoiser_context(p, obs, ks[::-1])[::-1]  # any step order
+        for k in ks:
+            ref = want[k - 1].reshape(ak_b.shape[1:])
+            np.testing.assert_allclose(
+                denoiser_forward(p, obs, ak_b[k - 1], int(k), ctx[k - 1]),
+                ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                denoiser_forward(p, obs, ak_b[k - 1], int(k)), ref,
+                rtol=0, atol=1e-12)
 
 
 def reference_adam(p, grads, st):

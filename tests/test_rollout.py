@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from helpers import expert_forward_fn, expert_window, zero_forward_fn
 
+import diffpol.rollout
 from diffpol.diffusion import make_noise_schedule
 from diffpol.env import MAX_STEPS, T_P, observe, policy_features, reset_env
-from diffpol.nets import init_params
+from diffpol.nets import _embed_table, init_params, mlp_forward
 from diffpol.rollout import (
     EpisodeResult,
     Metrics,
@@ -66,6 +67,26 @@ class TestDenoiseWindow:
         with pytest.raises(ValueError):
             denoise_action_window(p, SCHED, obs, 10, "euler", rng)
 
+    @pytest.mark.parametrize("kind", ["ddpm", "ddim"])
+    def test_default_path_matches_concatenated_forward(self, kind):
+        """The per-window first-layer context gives the windows the plain
+        forward over the concatenated training input gives."""
+        p = tiny_params(3)
+        table = _embed_table(p.embed_dim, p.T)
+
+        def concat_forward(params, obs, ak, k):
+            x = np.concatenate([obs, ak.ravel(), table[k - 1]])[None]
+            return mlp_forward(params.net, x)[0][0].reshape(ak.shape)
+
+        obs = observe(reset_env(5))
+        for n_steps in (1, 10, 100):
+            got = denoise_action_window(p, SCHED, obs, n_steps, kind,
+                                        np.random.default_rng(n_steps))
+            want = denoise_action_window(p, SCHED, obs, n_steps, kind,
+                                         np.random.default_rng(n_steps),
+                                         forward_fn=concat_forward)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
 
 class TestRollout:
     def test_expert_policy_succeeds_ddim(self):
@@ -103,6 +124,30 @@ class TestRollout:
         replans = int(np.ceil(r.steps / 8))
         assert r.denoiser_calls == replans * 100
         assert calls["n"] == r.denoiser_calls  # instrumented count agrees
+
+    @pytest.mark.parametrize("scheduled", [False, True],
+                             ids=["fixed", "hvts"])
+    def test_default_path_calls_denoiser_forward_once_per_nfe(
+            self, monkeypatch, scheduled):
+        """The benchmark counts NFE by wrapping this module attribute."""
+        calls = {"n": 0}
+        inner = diffpol.rollout.denoiser_forward
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(diffpol.rollout, "denoiser_forward", counting)
+        if scheduled:
+            r = rollout(tiny_params(), SCHED, env_seed=1,
+                        schedule=make_scheduler(seed=1), sampler_kind="ddpm",
+                        seed=2, classifier=OracleStageClassifier(),
+                        table=hvts_schedule_table())
+        else:
+            r = rollout(tiny_params(), SCHED, env_seed=1, schedule=(8, 10),
+                        sampler_kind="ddim", seed=2)
+        assert r.denoiser_calls > 0
+        assert calls["n"] == r.denoiser_calls
 
     def test_trace_covers_every_step(self):
         r = rollout(tiny_params(), SCHED, env_seed=0, schedule=(8, 5),

@@ -322,6 +322,19 @@ class TestTrainLoop:
             np.testing.assert_array_equal(w, fw)
         assert rep.steps == [] and rep.losses == []
 
+    def test_window_draws_match_scalar_draws(self):
+        """train() draws a batch's window indices in one call; it must
+        give the values and generator state of one call per row."""
+        n_windows = np.array([1, 2, 3, 22, 47, 80, 255, 256, 70_000])
+        one, many = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(20):
+            idxs = one.integers(0, n_windows.size, size=16)
+            many.integers(0, n_windows.size, size=16)
+            singles = [int(one.integers(n_windows[i])) for i in idxs]
+            np.testing.assert_array_equal(many.integers(n_windows[idxs]),
+                                          singles)
+        assert one.random() == many.random()
+
     def test_uniform_loss_decreases(self):
         params, rep = train(tiny_config(total_steps=200), tiny_dataset(),
                             "uniform")
@@ -409,3 +422,11 @@ class TestTrainLoop:
         assert len(rows) == 3
         p = np.array([float(x) for x in rows[1][1:]])
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
+        rep.weights_to_csv(str(path))
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        n = tiny_dataset().n_traj
+        assert rows[0] == ["step"] + [f"w{i}" for i in range(n)]
+        for row, (step, w) in zip(rows[1:], rep.weight_snapshots, strict=True):
+            assert int(row[0]) == step
+            np.testing.assert_array_equal([float(x) for x in row[1:]], w)
