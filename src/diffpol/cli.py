@@ -23,7 +23,6 @@ from dataclasses import fields
 
 import numpy as np
 
-from .diffusion import make_noise_schedule
 from .env import TASK_DESCRIPTION, generate_demos, load_demos, save_demos
 from .nets import load_checkpoint, save_checkpoint
 from .rollout import compare_speedup, evaluate, hvts_schedule_table
@@ -57,13 +56,12 @@ DEFAULTS = {
     "train": {"mode": "uniform", "steps": None, "data": None, "out": None,
               "eval_episodes": 20, **_train_extras()},
     "eval": {"policy": None, "episodes": 50, "schedule": "fixed:16,100",
-             "sampler": "ddpm", "seeds": "0,1,2", "gap": 0.2,
-             "beta_start": 1e-4, "beta_end": 0.02, "out": None},
+             "sampler": "ddpm", "seeds": "0,1,2", "gap": 0.2, "out": None},
     "decompose": {"task": TASK_DESCRIPTION, "num_images": 8, "num_stages": 5,
                   "ranges": "8,16,20,40", "mock": None, "endpoint": None,
                   "timeout": 10.0, "out": None},
     "bench": {"policy": None, "episodes": 50, "seeds": "0,1,2", "gap": 0.2,
-              "beta_start": 1e-4, "beta_end": 0.02, "out": None},
+              "out": None},
 }
 
 _REQUIRED = {
@@ -110,57 +108,48 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     g = add("gen-data", "generate scripted-expert demonstrations")
-    g.add_argument("--n", type=int, help="number of demonstrations "
-                   "(default 100)")
-    g.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-    g.add_argument("--noise", type=float,
-                   help="expert action noise scale (default 0)")
+    g.add_argument("--n", type=int, help="number of demonstrations")
+    g.add_argument("--seed", type=int, help="base RNG seed")
+    g.add_argument("--noise", type=float, help="expert action noise scale")
 
     t = add("train", "train a denoiser on saved demonstrations")
     t.add_argument("--mode", choices=("uniform", "aln"),
-                   help="uniform baseline or adaptive sampling "
-                   "(default uniform)")
+                   help="uniform baseline or adaptive sampling")
     t.add_argument("--steps", type=int, help="gradient steps")
-    t.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    t.add_argument("--seed", type=int, help="RNG seed")
     t.add_argument("--data", metavar="FILE", help="demo file from gen-data")
     t.add_argument("--batch-size", type=int, dest="batch_size",
-                   help="minibatch size (default 32)")
+                   help="minibatch size")
     t.add_argument("--warmup", type=int,
-                   help="uniform warmup steps before adaptation kicks in "
-                   "(default 500)")
+                   help="uniform warmup steps before adaptation kicks in")
     t.add_argument("--entropy-coef", type=float, dest="entropy_coef",
-                   help="timestep sampler entropy coefficient (default 10)")
-    t.add_argument("--lr", type=float,
-                   help="denoiser learning rate (default 1e-3)")
+                   help="timestep sampler entropy coefficient")
+    t.add_argument("--lr", type=float, help="denoiser learning rate")
     t.add_argument("--eval-every", type=int, dest="eval_every",
-                   help="rollout-evaluate every N steps, 0 disables "
-                   "(default 0)")
+                   help="rollout-evaluate every N steps, 0 disables")
     t.add_argument("--eval-episodes", type=int, dest="eval_episodes",
-                   help="episodes per mid-training evaluation (default 20)")
+                   help="episodes per mid-training evaluation")
 
     e = add("eval", "evaluate a checkpoint on fresh episodes")
     e.add_argument("--policy", metavar="FILE", help="checkpoint to load")
     e.add_argument("--episodes", type=int,
-                   help="episodes per evaluation seed (default 50)")
+                   help="episodes per evaluation seed")
     e.add_argument("--schedule",
-                   help="fixed:<Na>,<Nd> | table:<path> | oracle-hvts "
-                   "(default fixed:16,100)")
+                   help="fixed:<Na>,<Nd> | table:<path> | oracle-hvts")
     e.add_argument("--sampler", choices=("ddpm", "ddim"),
-                   help="reverse-process sampler (default ddpm)")
-    e.add_argument("--seeds", help="comma-separated evaluation seeds "
-                   "(default 0,1,2)")
+                   help="reverse-process sampler")
+    e.add_argument("--seeds", help="comma-separated evaluation seeds")
     e.add_argument("--gap", type=float,
-                   help="stage selection confidence gap (default 0.2)")
+                   help="stage selection confidence gap")
 
     d = add("decompose", "produce stage and schedule artifacts")
     d.add_argument("--task", help="task description fed to the prompts")
     d.add_argument("--num-images", type=int, dest="num_images",
-                   help="frames mentioned in the prompt (default 8)")
+                   help="frames mentioned in the prompt")
     d.add_argument("--num-stages", type=int, dest="num_stages",
-                   help="stages to request (default 5)")
+                   help="stages to request")
     d.add_argument("--ranges",
-                   help="a_min,a_max,i_min,i_max budget bounds "
-                   "(default 8,16,20,40)")
+                   help="a_min,a_max,i_min,i_max budget bounds")
     d.add_argument("--mock", nargs=2,
                    metavar=("DECOMP_FILE", "SCHED_FILE"),
                    help="read canned responses instead of calling the "
@@ -168,16 +157,23 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--endpoint", help="completion endpoint URL (default: "
                    f"${ENDPOINT_ENV_VAR})")
     d.add_argument("--timeout", type=float,
-                   help="endpoint timeout in seconds (default 10)")
+                   help="endpoint timeout in seconds")
 
     b = add("bench", "four-row sampler/schedule comparison table")
     b.add_argument("--policy", metavar="FILE", help="checkpoint to load")
     b.add_argument("--episodes", type=int,
-                   help="episodes per evaluation seed (default 50)")
-    b.add_argument("--seeds", help="comma-separated evaluation seeds "
-                   "(default 0,1,2)")
+                   help="episodes per evaluation seed")
+    b.add_argument("--seeds", help="comma-separated evaluation seeds")
     b.add_argument("--gap", type=float,
-                   help="stage selection confidence gap (default 0.2)")
+                   help="stage selection confidence gap")
+
+    # each flag's help shows its built-in default, read from DEFAULTS
+    for name, p in sub.choices.items():
+        for a in p._actions:
+            v = DEFAULTS[name].get(a.dest)
+            if a.help is not None and v is not None:
+                a.help += f" (default {v:g})" if isinstance(v, float) \
+                    else f" (default {v})"
     return ap
 
 
@@ -380,14 +376,13 @@ def cmd_train(args: dict) -> int:
                         if f.name != "total_steps"})
     eval_fn = None
     if tc.eval_every > 0:
-        sched = make_noise_schedule(tc.T, tc.beta_start, tc.beta_end)
         n_ep = args["eval_episodes"]
         # Offset keeps evaluation env seeds clear of the demo seeds.
         eval_seed = tc.seed + 101
 
         def eval_fn(params):
-            m = evaluate(params, sched, n_ep, (8, 10), "ddim",
-                         seeds=(eval_seed,))
+            m = evaluate(params, params.noise_schedule(), n_ep, (8, 10),
+                         "ddim", seeds=(eval_seed,))
             return m.success_rate
 
     params, report = train(tc, ds, args["mode"], eval_fn)
@@ -409,11 +404,10 @@ def cmd_eval(args: dict) -> int:
     _require_file(args["policy"], "checkpoint")
     out = _ensure_out(args["out"])
     params = load_checkpoint(args["policy"])
-    sched = make_noise_schedule(params.T, args["beta_start"],
-                                args["beta_end"])
     schedule = _parse_schedule_arg(args["schedule"])
-    m = evaluate(params, sched, args["episodes"], schedule, args["sampler"],
-                 seeds=_parse_seeds(args["seeds"]), gap=args["gap"])
+    m = evaluate(params, params.noise_schedule(), args["episodes"], schedule,
+                 args["sampler"], seeds=_parse_seeds(args["seeds"]),
+                 gap=args["gap"])
     with open(os.path.join(out, "report.csv"), "w", newline="") as f:
         wr = csv.writer(f)
         wr.writerow(["metric", "value"])
@@ -479,8 +473,7 @@ def cmd_bench(args: dict) -> int:
     _require_file(args["policy"], "checkpoint")
     out = _ensure_out(args["out"])
     params = load_checkpoint(args["policy"])
-    sched = make_noise_schedule(params.T, args["beta_start"],
-                                args["beta_end"])
+    sched = params.noise_schedule()
     seeds = _parse_seeds(args["seeds"])
     metrics = []
     for sampler, label in _BENCH_ROWS:

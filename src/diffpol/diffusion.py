@@ -46,8 +46,13 @@ def schedule_from_betas(beta: np.ndarray) -> NoiseSchedule:
                          alpha_bar=alpha_bar, sigma=sigma)
 
 
-def make_noise_schedule(T: int, beta_start: float = 1e-4,
-                        beta_end: float = 0.02) -> NoiseSchedule:
+# Linear schedule of Ho et al., "Denoising Diffusion Probabilistic Models"
+BETA_START = 1e-4
+BETA_END = 0.02
+
+
+def make_noise_schedule(T: int, beta_start: float = BETA_START,
+                        beta_end: float = BETA_END) -> NoiseSchedule:
     """Linear variance schedule with ``T`` steps.
 
     Raises ValueError on T < 1 or betas outside (0, 1).
@@ -168,14 +173,6 @@ def ddim_reverse_step(s: NoiseSchedule, eps_hat: np.ndarray, ak: np.ndarray,
     sig = eta * np.sqrt(var)
     dir_coef = np.sqrt(1.0 - ab_prev - sig * sig)
     return np.sqrt(ab_prev) * a0_hat + dir_coef * eps_hat + sig * z
-
-
-def mse_loss(eps: np.ndarray, eps_hat: np.ndarray) -> float:
-    """Mean squared error over all entries of the noise tensor."""
-    eps = np.asarray(eps, dtype=np.float64)
-    eps_hat = _check_like("eps_hat", eps_hat, eps)
-    d = eps_hat - eps
-    return float(np.mean(d * d))
 
 
 def theoretical_weights(s: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:

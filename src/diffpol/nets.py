@@ -15,27 +15,17 @@ from functools import lru_cache
 
 import numpy as np
 
-CHECKPOINT_MAGIC = b"DIFFPOL1"
+from .diffusion import BETA_END, BETA_START, NoiseSchedule, make_noise_schedule
+
+CHECKPOINT_MAGIC = b"DIFFPOL2"
 
 # -- sinusoidal step embedding ------------------------------------------------
 
 
-def sinusoidal_embed(k: int, dim: int, T: int) -> np.ndarray:
-    """Sin/cos features of a step index at geometric frequencies.
-
-    dim must be even; frequencies fall from 1 to 1/T so the slowest pair
-    resolves the full 1..T range and the fastest separates neighbours.
-    Entries lie in [-1, 1] and distinct k in 1..T map to distinct rows.
-    """
+def check_embed_dim(dim: int) -> None:
+    """ValueError unless dim is even and >= 2: one sin/cos pair each."""
     if dim < 2 or dim % 2 != 0:
         raise ValueError(f"embedding dim must be even and >= 2, got {dim}")
-    if not (0 <= k <= T):
-        raise ValueError(f"step index {k} outside [0, {T}]")
-    if k == 0:
-        out = np.zeros(dim)
-        out[1::2] = 1.0  # sin(0), cos(0) pairs
-        return out
-    return _embed_table(dim, T)[k - 1].copy()
 
 
 @lru_cache(maxsize=8)
@@ -48,7 +38,9 @@ def _embed_freqs(dim: int, T: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _embed_table(dim: int, T: int) -> np.ndarray:
-    """Rows of sinusoidal_embed for k = 1..T, cached."""
+    """Sin/cos features of steps k = 1..T, one read-only row each, at
+    frequencies falling geometrically from 1 to 1/T: entries lie in
+    [-1, 1] and distinct k map to distinct rows."""
     freqs = _embed_freqs(dim, T)
     ks = np.arange(1, T + 1, dtype=np.float64)[:, None]
     table = np.empty((T, dim))
@@ -226,7 +218,8 @@ def optimizer_step(p: MlpParams, grads: MlpParams, st: AdamState) -> None:
 
 @dataclass
 class DenoiserParams:
-    """MLP denoiser over concat(obs, flattened noisy window, step embed)."""
+    """MLP denoiser over concat(obs, flattened noisy window, step embed),
+    with the linear noise schedule it was trained under."""
 
     d_o: int
     T_p: int
@@ -235,6 +228,8 @@ class DenoiserParams:
     hidden: int
     T: int
     net: MlpParams = field(repr=False)
+    beta_start: float = BETA_START
+    beta_end: float = BETA_END
 
     @property
     def d_in(self) -> int:
@@ -242,6 +237,10 @@ class DenoiserParams:
 
     def copy(self) -> "DenoiserParams":
         return replace(self, net=self.net.copy())
+
+    def noise_schedule(self) -> NoiseSchedule:
+        """The noise schedule the denoiser was trained under."""
+        return make_noise_schedule(self.T, self.beta_start, self.beta_end)
 
 
 def init_params(seed: int, d_o: int, T_p: int, d_a: int, hidden: int = 256,
@@ -251,6 +250,7 @@ def init_params(seed: int, d_o: int, T_p: int, d_a: int, hidden: int = 256,
                     ("hidden", hidden), ("T", T)):
         if v < 1:
             raise ValueError(f"{name} must be >= 1, got {v}")
+    check_embed_dim(embed_dim)
     rng = np.random.default_rng(seed)
     d_in = d_o + T_p * d_a + embed_dim
     net = init_mlp(rng, [d_in, hidden, hidden, hidden, T_p * d_a])
@@ -335,34 +335,43 @@ def denoiser_batch_grads(p: DenoiserParams, obs_b: np.ndarray, ak_b: np.ndarray,
     return losses, mlp_backward(p.net, cache, dy)
 
 
-# -- checkpoint: magic + dims header + flat little-endian float64 payload ----
+# -- checkpoint: magic + dims and schedule header + flat float64 payload ------
 
-
-HEADER_BYTES = len(CHECKPOINT_MAGIC) + 7 * 8
+_HEADER = "<7q2d"  # dims, then the schedule's beta_start and beta_end
+HEADER_BYTES = len(CHECKPOINT_MAGIC) + struct.calcsize(_HEADER)
 
 
 def save_checkpoint(path: str, p: DenoiserParams) -> None:
     """Layout: 8-byte magic; 7 little-endian int64 dims (d_o, T_p, d_a,
-    embed_dim, hidden, n_hidden, T); then every layer's W and b raveled
+    embed_dim, hidden, n_hidden, T); 2 little-endian float64 schedule
+    endpoints (beta_start, beta_end); then every layer's W and b raveled
     row-major as little-endian float64, in layer order (``net.flat``)."""
     dims = (p.d_o, p.T_p, p.d_a, p.embed_dim, p.hidden,
             len(p.net.weights) - 1, p.T)
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC + struct.pack("<7q", *dims))
+        f.write(CHECKPOINT_MAGIC
+                + struct.pack(_HEADER, *dims, p.beta_start, p.beta_end))
         f.write(np.ascontiguousarray(p.net.flat, dtype="<f8"))
 
 
 def load_checkpoint(path: str) -> DenoiserParams:
+    """Read a save_checkpoint file; any other is a ValueError."""
     with open(path, "rb") as f:
         blob = f.read()
+    if blob[:8] == b"DIFFPOL1":  # no schedule to read, and none is guessed
+        raise ValueError(f"{path}: DIFFPOL1 checkpoint predates the noise "
+                         "schedule header; retrain to write a DIFFPOL2 file")
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a denoiser checkpoint (bad magic)")
     if len(blob) < HEADER_BYTES:
         raise ValueError(f"{path}: truncated header")
-    d_o, T_p, d_a, embed_dim, hidden, n_hidden, T = struct.unpack_from(
-        "<7q", blob, 8)
+    d_o, T_p, d_a, embed_dim, hidden, n_hidden, T, beta_start, beta_end = \
+        struct.unpack_from(_HEADER, blob, 8)
     if min(d_o, T_p, d_a, embed_dim, hidden, T) < 1 or n_hidden < 0:
         raise ValueError(f"{path}: bad dims in header")
+    if not 0.0 < beta_start <= beta_end < 1.0:  # False for NaN too
+        raise ValueError(f"{path}: bad noise schedule in header: beta_start "
+                         f"{beta_start!r}, beta_end {beta_end!r}")
     sizes = [d_o + T_p * d_a + embed_dim] + [hidden] * n_hidden + [T_p * d_a]
     shapes = [((fan_in, fan_out), (fan_out,))
               for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
@@ -373,4 +382,5 @@ def load_checkpoint(path: str) -> DenoiserParams:
         np.float64)
     return DenoiserParams(d_o=d_o, T_p=T_p, d_a=d_a, embed_dim=embed_dim,
                           hidden=hidden, T=T,
-                          net=MlpParams.from_flat(flat, shapes))
+                          net=MlpParams.from_flat(flat, shapes),
+                          beta_start=beta_start, beta_end=beta_end)

@@ -25,6 +25,7 @@ from .scheduling import OracleStageClassifier, SchedulerState, make_scheduler, \
 from .stages import ScheduleEntry, ScheduleTable
 
 EARLY_FRACTION = 0.6  # success this early in the budget counts as "early"
+FRAME_BUFFER_LEN = 4  # most recent frames handed to the stage classifier
 
 SAMPLER_KINDS = ("ddpm", "ddim")
 
@@ -102,7 +103,7 @@ class EpisodeResult:
 def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
             schedule, sampler_kind: str = "ddpm", seed: int = 0,
             classifier=None, table: ScheduleTable | None = None,
-            forward_fn=None, frame_buffer_len: int = 4) -> EpisodeResult:
+            forward_fn=None) -> EpisodeResult:
     """Run one episode under a fixed or scheduled compute budget.
 
     ``schedule`` is either a fixed ``(N_a, N_d)`` pair or a
@@ -147,7 +148,7 @@ def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
         trace.append((step, stage, na, nd))
         env, _, done = env_step(env, action)
         frames.append(env)
-        if len(frames) > frame_buffer_len:
+        if len(frames) > FRAME_BUFFER_LEN:
             frames.pop(0)
         step += 1
         if success_step is None and is_success(env):
@@ -227,12 +228,6 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
 class SpeedupReport:
     nfe_reduction: float
     success_delta: float  # baseline minus candidate, in rate points
-    baseline_calls_per_step: float
-    candidate_calls_per_step: float
-
-    def row(self) -> str:
-        return (f"{self.nfe_reduction:.2f}x NFE reduction, "
-                f"success delta {self.success_delta:+.3f}")
 
 
 def compare_speedup(baseline: Metrics, candidate: Metrics) -> SpeedupReport:
@@ -244,6 +239,4 @@ def compare_speedup(baseline: Metrics, candidate: Metrics) -> SpeedupReport:
     return SpeedupReport(
         nfe_reduction=baseline.mean_calls_per_step
         / candidate.mean_calls_per_step,
-        success_delta=baseline.success_rate - candidate.success_rate,
-        baseline_calls_per_step=baseline.mean_calls_per_step,
-        candidate_calls_per_step=candidate.mean_calls_per_step)
+        success_delta=baseline.success_rate - candidate.success_rate)

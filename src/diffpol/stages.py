@@ -6,6 +6,7 @@ classifier reports a ranked belief over stages.  All three exchanges are
 plain text with a remote model, so every parser here is defensive:
 responses are sanitized, values are clamped into range, and a missing
 "hardest stage" designation is repaired by a deterministic fallback.
+Schedule files, which this program writes, load as written.
 """
 
 from __future__ import annotations
@@ -394,6 +395,20 @@ def _as_int(value) -> int:
     raise StageParseError(f"unparseable integer value: {value!r}")
 
 
+def _schedule_items(text: str) -> list[tuple[str, object, object]]:
+    """(normalized name, raw horizon, raw step count) of each entry."""
+    items = []
+    for item in _load_array(text):
+        if not isinstance(item, dict):
+            raise StageParseError(f"schedule entry is not an object: {item!r}")
+        for key in ("name", "n_action_steps", "num_inference_steps"):
+            if key not in item:
+                raise StageParseError(f"schedule entry missing {key!r}")
+        items.append((normalize_name(item["name"]), item["n_action_steps"],
+                      item["num_inference_steps"]))
+    return items
+
+
 def parse_schedule(text: str, stages,
                    ranges: ScheduleRanges | None = None) -> ScheduleTable:
     """Parse a schedule response into a validated table, template order.
@@ -408,22 +423,14 @@ def parse_schedule(text: str, stages,
     names = _stage_names(stages)
     if not names:
         raise StageParseError("no stages given")
-    data = _load_array(text)
     got: dict[str, tuple[int, int]] = {}
-    for item in data:
-        if not isinstance(item, dict):
-            raise StageParseError(f"schedule entry is not an object: {item!r}")
-        for key in ("name", "n_action_steps", "num_inference_steps"):
-            if key not in item:
-                raise StageParseError(f"schedule entry missing {key!r}")
-        name = normalize_name(item["name"])
+    for name, na, nd in _schedule_items(text):
         if name not in names:
             raise StageParseError(f"unknown stage {name!r}")
         if name in got:
             raise StageParseError(f"duplicate schedule entry {name!r}")
-        na = min(max(_as_int(item["n_action_steps"]), r.a_min), r.a_max)
-        nd = min(max(_as_int(item["num_inference_steps"]), r.i_min), r.i_max)
-        got[name] = (na, nd)
+        got[name] = (min(max(_as_int(na), r.a_min), r.a_max),
+                     min(max(_as_int(nd), r.i_min), r.i_max))
     missing = [n for n in names if n not in got]
     if missing:
         raise StageParseError(f"missing schedule entries: {missing}")
@@ -518,15 +525,14 @@ def schedule_to_json(table: ScheduleTable) -> str:
     return json.dumps(data, indent=4, ensure_ascii=False) + "\n"
 
 
-def schedule_from_json(text: str,
-                       ranges: ScheduleRanges | None = None) -> ScheduleTable:
-    """Load a schedule file; stage set and order are taken from the file
-    itself, and the same repair rules as response parsing apply."""
-    data = _load_array(text)
-    names = []
-    for item in data:
-        if isinstance(item, dict) and "name" in item:
-            names.append(normalize_name(item["name"]))
-    if not names:
+def schedule_from_json(text: str) -> ScheduleTable:
+    """Load a schedule file as written: its entries in file order, under
+    the tightest ranges that hold them.  Nothing is clamped or repaired;
+    a file that no valid table can hold (a non-integer value, no entry
+    with the least horizon and the most steps, ...) raises ValueError."""
+    entries = tuple(ScheduleEntry(*item) for item in _schedule_items(text))
+    if not entries:
         raise StageParseError("no stages in schedule file")
-    return parse_schedule(text, names, ranges)
+    na, nd = zip(*(e.pair for e in entries))
+    return ScheduleTable(entries=entries, ranges=ScheduleRanges(
+        min(na), max(na), min(nd), max(nd)))

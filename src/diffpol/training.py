@@ -17,17 +17,18 @@ batch-normalized loss signals:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffusion import forward_noise, make_noise_schedule
+from .diffusion import BETA_END, BETA_START, forward_noise
 from .env import DemoDataset, policy_features
 from .nets import (
     AdamState,
     DenoiserParams,
     MlpParams,
     _embed_table,
+    check_embed_dim,
     denoiser_batch_grads,
     init_mlp,
     init_params,
@@ -42,25 +43,25 @@ WEIGHT_FLOOR = 1e-4
 # -- reward shaping ----------------------------------------------------------
 
 
-def normalize_rewards(losses: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    """Per-batch z-scores: (l - mean) / (population std + eps)."""
+def normalize_rewards(losses: np.ndarray) -> np.ndarray:
+    """Per-batch z-scores: (l - mean) / (population std + 1e-8)."""
     losses = np.asarray(losses, dtype=np.float64)
     if losses.ndim != 1 or losses.size == 0:
         raise ValueError("losses must be a non-empty 1-d array")
     mu = losses.mean()
     sd = losses.std()
-    return (losses - mu) / (sd + eps)
+    return (losses - mu) / (sd + 1e-8)
 
 
-def anneal_alpha(step: int, total_steps: int, alpha_max: float = 0.1,
-                 alpha_min: float = 0.01) -> float:
-    """Cosine decay of the weight-update blend factor over the run."""
+def anneal_alpha(step: int, total_steps: int) -> float:
+    """Cosine decay of the weight-update blend factor from 0.1 at step 0
+    to 0.01 at the last step."""
     if total_steps < 1:
         raise ValueError("total_steps must be >= 1")
     if not (0 <= step <= total_steps):
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     frac = 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
-    return alpha_min + (alpha_max - alpha_min) * frac
+    return 0.01 + (0.1 - 0.01) * frac
 
 
 # -- learnable timestep sampler ----------------------------------------------
@@ -79,13 +80,13 @@ class TimestepSampler:
 
 def make_timestep_sampler(seed: int, T: int, warmup: int = 500,
                           entropy_coef: float = 10.0, hidden: int = 256,
-                          embed_dim: int = 128,
-                          lr: float = 1e-3) -> TimestepSampler:
+                          embed_dim: int = 128) -> TimestepSampler:
+    check_embed_dim(embed_dim)
     rng = np.random.default_rng(seed)
     net = init_mlp(rng, [embed_dim, hidden, hidden, hidden, 1])
     return TimestepSampler(T=T, embed_dim=embed_dim, warmup=warmup,
                            entropy_coef=entropy_coef, net=net,
-                           adam=AdamState(lr=lr))
+                           adam=AdamState())
 
 
 def _sampler_logits(ts: TimestepSampler) -> np.ndarray:
@@ -137,8 +138,8 @@ def _policy_entropy_grad(ts: TimestepSampler, ks: np.ndarray,
     return dz
 
 
-def sampler_update_batch(ts: TimestepSampler, ks: np.ndarray, rs: np.ndarray,
-                         lr: float | None = None) -> TimestepSampler:
+def sampler_update_batch(ts: TimestepSampler, ks: np.ndarray,
+                         rs: np.ndarray) -> TimestepSampler:
     """One optimizer step on the per-batch mean of the per-sample
     objective (policy term averaged, entropy term once)."""
     ks = np.asarray(ks, dtype=np.int64)
@@ -150,8 +151,6 @@ def sampler_update_batch(ts: TimestepSampler, ks: np.ndarray, rs: np.ndarray,
     dz = _policy_entropy_grad(ts, ks, rs)
     _, cache = mlp_forward(ts.net, _embed_table(ts.embed_dim, ts.T))
     grads = mlp_backward(ts.net, cache, dz[:, None])
-    if lr is not None:
-        ts.adam.lr = lr
     optimizer_step(ts.net, grads, ts.adam)
     ts._logits = None
     return ts
@@ -244,15 +243,11 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     T: int = 100
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
+    beta_start: float = BETA_START
+    beta_end: float = BETA_END
     warmup: int = 500
     entropy_coef: float = 10.0
     lr: float = 1e-3
-    sampler_lr: float = 1e-3
-    alpha_max: float = 0.1
-    alpha_min: float = 0.01
-    reward_eps: float = 1e-8
     negate_reward: bool = False
     hidden: int = 256
     embed_dim: int = 128
@@ -323,7 +318,8 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
           eval_fn=None) -> tuple[DenoiserParams, TrainReport]:
     """Run the denoiser regression loop in "uniform" or "aln" mode.
 
-    "uniform": timesteps and trajectories drawn uniformly.  "aln": both
+    "uniform": timesteps and trajectories drawn uniformly (no sampler net,
+    and the report's draw distributions are uniform).  "aln": both
     adaptive mechanisms active after the warmup.  ``eval_fn(params)``,
     when given, is called every ``config.eval_every`` steps and its
     return value recorded in the report.
@@ -334,20 +330,26 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
         raise ValueError("dataset has no trajectories")
 
     rng = np.random.default_rng(config.seed)
-    sched = make_noise_schedule(config.T, config.beta_start, config.beta_end)
     # the denoiser conditions on the lifted observation, not the raw one
     d_feat = policy_features(np.zeros(dataset.d_o)).size
-    params = init_params(config.seed, d_o=d_feat, T_p=dataset.T_p,
-                         d_a=dataset.d_a, hidden=config.hidden,
-                         embed_dim=config.embed_dim, T=config.T)
+    params = replace(init_params(config.seed, d_o=d_feat, T_p=dataset.T_p,
+                                 d_a=dataset.d_a, hidden=config.hidden,
+                                 embed_dim=config.embed_dim, T=config.T),
+                     beta_start=config.beta_start, beta_end=config.beta_end)
+    sched = params.noise_schedule()
     adam = AdamState(lr=config.lr)
     adaptive = mode == "aln"
-    ts = make_timestep_sampler(config.seed + 1, config.T,
-                               warmup=config.warmup,
-                               entropy_coef=config.entropy_coef,
-                               hidden=config.sampler_hidden,
-                               embed_dim=config.embed_dim,
-                               lr=config.sampler_lr)
+    # own generator (seed + 1), so uniform mode's draws do not depend on it
+    ts = make_timestep_sampler(
+        config.seed + 1, config.T, warmup=config.warmup,
+        entropy_coef=config.entropy_coef, hidden=config.sampler_hidden,
+        embed_dim=config.embed_dim) if adaptive else None
+    uniform_probs = np.full(config.T, 1.0 / config.T)
+
+    def draw_probs() -> np.ndarray:
+        """A copy of the distribution the timestep draws come from."""
+        return (sampler_distribution(ts) if adaptive else uniform_probs).copy()
+
     tw = make_traj_weights(dataset.n_traj)
     report = TrainReport(mode=mode)
     B = config.batch_size
@@ -383,12 +385,11 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
         optimizer_step(params.net, grads, adam)
 
         if adaptive and step >= config.warmup:
-            rs = normalize_rewards(losses, config.reward_eps)
+            rs = normalize_rewards(losses)
             if config.negate_reward:
                 rs = -rs
             sampler_update_batch(ts, ks, rs)
-            alpha = anneal_alpha(step, config.total_steps,
-                                 config.alpha_max, config.alpha_min)
+            alpha = anneal_alpha(step, config.total_steps)
             tw = update_traj_weights_batch(tw, idxs, rs, alpha)
 
         report.steps.append(step + 1)
@@ -396,14 +397,13 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
         report.entropies.append(sampler_entropy(ts) if adaptive
                                 else uniform_entropy)
         if config.snapshot_every > 0 and (step + 1) % config.snapshot_every == 0:
-            report.sampler_snapshots.append(
-                (step + 1, sampler_distribution(ts).copy()))
+            report.sampler_snapshots.append((step + 1, draw_probs()))
             report.weight_snapshots.append((step + 1, tw.w.copy()))
         if eval_fn is not None and config.eval_every > 0 \
                 and (step + 1) % config.eval_every == 0:
             report.eval_steps.append(step + 1)
             report.eval_success.append(float(eval_fn(params)))
 
-    report.final_sampler_probs = sampler_distribution(ts).copy()
+    report.final_sampler_probs = draw_probs()
     report.final_traj_weights = tw.w.copy()
     return params, report

@@ -11,17 +11,20 @@ import pytest
 import diffpol.scheduling
 from diffpol.cli import (
     DEFAULTS,
+    _flag_actions,
+    _metrics_rows,
     build_parser,
     cmd_decompose,
     main,
     resolve_args,
     run_from_manifest,
 )
+from diffpol.diffusion import make_noise_schedule
 from diffpol.env import generate_demos, load_demos, policy_features, save_demos
-from diffpol.nets import init_params, save_checkpoint
-from diffpol.rollout import hvts_schedule_table
+from diffpol.nets import init_params, load_checkpoint, save_checkpoint
+from diffpol.rollout import evaluate, hvts_schedule_table
 from diffpol.scheduling import ENDPOINT_ENV_VAR
-from diffpol.stages import schedule_to_json
+from diffpol.stages import StageBelief, schedule_to_json
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -100,6 +103,17 @@ class TestResolve:
         args = resolved(["eval", "--config", str(cfg), "--policy", "p",
                          "--out", str(tmp_path)])
         assert args["seeds"] == "3" and args["gap"] == 0.5
+
+    def test_help_shows_each_default_from_defaults(self, monkeypatch):
+        monkeypatch.setitem(DEFAULTS["gen-data"], "n", 123)
+        assert _flag_actions("gen-data")["n"].help == \
+            "number of demonstrations (default 123)"
+        for command, defaults in DEFAULTS.items():
+            for dest, action in _flag_actions(command).items():
+                if action.help is not None:
+                    shown = action.help.count("(default ")
+                    assert shown == (defaults.get(dest) is not None), \
+                        (command, dest, action.help)
 
     @pytest.mark.parametrize("bad", [
         {"steps": "abc"}, {"steps": 2.5}, {"steps": True}, {"lr": [1]},
@@ -222,6 +236,73 @@ class TestEval:
         assert main(["eval", "--policy", str(tmp_path / "nope.bin"),
                      "--out", str(tmp_path)]) == 1
 
+    def test_v1_checkpoint_exits_1(self, tmp_path, checkpoint, capsys):
+        v1 = tmp_path / "v1.bin"
+        v1.write_bytes(b"DIFFPOL1" + pathlib.Path(checkpoint).read_bytes()[8:])
+        assert main(["eval", "--policy", str(v1),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {v1}: DIFFPOL1 checkpoint predates")
+
+    def test_samples_under_the_checkpoint_noise_schedule(self, tmp_path):
+        """A policy trained under non-default betas is evaluated under
+        them, with no eval setting to repeat them."""
+        demos = tmp_path / "demos"
+        assert main(["gen-data", "--n", "10", "--out", str(demos)]) == 0
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "steps": 1000, "hidden": 64, "embed_dim": 16, "batch_size": 32,
+            "warmup": 1, "beta_start": 1e-3, "beta_end": 0.05}))
+        policy = tmp_path / "policy"
+        assert main(["train", "--config", str(cfg), "--out", str(policy),
+                     "--data", str(demos / "demos.bin")]) == 0
+        ckpt = str(policy / "checkpoint.bin")
+        out = tmp_path / "eval"
+        assert main(["eval", "--policy", ckpt, "--episodes", "3",
+                     "--schedule", "oracle-hvts", "--sampler", "ddim",
+                     "--seeds", "0", "--out", str(out)]) == 0
+        params = load_checkpoint(ckpt)
+
+        def report(sched) -> bytes:
+            m = evaluate(params, sched, 3, hvts_schedule_table(), "ddim",
+                         seeds=(0,))
+            rows = [("metric", "value")] + _metrics_rows(m)
+            return "".join(f"{k},{v}\r\n" for k, v in rows).encode()
+
+        got = (out / "report.csv").read_bytes()
+        assert got == report(make_noise_schedule(100, 1e-3, 0.05))
+        # the default schedule visits other stages here, so the check
+        # above tells the two schedules apart
+        assert got != report(make_noise_schedule(100))
+
+    def test_decomposed_table_keeps_its_precision_stage(self, tmp_path,
+                                                        checkpoint,
+                                                        monkeypatch):
+        """decompose --ranges 8,16,20,60 writes an (8, 60) stage, and
+        eval --schedule table: runs it at 60 denoiser steps."""
+        stages = tmp_path / "stages"
+        assert main(["decompose", *TestDecompose.MOCK,
+                     "--out", str(stages)]) == 0
+        table = stages / "schedule.json"
+        entries = json.loads(table.read_text())
+        precision = [i for i, e in enumerate(entries)
+                     if (e["n_action_steps"], e["num_inference_steps"])
+                     == (8, 60)]
+        assert len(precision) == 1
+        # every classification lands on the precision stage
+        monkeypatch.setattr(diffpol.scheduling.OracleStageClassifier,
+                            "classify",
+                            lambda self, frames:
+                            StageBelief(((precision[0], 1.0),)))
+        out = tmp_path / "eval"
+        assert main(["eval", "--policy", checkpoint, "--episodes", "1",
+                     "--sampler", "ddim", "--seeds", "0",
+                     "--schedule", f"table:{table}", "--out", str(out)]) == 0
+        rows = dict(line.split(",") for line in
+                    (out / "report.csv").read_text().splitlines()[1:])
+        assert rows["total_steps"] == "200"  # untrained policy times out
+        assert rows["total_calls"] == str(200 // 8 * 60)
+
 
 def _completion(text: str) -> bytes:
     return json.dumps(
@@ -332,6 +413,24 @@ class TestManifest:
         # replaying must need nothing beyond the recorded values
         assert text == json.dumps(doc, indent=4, sort_keys=True) + "\n"
         assert set(doc) == {"command", "args"}
+
+    def test_manifest_with_schedule_keys_is_refused(self, tmp_path,
+                                                    checkpoint, capsys):
+        """eval no longer takes beta_start/beta_end (the checkpoint
+        carries them), so a manifest that still holds them cannot
+        replay."""
+        run = tmp_path / "run"
+        assert main(["eval", "--policy", checkpoint, "--episodes", "1",
+                     "--schedule", "fixed:16,2", "--seeds", "0",
+                     "--out", str(run)]) == 0
+        doc = json.loads((run / "manifest.json").read_text())
+        doc["args"].update(beta_start=1e-4, beta_end=0.02)
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_from_manifest(str(old), str(tmp_path / "replay")) == 1
+        assert capsys.readouterr().err == \
+            "error: unknown config keys for eval: ['beta_end', 'beta_start']\n"
 
     def test_gen_data_replay(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -8,7 +8,6 @@ from diffpol.diffusion import (
     ddpm_reverse_step,
     forward_noise,
     make_noise_schedule,
-    mse_loss,
     respaced_schedule,
     schedule_from_betas,
     theoretical_weights,
@@ -196,13 +195,6 @@ class TestDdimReverseStep:
 
 
 class TestLosses:
-    def test_mse_conventions(self):
-        assert mse_loss(np.ones((4, 2)), np.ones((4, 2))) == 0.0
-        assert mse_loss(np.zeros((2, 2)), np.ones((2, 2))) == 1.0
-        eh = np.zeros((2, 2))
-        eh[0, 0] = 1.0
-        assert mse_loss(np.zeros((2, 2)), eh) == 0.25
-
     def test_theoretical_weights_frozen(self):
         w, q = theoretical_weights(two_step())
         np.testing.assert_allclose(w, [0.05555555555555558, 0.08928571428571429],

@@ -3,6 +3,7 @@
 import json
 import pathlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from diffpol.env import generate_demos
 from diffpol.nets import (
     ADAM_BLOCK,
-    CHECKPOINT_MAGIC,
     AdamState,
     MlpParams,
     denoiser_batch_grads,
@@ -22,10 +22,9 @@ from diffpol.nets import (
     mlp_forward,
     optimizer_step,
     save_checkpoint,
-    sinusoidal_embed,
     _embed_table,
 )
-from diffpol.training import TrainConfig, train
+from diffpol.training import TrainConfig, make_timestep_sampler, train
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -52,33 +51,37 @@ def central_diff(f, arr, idx, eps=1e-6):
 
 
 class TestSinusoidalEmbed:
-    def test_range_and_shape(self):
-        for k in (0, 1, 50, 100):
-            e = sinusoidal_embed(k, 128, 100)
-            assert e.shape == (128,)
-            assert np.all(np.abs(e) <= 1.0)
+    """The step embedding: row k - 1 of ``_embed_table(dim, T)``."""
 
-    def test_zero_step(self):
-        e = sinusoidal_embed(0, 8, 100)
-        np.testing.assert_array_equal(e[0::2], 0.0)
-        np.testing.assert_array_equal(e[1::2], 1.0)
+    def test_range_and_shape(self):
+        t = _embed_table(128, 100)
+        assert t.shape == (100, 128)
+        assert np.all(np.abs(t) <= 1.0)
 
     def test_distinct_rows(self):
-        rows = np.stack([sinusoidal_embed(k, 16, 100) for k in range(1, 101)])
+        rows = _embed_table(16, 100)
         d = np.abs(rows[:, None, :] - rows[None, :, :]).max(axis=2)
         d[np.diag_indices(100)] = 1.0
         assert d.min() > 1e-4
 
-    def test_table_matches_op(self):
-        t = _embed_table(32, 50)
+    def test_values(self):
+        """Pairs (sin, cos) of k * T**(-i / (dim/2 - 1)), i = 0..dim/2-1."""
+        t = _embed_table(6, 50)
         for k in (1, 17, 50):
-            np.testing.assert_array_equal(t[k - 1], sinusoidal_embed(k, 32, 50))
+            want = [f(k * 50.0 ** (-i / 2)) for i in range(3)
+                    for f in (np.sin, np.cos)]
+            np.testing.assert_allclose(t[k - 1], want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(_embed_table(2, 10)[:, 0],
+                                      np.sin(np.arange(1, 11)))
 
     def test_rejects_odd_dim(self):
-        with pytest.raises(ValueError):
-            sinusoidal_embed(1, 7, 100)
-        with pytest.raises(ValueError):
-            sinusoidal_embed(101, 8, 100)
+        """An odd or sub-2 width fails where the nets are built, not at
+        the first forward."""
+        for dim in (7, 1, 0, -2):
+            with pytest.raises(ValueError, match="embedding dim"):
+                init_params(0, d_o=2, T_p=4, d_a=2, hidden=8, embed_dim=dim)
+            with pytest.raises(ValueError, match="embedding dim"):
+                make_timestep_sampler(0, T=10, hidden=8, embed_dim=dim)
 
 
 class TestInit:
@@ -375,12 +378,15 @@ class TestGoldenLosses:
 
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
-        p = init_params(11, d_o=6, T_p=16, d_a=2, hidden=32, embed_dim=16, T=50)
+        p = replace(init_params(11, d_o=6, T_p=16, d_a=2, hidden=32,
+                                embed_dim=16, T=50),
+                    beta_start=1e-3, beta_end=0.05)
         path = str(tmp_path / "checkpoint.bin")
         save_checkpoint(path, p)
         q = load_checkpoint(path)
         assert (q.d_o, q.T_p, q.d_a, q.embed_dim, q.hidden, q.T) == \
                (6, 16, 2, 16, 32, 50)
+        assert (q.beta_start, q.beta_end) == (1e-3, 0.05)
         for a, b in zip(p.net.weights + p.net.biases,
                         q.net.weights + q.net.biases):
             np.testing.assert_array_equal(a, b)
@@ -416,11 +422,37 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="dims"):
             load_checkpoint(str(bad))
 
-    def test_bytes_match_independent_layout(self, tmp_path):
-        p = init_params(12, d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
+    def test_rejects_v1_files(self, tmp_path):
+        """A file from before the schedule header has no betas to read;
+        it is refused with its path, never loaded under a default."""
+        p = init_params(0, d_o=2, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
+        v1 = tmp_path / "v1.bin"
+        v1.write_bytes(b"DIFFPOL1" + struct.pack("<7q", 2, 4, 2, 8, 8, 3, 10)
+                       + p.net.flat.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="v1.bin.*predates"):
+            load_checkpoint(str(v1))
+
+    def test_rejects_bad_schedule_headers(self, tmp_path):
+        p = init_params(0, d_o=2, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
         path = tmp_path / "c.bin"
         save_checkpoint(str(path), p)
-        want = CHECKPOINT_MAGIC + struct.pack("<7q", 3, 4, 2, 8, 8, 3, 10)
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.bin"
+        for betas in ((0.0, 0.02), (-1e-4, 0.02), (0.03, 0.02), (1e-4, 1.0),
+                      (float("nan"), 0.02), (1e-4, float("nan"))):
+            bad.write_bytes(blob[:64] + struct.pack("<2d", *betas)
+                            + blob[80:])
+            with pytest.raises(ValueError, match="noise schedule"):
+                load_checkpoint(str(bad))
+
+    def test_bytes_match_independent_layout(self, tmp_path):
+        p = replace(init_params(12, d_o=3, T_p=4, d_a=2, hidden=8,
+                                embed_dim=8, T=10),
+                    beta_start=2e-4, beta_end=0.03)
+        path = tmp_path / "c.bin"
+        save_checkpoint(str(path), p)
+        want = b"DIFFPOL2" + struct.pack("<7q", 3, 4, 2, 8, 8, 3, 10) \
+            + struct.pack("<2d", 2e-4, 0.03)
         for w, b in zip(p.net.weights, p.net.biases):
             want += np.ravel(w).astype("<f8").tobytes()
             want += np.ravel(b).astype("<f8").tobytes()

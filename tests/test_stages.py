@@ -188,8 +188,7 @@ class TestParseSchedule:
 
     def test_round_trip_byte_identical(self):
         expected = read_fixture("schedule_expected.json")
-        ranges = ScheduleRanges(8, 16, 20, 60)
-        table = schedule_from_json(expected, ranges)
+        table = schedule_from_json(expected)
         assert schedule_to_json(table) == expected
 
     def test_all_identical_promotes_one(self):
@@ -278,6 +277,44 @@ class TestParseSchedule:
                                 .replace("approach", "a")
                                 .replace("align", "b"), ["a", "b"], r)
         assert [e.pair for e in parsed.entries] == [(8, 30), (8, 30)]
+
+
+class TestScheduleFile:
+    """A schedule file loads as written, under its own tightest ranges."""
+
+    def test_loads_as_written(self):
+        pairs = [(16, 20), (4, 90), (16, 90), (12, 35), (16, 20)]
+        table = schedule_from_json(schedule_text(pairs))
+        assert [e.pair for e in table.entries] == pairs
+        assert table.names == tuple(NAMES)
+        assert table.ranges == ScheduleRanges(4, 16, 20, 90)
+
+    def test_fixture_keeps_its_precision_stage(self):
+        table = schedule_from_json(read_fixture("schedule_expected.json"))
+        e = table.entry_for("robot_arm_releases_can_into_compartment")
+        assert e.pair == (8, 60)
+        assert table.ranges == ScheduleRanges(8, 16, 20, 60)
+
+    @pytest.mark.parametrize("pairs", [
+        [(16, 20), (8, 40.0), (16, 20), (16, 20), (16, 20)],  # float
+        [(16, 20), (8, "40"), (16, 20), (16, 20), (16, 20)],  # string
+        [(16, 20), (8, True), (16, 20), (16, 20), (16, 20)],  # bool
+        [(16, 20), (8, 0), (16, 20), (16, 20), (16, 20)],     # not positive
+        [(16, 20), (8, 30), (12, 40), (16, 20), (16, 20)],    # no (8, 40)
+        [],                                                   # empty
+    ])
+    def test_rejects_files_no_table_can_hold(self, pairs):
+        with pytest.raises(ValueError):
+            schedule_from_json(schedule_text(pairs))
+
+    def test_rejects_malformed_entries(self):
+        with pytest.raises(StageParseError):
+            schedule_from_json('[{"name": "a", "n_action_steps": 8}]')
+        with pytest.raises(StageParseError):
+            schedule_from_json('[3]')
+        with pytest.raises(ValueError, match="duplicate"):
+            schedule_from_json(schedule_text([(8, 40)] * 2).replace(
+                "align", "approach"))
 
 
 class TestParseStageProbs:

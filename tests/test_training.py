@@ -256,14 +256,6 @@ class TestTimestepSampler:
         assert after > 0.5
         assert after > 3.0 * before
 
-    def test_lr_override_persists(self):
-        ts = make_timestep_sampler(0, T=12, warmup=0, hidden=8, embed_dim=8,
-                                   lr=1e-3)
-        sampler_update_batch(ts, [3], [1.0], lr=0.05)
-        assert ts.adam.lr == 0.05 and ts.adam.t == 1
-        sampler_update_batch(ts, [3], [1.0])
-        assert ts.adam.lr == 0.05 and ts.adam.t == 2
-
     def test_entropy_term_pushes_toward_uniform(self):
         ts = make_timestep_sampler(0, T=12, warmup=0, entropy_coef=0.0,
                                    hidden=32, embed_dim=16)
@@ -350,6 +342,25 @@ class TestTrainLoop:
         assert rep.final_sampler_probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert rep.final_traj_weights.shape == (4,)
         assert rep.final_traj_weights.mean() == pytest.approx(1.0, abs=1e-9)
+
+    def test_uniform_mode_reports_the_uniform_draw_distribution(self):
+        """Uniform mode draws every step with probability 1/T, and its
+        snapshots and final distribution say so."""
+        cfg = tiny_config(total_steps=40, snapshot_every=20)
+        _, rep = train(cfg, tiny_dataset(), "uniform")
+        uniform = np.full(cfg.T, 1.0 / cfg.T)
+        assert [s for s, _ in rep.sampler_snapshots] == [20, 40]
+        for _, p in rep.sampler_snapshots:
+            np.testing.assert_array_equal(p, uniform)
+        np.testing.assert_array_equal(rep.final_sampler_probs, uniform)
+
+    def test_params_record_the_training_noise_schedule(self):
+        cfg = tiny_config(total_steps=3, warmup=0, beta_start=1e-3,
+                          beta_end=0.05)
+        params, _ = train(cfg, tiny_dataset(), "uniform")
+        assert (params.beta_start, params.beta_end) == (1e-3, 0.05)
+        np.testing.assert_array_equal(params.noise_schedule().beta,
+                                      np.linspace(1e-3, 0.05, cfg.T))
 
     def test_uniform_mode_logs_uniform_entropy(self):
         cfg = tiny_config(total_steps=5, warmup=0, snapshot_every=0)
