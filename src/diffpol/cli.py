@@ -369,11 +369,11 @@ def cmd_gen_data(args: dict) -> int:
 
 def cmd_train(args: dict) -> int:
     _require_file(args["data"], "demo file")
-    out = _ensure_out(args["out"])
-    ds = load_demos(args["data"])
     tc = TrainConfig(total_steps=args["steps"],
                      **{f.name: args[f.name] for f in fields(TrainConfig)
                         if f.name != "total_steps"})
+    out = _ensure_out(args["out"])
+    ds = load_demos(args["data"])
     eval_fn = None
     if tc.eval_every > 0:
         n_ep = args["eval_episodes"]

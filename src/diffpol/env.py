@@ -345,13 +345,3 @@ def load_demos(path: str) -> DemoDataset:
     if off != len(blob):
         raise ValueError(f"{path}: payload size mismatch")
     return DemoDataset(trajectories)
-
-
-def replay_episode(env_seed: int, actions: np.ndarray) -> bool:
-    """Open-loop replay of recorded actions from the seeded start."""
-    st = reset_env(env_seed)
-    for a in actions:
-        st, _, done = env_step(st, a)
-        if done:
-            break
-    return is_success(st)

@@ -56,10 +56,12 @@ def _embed_table(dim: int, T: int) -> np.ndarray:
 class MlpParams:
     """Layer weights (fan_in x fan_out) and biases, hidden tanh, linear out.
 
-    Every array is a view into one contiguous float64 vector ``flat``,
-    laid out W0 b0 W1 b1 ... with each array raveled row-major (the
-    checkpoint payload order).  Gradients and Adam moments share this
-    layout, so an optimizer step is a handful of passes over ``flat``.
+    Every array is a view into one contiguous vector ``flat``, laid out
+    W0 b0 W1 b1 ... with each array raveled row-major (the checkpoint
+    payload order).  Gradients and Adam moments share this layout and
+    ``flat``'s dtype, so an optimizer step is a handful of passes over
+    ``flat``.  Nets are built in float64; ``astype`` gives a copy in
+    another dtype, and forward and backward passes compute in it.
     """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
@@ -93,6 +95,10 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return MlpParams.from_flat(self.flat.copy(), self.shapes)
 
+    def astype(self, dtype) -> "MlpParams":
+        """A copy whose vector has ``dtype`` (values rounded to it)."""
+        return MlpParams.from_flat(self.flat.astype(dtype), self.shapes)
+
 
 def init_mlp(rng: np.random.Generator, sizes: list[int]) -> MlpParams:
     """Fan-in scaled uniform init: W ~ U(+-sqrt(3/fan_in)), unit variance
@@ -108,9 +114,10 @@ def init_mlp(rng: np.random.Generator, sizes: list[int]) -> MlpParams:
 
 
 def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Batched forward pass; x is (n, d_in).  Returns (y, cache) where the
-    cache holds each layer's input for the backward pass."""
-    x = np.asarray(x, dtype=np.float64)
+    """Batched forward pass in the net's dtype; x is (n, d_in).  Returns
+    (y, cache) where the cache holds each layer's input for the backward
+    pass."""
+    x = np.asarray(x, dtype=p.flat.dtype)
     cache = [x]
     return _mlp_from_first(p, x @ p.weights[0] + p.biases[0], cache), cache
 
@@ -132,9 +139,9 @@ def _mlp_from_first(p: MlpParams, z: np.ndarray,
 def mlp_backward(p: MlpParams, cache: list[np.ndarray],
                  dy: np.ndarray) -> MlpParams:
     """Gradients of a scalar loss wrt every weight, given dL/dy; written
-    straight into a fresh vector laid out like ``p.flat``."""
+    straight into a fresh vector laid out like ``p.flat``, in its dtype."""
     grads = MlpParams.from_flat(np.empty_like(p.flat), p.shapes)
-    g = np.asarray(dy, dtype=np.float64)
+    g = np.asarray(dy, dtype=p.flat.dtype)
     for i in range(len(p.weights) - 1, -1, -1):
         if i < len(p.weights) - 1:
             g = g * (1.0 - cache[i + 1] ** 2)  # tanh'
@@ -147,11 +154,12 @@ def mlp_backward(p: MlpParams, cache: list[np.ndarray],
 
 # -- Adam --------------------------------------------------------------------
 
-# Elements per block of the in-place Adam update.  Six block-sized float64
+# float64 elements per block of the in-place Adam update.  Six block-sized
 # arrays are live in a block (parameters, gradient, both moments and two
-# scratch arrays); at 32,768 elements each is 256 KiB, so together they
-# fit in a 2 MiB per-core L2, and the update's dozen passes over a block
-# read it from cache instead of from memory.
+# scratch arrays); at 32,768 float64 elements each is 256 KiB, so together
+# they fit in a 2 MiB per-core L2, and the update's dozen passes over a
+# block read it from cache instead of from memory.  Other dtypes keep the
+# block's byte size: 65,536 float32 elements.
 ADAM_BLOCK = 32_768
 
 
@@ -171,10 +179,11 @@ class AdamState:
 
 def optimizer_step(p: MlpParams, grads: MlpParams, st: AdamState) -> None:
     """One Adam update of ``p.flat``, ``st.m``, ``st.v`` and ``st.t``, in
-    place; ``grads`` is left untouched.
+    place and in ``p.flat``'s dtype; ``grads`` is left untouched.
 
-    Works through the vectors in ADAM_BLOCK-sized pieces, applying per
-    element exactly the operations, in the order, of the textbook form
+    Works through the vectors in blocks of ADAM_BLOCK float64s' bytes,
+    applying per element exactly the operations, in the order, of the
+    textbook form
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         theta -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
     with c1 = 1 - b1**t and c2 = 1 - b2**t, so results are bit-identical
@@ -188,12 +197,14 @@ def optimizer_step(p: MlpParams, grads: MlpParams, st: AdamState) -> None:
     if st.v is None:
         st.v = np.zeros_like(p.flat)
     st.t += 1
-    b1, b2 = st.beta1, st.beta2
+    # Python floats, so that a float32 update stays float32 throughout
+    b1, b2, lr, eps = (float(x) for x in (st.beta1, st.beta2, st.lr, st.eps))
     c1, c2 = 1 - b1 ** st.t, 1 - b2 ** st.t
     n = p.flat.size
-    s1, s2 = np.empty(min(n, ADAM_BLOCK)), np.empty(min(n, ADAM_BLOCK))
-    for lo in range(0, n, ADAM_BLOCK):
-        hi = min(lo + ADAM_BLOCK, n)
+    block = ADAM_BLOCK * 8 // p.flat.itemsize
+    s1, s2 = (np.empty(min(n, block), dtype=p.flat.dtype) for _ in range(2))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
         theta, g = p.flat[lo:hi], grads.flat[lo:hi]
         m, v = st.m[lo:hi], st.v[lo:hi]
         a, b = s1[:hi - lo], s2[:hi - lo]
@@ -206,9 +217,9 @@ def optimizer_step(p: MlpParams, grads: MlpParams, st: AdamState) -> None:
         np.add(v, a, out=v)
         np.divide(v, c2, out=a)
         np.sqrt(a, out=a)
-        np.add(a, st.eps, out=a)
+        np.add(a, eps, out=a)
         np.divide(m, c1, out=b)
-        np.multiply(b, st.lr, out=b)
+        np.multiply(b, lr, out=b)
         np.divide(b, a, out=b)
         np.subtract(theta, b, out=theta)
 
@@ -327,9 +338,11 @@ def denoiser_batch_grads(p: DenoiserParams, obs_b: np.ndarray, ak_b: np.ndarray,
         raise ValueError(f"ks shape {ks.shape} != ({B},)")
     _check_steps(ks, p.T)
     table = _embed_table(p.embed_dim, p.T)
-    x = np.concatenate([obs_b, ak_b.reshape(B, -1), table[ks - 1]], axis=1)
+    dtype = p.net.flat.dtype
+    x = np.concatenate([obs_b, ak_b.reshape(B, -1), table[ks - 1]], axis=1,
+                       dtype=dtype)
     y, cache = mlp_forward(p.net, x)
-    diff = y - eps_b.reshape(B, -1)
+    diff = y - eps_b.reshape(B, -1).astype(dtype, copy=False)
     losses = np.mean(diff * diff, axis=1)
     dy = (2.0 / diff.shape[1]) * diff / B  # gradient of the batch-mean loss
     return losses, mlp_backward(p.net, cache, dy)

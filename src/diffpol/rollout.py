@@ -186,13 +186,21 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
     ``schedule`` is a fixed ``(N_a, N_d)`` pair, or a ScheduleTable to
     run the oracle-classified scheduler.  Episode initial conditions
     depend only on (seed, episode index), so two evaluations with the
-    same seeds see identical environments.
+    same seeds see identical environments.  Every step count the
+    schedule can ask for must lie in [1, sched.T]; one outside raises
+    ValueError naming its stage before any episode runs.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     if not seeds:
         raise ValueError("need at least one evaluation seed")
     use_table = isinstance(schedule, ScheduleTable)
+    budgets = ([(e.name, e.num_inference_steps) for e in schedule.entries]
+               if use_table else [("fixed", schedule[1])])
+    for name, n_steps in budgets:
+        if not 1 <= n_steps <= sched.T:
+            raise ValueError(f"stage {name!r}: {n_steps} denoising steps "
+                             f"outside [1, {sched.T}]")
     classifier = OracleStageClassifier() if use_table else None
     results: list[EpisodeResult] = []
     per_seed: list[float] = []

@@ -12,6 +12,11 @@ batch-normalized loss signals:
   blend factor cosine-annealed over the run.
 
 ``mode="uniform"`` disables both and gives the plain baseline.
+
+The loop computes in ``TrainConfig.dtype`` (float32 by default): both
+nets' weights, gradients, Adam moments and batch arrays.  Random draws,
+rewards and the draw distribution stay float64, and the returned
+parameters are float64, like every artifact.
 """
 
 from __future__ import annotations
@@ -75,7 +80,9 @@ class TimestepSampler:
     entropy_coef: float
     net: MlpParams = field(repr=False)
     adam: AdamState = field(repr=False)
+    # the forward pass at the current weights, None once they change
     _logits: np.ndarray | None = field(default=None, repr=False)
+    _cache: list[np.ndarray] | None = field(default=None, repr=False)
 
 
 def make_timestep_sampler(seed: int, T: int, warmup: int = 500,
@@ -90,16 +97,19 @@ def make_timestep_sampler(seed: int, T: int, warmup: int = 500,
 
 
 def _sampler_logits(ts: TimestepSampler) -> np.ndarray:
+    """The logits over steps 1..T, from one forward pass per weight
+    update; the pass's cache is kept for the update's backward pass."""
     if ts._logits is None:
         x = _embed_table(ts.embed_dim, ts.T)
-        y, _ = mlp_forward(ts.net, x)
+        y, ts._cache = mlp_forward(ts.net, x)
         ts._logits = y[:, 0]
     return ts._logits
 
 
 def sampler_distribution(ts: TimestepSampler) -> np.ndarray:
-    """Current draw probabilities over steps 1..T (softmax of the logits)."""
-    z = _sampler_logits(ts)
+    """Current draw probabilities over steps 1..T (softmax of the logits,
+    taken in float64 whatever the net's dtype)."""
+    z = _sampler_logits(ts).astype(np.float64)
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
@@ -148,20 +158,11 @@ def sampler_update_batch(ts: TimestepSampler, ks: np.ndarray,
         raise ValueError("ks and rs must be matching non-empty 1-d arrays")
     if np.any((ks < 1) | (ks > ts.T)):
         raise ValueError("step indices outside [1, T]")
-    dz = _policy_entropy_grad(ts, ks, rs)
-    _, cache = mlp_forward(ts.net, _embed_table(ts.embed_dim, ts.T))
-    grads = mlp_backward(ts.net, cache, dz[:, None])
+    dz = _policy_entropy_grad(ts, ks, rs)  # runs the forward pass
+    grads = mlp_backward(ts.net, ts._cache, dz[:, None])
     optimizer_step(ts.net, grads, ts.adam)
-    ts._logits = None
+    ts._logits = ts._cache = None
     return ts
-
-
-def sampler_objective(ts: TimestepSampler, k: int, r: float) -> float:
-    """The per-sample objective value (used by gradient-check tests)."""
-    p = sampler_distribution(ts)
-    logp = np.log(np.maximum(p, 1e-300))
-    H = float(-np.sum(p * logp))
-    return float(-r * logp[k - 1] - ts.entropy_coef * H)
 
 
 # -- per-trajectory replay weights -------------------------------------------
@@ -180,11 +181,6 @@ def make_traj_weights(n: int) -> TrajectoryWeights:
     if n < 1:
         raise ValueError("need at least one trajectory")
     return TrajectoryWeights(np.ones(n))
-
-
-def ema_weight(w_i: float, r_i: float, alpha: float) -> float:
-    """Single-weight blend toward reward + 1 (before floor and renorm)."""
-    return (1.0 - alpha) * w_i + alpha * (r_i + 1.0)
 
 
 def _renormalize(w: np.ndarray, floor: float = WEIGHT_FLOOR) -> np.ndarray:
@@ -213,8 +209,10 @@ def _renormalize(w: np.ndarray, floor: float = WEIGHT_FLOOR) -> np.ndarray:
 def update_traj_weights_batch(tw: TrajectoryWeights, idxs: np.ndarray,
                               rs: np.ndarray,
                               alpha: float) -> TrajectoryWeights:
-    """EMA updates for every drawn trajectory, then one floor + renorm.
-    An index outside [0, n) or alpha outside (0, 1] raises."""
+    """EMA updates for every drawn trajectory, in draw order, each blending
+    its weight toward reward + 1: w = (1 - alpha) * w + alpha * (r + 1);
+    then one floor + renorm.  An index outside [0, n) or alpha outside
+    (0, 1] raises."""
     idxs = np.asarray(idxs)
     if np.any((idxs < 0) | (idxs >= tw.n)):
         raise IndexError(f"trajectory index outside [0, {tw.n})")
@@ -222,7 +220,7 @@ def update_traj_weights_batch(tw: TrajectoryWeights, idxs: np.ndarray,
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     w = tw.w.copy()
     for i, r in zip(idxs, rs):
-        w[i] = ema_weight(w[i], float(r), alpha)
+        w[i] = (1.0 - alpha) * w[i] + alpha * (float(r) + 1.0)
     return TrajectoryWeights(_renormalize(w))
 
 
@@ -254,6 +252,7 @@ class TrainConfig:
     sampler_hidden: int = 256
     eval_every: int = 0
     snapshot_every: int = 1000
+    dtype: str = "float32"  # of the training arithmetic; artifacts are float64
 
     def __post_init__(self):
         if self.total_steps < 0:
@@ -264,6 +263,9 @@ class TrainConfig:
             raise ValueError("warmup must be >= 0")
         if self.total_steps > 0 and self.warmup >= self.total_steps:
             raise ValueError("warmup must be < total_steps")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError("dtype must be 'float32' or 'float64', "
+                             f"got {self.dtype!r}")
 
 
 @dataclass
@@ -320,9 +322,11 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
 
     "uniform": timesteps and trajectories drawn uniformly (no sampler net,
     and the report's draw distributions are uniform).  "aln": both
-    adaptive mechanisms active after the warmup.  ``eval_fn(params)``,
-    when given, is called every ``config.eval_every`` steps and its
-    return value recorded in the report.
+    adaptive mechanisms active after the warmup; until then the draws,
+    and the distributions and entropies reported, are uniform.
+    ``eval_fn(params)``, when given, is called every ``config.eval_every``
+    steps with a float64 copy of the parameters, and its return value
+    recorded in the report.  The returned parameters are float64.
     """
     if mode not in ("uniform", "aln"):
         raise ValueError(f"mode must be 'uniform' or 'aln', got {mode!r}")
@@ -332,9 +336,10 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     rng = np.random.default_rng(config.seed)
     # the denoiser conditions on the lifted observation, not the raw one
     d_feat = policy_features(np.zeros(dataset.d_o)).size
-    params = replace(init_params(config.seed, d_o=d_feat, T_p=dataset.T_p,
-                                 d_a=dataset.d_a, hidden=config.hidden,
-                                 embed_dim=config.embed_dim, T=config.T),
+    params = init_params(config.seed, d_o=d_feat, T_p=dataset.T_p,
+                         d_a=dataset.d_a, hidden=config.hidden,
+                         embed_dim=config.embed_dim, T=config.T)
+    params = replace(params, net=params.net.astype(config.dtype),
                      beta_start=config.beta_start, beta_end=config.beta_end)
     sched = params.noise_schedule()
     adam = AdamState(lr=config.lr)
@@ -344,11 +349,21 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
         config.seed + 1, config.T, warmup=config.warmup,
         entropy_coef=config.entropy_coef, hidden=config.sampler_hidden,
         embed_dim=config.embed_dim) if adaptive else None
+    if adaptive:
+        ts.net = ts.net.astype(config.dtype)
     uniform_probs = np.full(config.T, 1.0 / config.T)
 
-    def draw_probs() -> np.ndarray:
-        """A copy of the distribution the timestep draws come from."""
-        return (sampler_distribution(ts) if adaptive else uniform_probs).copy()
+    def learned(step: int) -> bool:
+        """Whether step ``step``'s timestep draws follow the sampler net."""
+        return adaptive and step >= config.warmup
+
+    def draw_probs(step: int) -> np.ndarray:
+        """A copy of the distribution step ``step``'s draws come from."""
+        return (sampler_distribution(ts) if learned(step)
+                else uniform_probs).copy()
+
+    def float64_params() -> DenoiserParams:
+        return replace(params, net=params.net.astype(np.float64))
 
     tw = make_traj_weights(dataset.n_traj)
     report = TrainReport(mode=mode)
@@ -394,16 +409,16 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
 
         report.steps.append(step + 1)
         report.losses.append(loss)
-        report.entropies.append(sampler_entropy(ts) if adaptive
+        report.entropies.append(sampler_entropy(ts) if learned(step)
                                 else uniform_entropy)
         if config.snapshot_every > 0 and (step + 1) % config.snapshot_every == 0:
-            report.sampler_snapshots.append((step + 1, draw_probs()))
+            report.sampler_snapshots.append((step + 1, draw_probs(step)))
             report.weight_snapshots.append((step + 1, tw.w.copy()))
         if eval_fn is not None and config.eval_every > 0 \
                 and (step + 1) % config.eval_every == 0:
             report.eval_steps.append(step + 1)
-            report.eval_success.append(float(eval_fn(params)))
+            report.eval_success.append(float(eval_fn(float64_params())))
 
-    report.final_sampler_probs = draw_probs()
+    report.final_sampler_probs = draw_probs(config.total_steps - 1)
     report.final_traj_weights = tw.w.copy()
-    return params, report
+    return float64_params(), report

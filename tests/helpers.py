@@ -1,9 +1,20 @@
-"""Shared test utilities: oracle denoisers built from the scripted expert."""
+"""Shared test utilities: oracle denoisers built from the scripted
+expert, and the sampler's per-sample objective for gradient checks."""
 
 import numpy as np
 
 from diffpol.env import D_A, T_P, EnvState, env_step, scripted_expert
 from diffpol.diffusion import NoiseSchedule
+from diffpol.training import TimestepSampler, sampler_distribution
+
+
+def sampler_objective(ts: TimestepSampler, k: int, r: float) -> float:
+    """The per-sample objective -r * log pi(k) - entropy_coef * H(pi),
+    whose gradient ``training._policy_entropy_grad`` gives."""
+    p = sampler_distribution(ts)
+    logp = np.log(np.maximum(p, 1e-300))
+    H = float(-np.sum(p * logp))
+    return float(-r * logp[k - 1] - ts.entropy_coef * H)
 
 
 def expert_window(obs: np.ndarray) -> np.ndarray:

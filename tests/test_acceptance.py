@@ -49,13 +49,14 @@ from diffpol.training import (
     normalize_rewards,
     sample_timestep,
     sampler_distribution,
-    sampler_objective,
     sampler_update_batch,
     train,
     update_traj_weights_batch,
     weighted_sample_index,
     _policy_entropy_grad,
 )
+
+from helpers import sampler_objective
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 

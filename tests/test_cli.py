@@ -8,6 +8,7 @@ import numpy as np
 
 import pytest
 
+import diffpol.rollout
 import diffpol.scheduling
 from diffpol.cli import (
     DEFAULTS,
@@ -129,6 +130,19 @@ class TestResolve:
         err = capsys.readouterr().err
         assert err.startswith("error: config key") and next(iter(bad)) in err
 
+    def test_unsupported_dtype_exits_1(self, tmp_path, demo_file, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"dtype": "float16"}))
+        out = tmp_path / "run"
+        rc = main(["train", "--steps", "0", "--config", str(cfg),
+                   "--data", demo_file, "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "dtype" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_cli_strings_exit_nonzero(self, tmp_path, checkpoint):
         base = ["eval", "--policy", checkpoint, "--out", str(tmp_path)]
         assert main(base + ["--schedule", "fixed:16"]) == 1
@@ -231,6 +245,26 @@ class TestEval:
                               "--out", str(b)]) == 0
         assert (a / "report.csv").read_bytes() == \
             (b / "report.csv").read_bytes()
+
+    def test_table_steps_beyond_T_exit_1_before_any_episode(
+            self, tmp_path, checkpoint, monkeypatch, capsys):
+        """A table stage asking for 300 denoising steps of a T=100
+        checkpoint is refused up front, not when a policy reaches it."""
+        entries = json.loads(schedule_to_json(hvts_schedule_table()))
+        for e in entries:
+            if e["name"] == "push":
+                e["num_inference_steps"] = 300
+        table = tmp_path / "sched.json"
+        table.write_text(json.dumps(entries))
+        episodes = []
+        monkeypatch.setattr(diffpol.rollout, "rollout",
+                            lambda *a, **k: episodes.append(a))
+        rc = main(["eval", "--policy", checkpoint, "--episodes", "1",
+                   "--schedule", f"table:{table}",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1 and episodes == []
+        assert capsys.readouterr().err == \
+            "error: stage 'push': 300 denoising steps outside [1, 100]\n"
 
     def test_missing_checkpoint_fails(self, tmp_path):
         assert main(["eval", "--policy", str(tmp_path / "nope.bin"),
@@ -392,6 +426,18 @@ class TestBench:
         assert lines[1].split(",")[-2] == "1"
         samplers = [ln.split(",")[0] for ln in lines[1:]]
         assert samplers == ["ddpm", "ddpm", "ddim", "ddim"]
+
+    def test_steps_beyond_T_exit_1(self, tmp_path, capsys):
+        """The first bench row, fixed (16, 100), cannot run on a T=50
+        checkpoint."""
+        d_feat = policy_features(np.zeros(6)).size
+        ckpt = tmp_path / "t50.bin"
+        save_checkpoint(str(ckpt), init_params(0, d_o=d_feat, T_p=16, d_a=2,
+                                               hidden=16, embed_dim=8, T=50))
+        assert main(["bench", "--policy", str(ckpt), "--episodes", "1",
+                     "--seeds", "0", "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == \
+            "error: stage 'fixed': 100 denoising steps outside [1, 50]\n"
 
     def test_replay_from_manifest_is_bit_identical(self, tmp_path,
                                                    checkpoint):

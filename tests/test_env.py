@@ -20,7 +20,6 @@ from diffpol.env import (
     is_success,
     load_demos,
     observe,
-    replay_episode,
     reset_env,
     run_expert_episode,
     save_demos,
@@ -28,6 +27,16 @@ from diffpol.env import (
     stage_index,
     stage_name,
 )
+
+
+def replay_episode(env_seed, actions):
+    """Open-loop replay of recorded actions from the seeded start."""
+    st = reset_env(env_seed)
+    for a in actions:
+        st, _, done = env_step(st, a)
+        if done:
+            break
+    return is_success(st)
 
 
 def make_state(agent, block, target, t=0):

@@ -169,6 +169,27 @@ class TestGradients:
         with pytest.raises(ValueError):
             denoiser_batch_grads(p, obs_b[:, :2], win, ks, win)
 
+    def test_float32_batch_grads_match_float64(self):
+        """At the acceptance config's shapes (B=64, 177 -> 384 x 3 -> 32)
+        a float32 net gives float32 losses and gradients within 1e-4 of
+        the float64 net it was rounded from."""
+        p = init_params(0, d_o=17, T_p=16, d_a=2, hidden=384, embed_dim=128,
+                        T=100)
+        p32 = replace(p, net=p.net.astype(np.float32))
+        rng = np.random.default_rng(12)
+        B = 64
+        obs_b = rng.uniform(-1.0, 1.0, (B, 17))
+        ak_b = rng.standard_normal((B, 16, 2))
+        eps_b = rng.standard_normal((B, 16, 2))
+        ks = rng.integers(1, 101, size=B)
+        l64, g64 = denoiser_batch_grads(p, obs_b, ak_b, ks, eps_b)
+        l32, g32 = denoiser_batch_grads(p32, obs_b, ak_b, ks, eps_b)
+        assert l32.dtype == g32.flat.dtype == np.float32
+        np.testing.assert_allclose(l32, l64, rtol=1e-4)
+        for a, b in zip(in_layer_order(g32), in_layer_order(g64)):
+            np.testing.assert_allclose(a, b, rtol=1e-4,
+                                       atol=1e-4 * np.abs(b).max())
+
     def test_forward_shape_and_validation(self):
         p = init_params(0, d_o=6, T_p=16, d_a=2)
         rng = np.random.default_rng(0)
@@ -304,6 +325,32 @@ class TestAdam:
             np.testing.assert_array_equal(
                 got, np.concatenate([x.ravel() for x in want]))
 
+    def test_float32_blocked_update_matches_float32_reference(self):
+        """A float32 block holds ADAM_BLOCK float64s' bytes: 2 * ADAM_BLOCK
+        elements.  The blocked update over 1.4 such blocks equals the
+        per-tensor reference run in float32, bit for bit, and every
+        vector stays float32."""
+        rng = np.random.default_rng(13)
+        p = init_mlp(rng, [100, 300, 200, 7]).astype(np.float32)
+        n, block = p.flat.size, 2 * ADAM_BLOCK
+        assert block < n < 2 * block
+        ref_p = [a.copy() for a in in_layer_order(p)]
+        ref_st = {"lr": 3e-3, "t": 0, "m": [np.zeros_like(a) for a in ref_p],
+                  "v": [np.zeros_like(a) for a in ref_p]}
+        st = AdamState(lr=3e-3)
+        for _ in range(4):
+            g = init_mlp(rng, [100, 300, 200, 7])
+            g.flat *= rng.lognormal(0.0, 2.0, size=n)
+            g = g.astype(np.float32)
+            optimizer_step(p, g, st)
+            ref_p, ref_st = reference_adam(ref_p, in_layer_order(g), ref_st)
+        assert p.flat.dtype == st.m.dtype == st.v.dtype == np.float32
+        for got, want in ((p.flat, ref_p), (st.m, ref_st["m"]),
+                          (st.v, ref_st["v"])):
+            want = np.concatenate([x.ravel() for x in want])
+            assert want.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
+
     def test_rejects_mismatched_gradient(self):
         p = init_mlp(np.random.default_rng(0), [2, 3, 1])
         g = init_mlp(np.random.default_rng(0), [2, 4, 1])
@@ -356,6 +403,17 @@ class TestFlatLayout:
         assert p.flat[3 * 5 + 2] == -7.0
         assert p.flat[3 * 5 + 5 + 4 * 2 + 1] == 123.0
 
+    def test_astype_copies_into_a_new_vector(self):
+        p = init_mlp(np.random.default_rng(14), [3, 5, 2])
+        q = p.astype(np.float32)
+        self.assert_views_of_flat(q)
+        assert q.flat.dtype == np.float32 and q.shapes == p.shapes
+        assert not np.shares_memory(q.flat, p.flat)
+        np.testing.assert_array_equal(q.flat, p.flat.astype(np.float32))
+        r = q.astype(np.float64)
+        assert r.flat.dtype == np.float64
+        np.testing.assert_array_equal(r.flat, q.flat)
+
     def test_copy_shares_no_memory(self):
         p = init_mlp(np.random.default_rng(10), [3, 5, 2])
         q = p.copy()
@@ -370,7 +428,7 @@ class TestGoldenLosses:
     def test_tiny_runs_reproduce_recorded_losses(self):
         doc = json.loads((FIXTURES / "golden_losses.json").read_text())
         demos = generate_demos(doc["demos"]["n"], seed=doc["demos"]["seed"])
-        cfg = TrainConfig(**doc["config"])
+        cfg = TrainConfig(**doc["config"], dtype="float64")
         for mode, want in doc["losses"].items():
             _, report = train(cfg, demos, mode)
             assert [x.hex() for x in report.losses] == want, mode

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import diffpol.training
 from diffpol.env import D_A, D_O, T_P, DemoDataset, DemoTrajectory, \
     policy_features
-from diffpol.nets import _embed_table, init_params, mlp_backward, mlp_forward
+from diffpol.nets import _embed_table, init_params, load_checkpoint, \
+    mlp_backward, mlp_forward, save_checkpoint
 from diffpol.training import (
     WEIGHT_FLOOR,
     TrainConfig,
@@ -17,19 +19,19 @@ from diffpol.training import (
     _policy_entropy_grad,
     _renormalize,
     anneal_alpha,
-    ema_weight,
     make_timestep_sampler,
     make_traj_weights,
     normalize_rewards,
     sample_timestep,
     sampler_distribution,
     sampler_entropy,
-    sampler_objective,
     sampler_update_batch,
     train,
     update_traj_weights_batch,
     weighted_sample_index,
 )
+
+from helpers import sampler_objective
 
 
 def tiny_dataset(seed=0, n_traj=4, n_windows=6):
@@ -91,7 +93,11 @@ class TestRewardShaping:
 
 class TestTrajectoryWeights:
     def test_ema_frozen(self):
-        assert ema_weight(1.0, 0.5, 0.2) == pytest.approx(1.1, abs=0)
+        # (1 - 0.2) * 1.0 + 0.2 * (0.5 + 1) is 1.1 exactly, beside an
+        # untouched 1.0, before the floor and mean-one rescale
+        out = update_traj_weights_batch(make_traj_weights(2), [0], [0.5], 0.2)
+        np.testing.assert_array_equal(out.w,
+                                      _renormalize(np.array([1.1, 1.0])))
 
     def test_update_renormalizes_to_mean_one(self):
         tw = make_traj_weights(2)
@@ -135,8 +141,8 @@ class TestTrajectoryWeights:
         out = update_traj_weights_batch(tw, np.array([0, 2]),
                                         np.array([0.5, -0.5]), 0.2)
         w = tw.w.copy()
-        w[0] = ema_weight(w[0], 0.5, 0.2)
-        w[2] = ema_weight(w[2], -0.5, 0.2)
+        w[0] = (1.0 - 0.2) * w[0] + 0.2 * (0.5 + 1.0)
+        w[2] = (1.0 - 0.2) * w[2] + 0.2 * (-0.5 + 1.0)
         np.testing.assert_allclose(out.w, _renormalize(w), rtol=0, atol=1e-15)
 
     def test_weighted_draw_frequencies(self):
@@ -304,7 +310,7 @@ class TestTimestepSampler:
 class TestTrainLoop:
     def test_zero_steps_returns_fresh_params(self):
         ds = tiny_dataset()
-        cfg = tiny_config(total_steps=0, warmup=0)
+        cfg = tiny_config(total_steps=0, warmup=0, dtype="float64")
         params, rep = train(cfg, ds, "uniform")
         d_feat = policy_features(np.zeros(D_O)).size
         fresh = init_params(cfg.seed, d_o=d_feat, T_p=T_P, d_a=D_A,
@@ -353,6 +359,81 @@ class TestTrainLoop:
         for _, p in rep.sampler_snapshots:
             np.testing.assert_array_equal(p, uniform)
         np.testing.assert_array_equal(rep.final_sampler_probs, uniform)
+
+    def test_aln_warmup_reports_the_uniform_draw_distribution(self):
+        """aln draws are uniform until the warmup ends, and the snapshots
+        and entropies taken then say so; afterwards they follow the net."""
+        cfg = tiny_config(total_steps=60, warmup=40, snapshot_every=20)
+        _, rep = train(cfg, tiny_dataset(), "aln")
+        uniform = np.full(cfg.T, 1.0 / cfg.T)
+        assert [s for s, _ in rep.sampler_snapshots] == [20, 40, 60]
+        for _, p in rep.sampler_snapshots[:2]:
+            np.testing.assert_array_equal(p, uniform)
+        assert rep.entropies[:40] == [float(np.log(cfg.T))] * 40
+        assert not np.array_equal(rep.sampler_snapshots[2][1], uniform)
+        assert rep.entropies[40] != rep.entropies[39]
+
+    def test_one_sampler_forward_per_adaptive_step(self, monkeypatch):
+        """The sampler update reuses the forward pass that gave the draw
+        distribution: one sampler mlp_forward per weight state, the
+        initial weights and each of the adaptive steps' updates (two per
+        adaptive step when the update ran its own)."""
+        calls = []
+        forward = diffpol.training.mlp_forward
+
+        def counting(p, x):
+            calls.append(x.shape)
+            return forward(p, x)
+
+        monkeypatch.setattr(diffpol.training, "mlp_forward", counting)
+        cfg = tiny_config(total_steps=30, warmup=10)
+        _, rep = train(cfg, tiny_dataset(), "aln")
+        assert len(calls) == 1 + cfg.total_steps - cfg.warmup
+        assert set(calls) == {(cfg.T, cfg.embed_dim)}
+        monkeypatch.undo()
+        _, again = train(cfg, tiny_dataset(), "aln")
+        assert rep.losses == again.losses
+
+    def test_float32_run_returns_float64_params(self, tmp_path):
+        """The default float32 run hands back float64 parameters holding
+        float32 values, which a checkpoint stores and loads unchanged."""
+        cfg = tiny_config(total_steps=20, warmup=5)
+        assert cfg.dtype == "float32"
+        params, _ = train(cfg, tiny_dataset(), "aln")
+        assert params.net.flat.dtype == np.float64
+        np.testing.assert_array_equal(
+            params.net.flat, params.net.flat.astype(np.float32))
+        path = str(tmp_path / "checkpoint.bin")
+        save_checkpoint(path, params)
+        loaded = load_checkpoint(path)
+        assert loaded.net.flat.dtype == np.float64
+        np.testing.assert_array_equal(loaded.net.flat, params.net.flat)
+
+    def test_eval_fn_gets_a_float64_copy(self):
+        seen = []
+
+        def record(p):
+            seen.append(p.net.flat.dtype)
+            p.net.flat[:] = 0.0  # must not reach the run
+            return 0.0
+
+        cfg = tiny_config(total_steps=20, warmup=5, eval_every=10)
+        _, a = train(cfg, tiny_dataset(), "uniform", eval_fn=record)
+        _, b = train(cfg, tiny_dataset(), "uniform")
+        assert seen == [np.float64, np.float64]
+        assert a.losses == b.losses
+
+    @pytest.mark.parametrize("mode", ["uniform", "aln"])
+    def test_float32_losses_track_float64(self, mode):
+        """Both dtypes draw the same batches, so their loss curves differ
+        only by rounding: within 1e-5 relative at every one of 200 steps
+        (about 1.6e-7 seen, against float32's 1.2e-7 epsilon)."""
+        _, f32 = train(tiny_config(total_steps=200), tiny_dataset(), mode)
+        _, f64 = train(tiny_config(total_steps=200, dtype="float64"),
+                       tiny_dataset(), mode)
+        np.testing.assert_allclose(f32.losses, f64.losses, rtol=1e-5, atol=0)
+        np.testing.assert_allclose(f32.final_sampler_probs,
+                                   f64.final_sampler_probs, rtol=1e-5)
 
     def test_params_record_the_training_noise_schedule(self):
         cfg = tiny_config(total_steps=3, warmup=0, beta_start=1e-3,
@@ -407,6 +488,9 @@ class TestTrainLoop:
             TrainConfig(total_steps=10, warmup=10)
         with pytest.raises(ValueError):
             TrainConfig(total_steps=10, batch_size=0)
+        for bad in ("float16", "f4", np.float32):
+            with pytest.raises(ValueError, match="dtype"):
+                TrainConfig(total_steps=10, warmup=0, dtype=bad)
 
     def test_csv_round_trip(self, tmp_path):
         cfg = tiny_config(total_steps=20, warmup=5, eval_every=10)
