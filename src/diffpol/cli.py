@@ -56,12 +56,11 @@ DEFAULTS = {
     "train": {"mode": "uniform", "steps": None, "data": None, "out": None,
               "eval_episodes": 20, **_train_extras()},
     "eval": {"policy": None, "episodes": 50, "schedule": "fixed:16,100",
-             "sampler": "ddpm", "seeds": "0,1,2", "gap": 0.2, "out": None},
+             "sampler": "ddpm", "seeds": "0,1,2", "out": None},
     "decompose": {"task": TASK_DESCRIPTION, "num_images": 8, "num_stages": 5,
                   "ranges": "8,16,20,40", "mock": None, "endpoint": None,
                   "timeout": 10.0, "out": None},
-    "bench": {"policy": None, "episodes": 50, "seeds": "0,1,2", "gap": 0.2,
-              "out": None},
+    "bench": {"policy": None, "episodes": 50, "seeds": "0,1,2", "out": None},
 }
 
 _REQUIRED = {
@@ -139,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--sampler", choices=("ddpm", "ddim"),
                    help="reverse-process sampler")
     e.add_argument("--seeds", help="comma-separated evaluation seeds")
-    e.add_argument("--gap", type=float,
-                   help="stage selection confidence gap")
 
     d = add("decompose", "produce stage and schedule artifacts")
     d.add_argument("--task", help="task description fed to the prompts")
@@ -164,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--episodes", type=int,
                    help="episodes per evaluation seed")
     b.add_argument("--seeds", help="comma-separated evaluation seeds")
-    b.add_argument("--gap", type=float,
-                   help="stage selection confidence gap")
 
     # each flag's help shows its built-in default, read from DEFAULTS
     for name, p in sub.choices.items():
@@ -197,15 +192,7 @@ def _from_config(key: str, value, action: argparse.Action | None, default):
             raise ValueError(f"config key {key!r} wants a list of two "
                              f"strings, got {value!r}")
         return value
-    if action is not None:
-        conv = action.type or str
-    elif isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ValueError(f"config key {key!r} wants true or false, "
-                             f"got {value!r}")
-        return value
-    else:
-        conv = type(default)
+    conv = (action.type or str) if action is not None else type(default)
     if isinstance(value, (bool, list, dict)):
         raise ValueError(f"config key {key!r} wants a {conv.__name__}, "
                          f"got {value!r}")
@@ -406,8 +393,7 @@ def cmd_eval(args: dict) -> int:
     params = load_checkpoint(args["policy"])
     schedule = _parse_schedule_arg(args["schedule"])
     m = evaluate(params, params.noise_schedule(), args["episodes"], schedule,
-                 args["sampler"], seeds=_parse_seeds(args["seeds"]),
-                 gap=args["gap"])
+                 args["sampler"], seeds=_parse_seeds(args["seeds"]))
     with open(os.path.join(out, "report.csv"), "w", newline="") as f:
         wr = csv.writer(f)
         wr.writerow(["metric", "value"])
@@ -478,8 +464,7 @@ def cmd_bench(args: dict) -> int:
     metrics = []
     for sampler, label in _BENCH_ROWS:
         m = evaluate(params, sched, args["episodes"],
-                     _parse_schedule_arg(label), sampler, seeds=seeds,
-                     gap=args["gap"])
+                     _parse_schedule_arg(label), sampler, seeds=seeds)
         metrics.append(m)
     reports = [compare_speedup(metrics[0], m) for m in metrics]
     with open(os.path.join(out, "report.csv"), "w", newline="") as f:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stages import StageTemplate
-
 # geometry and episode limits
 CONTACT_RADIUS = 0.05   # agent-block distance at which pushing engages
 TARGET_TOL = 0.03       # block-target distance that counts as success
@@ -33,25 +31,6 @@ STAGES = ("approach", "align", "push", "reach", "complete")
 DEMO_MAGIC = b"DIFFDEM1"
 
 TASK_DESCRIPTION = "Push the block across the plane into the target zone."
-
-_STAGE_DESCRIPTIONS = {
-    "approach": "Action features: The agent moves across open space toward "
-                "the block, closing most of the separation distance.",
-    "align": "Action features: The agent circles to the far side of the "
-             "block so that block and target line up ahead of it.",
-    "push": "Action features: The agent presses against the block and "
-            "drives it along the line toward the target zone.",
-    "reach": "Action features: The block is close to the target and short "
-             "careful pushes finish the placement.",
-    "complete": "Action features: The block rests inside the target zone "
-                "and the agent holds position.",
-}
-
-
-def push_stage_templates() -> list[StageTemplate]:
-    """The five stages of the push task as protocol templates."""
-    return [StageTemplate(name=n, description=_STAGE_DESCRIPTIONS[n])
-            for n in STAGES]
 
 
 @dataclass(frozen=True)

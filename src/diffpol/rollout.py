@@ -186,15 +186,19 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
     ``schedule`` is a fixed ``(N_a, N_d)`` pair, or a ScheduleTable to
     run the oracle-classified scheduler.  Episode initial conditions
     depend only on (seed, episode index), so two evaluations with the
-    same seeds see identical environments.  Every step count the
-    schedule can ask for must lie in [1, sched.T]; one outside raises
-    ValueError naming its stage before any episode runs.
+    same seeds see identical environments.  The oracle indexes a table
+    by stage position, so a table needs an entry for each of the task's
+    stages, and every step count the schedule can ask for must lie in
+    [1, sched.T]; either fault raises ValueError before any episode runs.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     if not seeds:
         raise ValueError("need at least one evaluation seed")
     use_table = isinstance(schedule, ScheduleTable)
+    if use_table and len(schedule.entries) < len(STAGES):
+        raise ValueError(f"schedule table has {len(schedule.entries)} "
+                         f"stages; the task has {len(STAGES)}")
     budgets = ([(e.name, e.num_inference_steps) for e in schedule.entries]
                if use_table else [("fixed", schedule[1])])
     for name, n_steps in budgets:

@@ -1,23 +1,21 @@
 """Stage protocol: templates, prompt construction, response parsing.
 
-A long task is decomposed into named stages, each stage is assigned a
-compute budget (action horizon, denoising step count), and at run time a
-classifier reports a ranked belief over stages.  All three exchanges are
-plain text with a remote model, so every parser here is defensive:
-responses are sanitized, values are clamped into range, and a missing
-"hardest stage" designation is repaired by a deterministic fallback.
-Schedule files, which this program writes, load as written.
+A long task is decomposed into named stages, and each stage is assigned
+a compute budget (action horizon, denoising step count).  Both
+exchanges are plain text with a remote model, so every parser here is
+defensive: responses are sanitized, values are clamped into range, and
+a missing "hardest stage" designation is repaired by a deterministic
+fallback.  Schedule files, which this program writes, load as written.
+At run time a classifier reports a ranked belief over the stages, and
+select_stage picks the active one.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 
 class StageParseError(ValueError):
@@ -116,17 +114,6 @@ class ScheduleTable:
                 and len({e.pair for e in self.entries}) == 1:
             raise ValueError("all schedule entries are identical")
 
-    def entry_for(self, name: str) -> ScheduleEntry:
-        name = normalize_name(name)
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(f"no schedule entry for stage {name!r}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries)
-
 
 @dataclass(frozen=True)
 class StageBelief:
@@ -147,10 +134,6 @@ class StageBelief:
             raise ValueError("probabilities must be nonincreasing")
         if sum(probs) > 1.0 + 1e-6:
             raise ValueError("probabilities sum above one")
-
-    @property
-    def top_stage(self) -> int:
-        return self.entries[0][0]
 
 
 # -- prompt construction ------------------------------------------------------
@@ -192,28 +175,6 @@ Return JSON for all stages:
 ]
 """
 
-_CLASSIFICATION_TEMPLATE = """Task: You are given several consecutive \
-frames from a robotic manipulation task.
-The images are ordered chronologically from earliest to most recent.
-
-Analyze the visual progression and determine the current stage of the task.
-Focus primarily on the most recent frame while considering the temporal \
-evolution.
-
-Stages:
-{stage_definitions}
-
-Return the top-{top_k} most likely stages ranked by probability.
-
-Output format:
-
-{format_lines}
-
-Only output the stage names and probabilities without additional \
-explanations.
-"""
-
-
 def format_stage_definitions(stages) -> str:
     """One "name: description" line per stage, template order."""
     lines = []
@@ -245,17 +206,6 @@ def build_schedule_prompt(stages, ranges: ScheduleRanges | None = None) -> str:
         num_stages=len(stages),
         stage_definitions=format_stage_definitions(stages),
         a_min=r.a_min, a_max=r.a_max, i_min=r.i_min, i_max=r.i_max)
-
-
-def build_classification_prompt(stages, top_k: int = 3) -> str:
-    if not stages:
-        raise ValueError("need at least one stage")
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    return _CLASSIFICATION_TEMPLATE.format(
-        stage_definitions=format_stage_definitions(stages),
-        top_k=top_k,
-        format_lines="\n".join(["stage_name: probability"] * top_k))
 
 
 # -- response sanitation ------------------------------------------------------
@@ -446,43 +396,6 @@ def parse_schedule(text: str, stages,
                                   num_inference_steps=d)
                     for n, (a, d) in zip(names, pairs))
     return ScheduleTable(entries=entries, ranges=r)
-
-
-def parse_stage_probs(text: str, stages, top_k: int = 3) -> StageBelief:
-    """Parse "name: probability" lines into a ranked belief.
-
-    Unknown names are dropped with a warning, probabilities clamped to
-    [0, 1], the top_k kept in descending order, and the kept mass
-    renormalized only when it exceeds one (absolute confidences are
-    preserved otherwise)."""
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    names = _stage_names(stages)
-    index = {n: i for i, n in enumerate(names)}
-    seen: dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip().lstrip("-*").strip()
-        if not line or ":" not in line:
-            continue
-        name_part, _, val_part = line.partition(":")
-        try:
-            p = float(val_part.strip())
-        except ValueError:
-            continue
-        name = normalize_name(name_part)
-        if name not in index:
-            log.warning("dropping unknown stage %r in belief", name)
-            continue
-        if name in seen:
-            continue  # first occurrence wins
-        seen[name] = min(max(p, 0.0), 1.0)
-    if not seen:
-        raise StageParseError("no recognized stages in response")
-    ranked = sorted(seen.items(), key=lambda kv: -kv[1])[:top_k]
-    total = sum(p for _, p in ranked)
-    if total > 1.0:
-        ranked = [(n, p / total) for n, p in ranked]
-    return StageBelief(tuple((index[n], p) for n, p in ranked))
 
 
 def select_stage(belief: StageBelief, gap: float,

@@ -246,7 +246,6 @@ class TrainConfig:
     warmup: int = 500
     entropy_coef: float = 10.0
     lr: float = 1e-3
-    negate_reward: bool = False
     hidden: int = 256
     embed_dim: int = 128
     sampler_hidden: int = 256
@@ -401,8 +400,6 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
 
         if adaptive and step >= config.warmup:
             rs = normalize_rewards(losses)
-            if config.negate_reward:
-                rs = -rs
             sampler_update_batch(ts, ks, rs)
             alpha = anneal_alpha(step, config.total_steps)
             tw = update_traj_weights_batch(tw, idxs, rs, alpha)

@@ -1,11 +1,33 @@
 """Shared test utilities: oracle denoisers built from the scripted
-expert, and the sampler's per-sample objective for gradient checks."""
+expert, the sampler's per-sample objective for gradient checks, and the
+push task's stages as protocol templates."""
 
 import numpy as np
 
-from diffpol.env import D_A, T_P, EnvState, env_step, scripted_expert
+from diffpol.env import D_A, STAGES, T_P, EnvState, env_step, \
+    scripted_expert
 from diffpol.diffusion import NoiseSchedule
+from diffpol.stages import StageTemplate
 from diffpol.training import TimestepSampler, sampler_distribution
+
+_STAGE_DESCRIPTIONS = {
+    "approach": "Action features: The agent moves across open space toward "
+                "the block, closing most of the separation distance.",
+    "align": "Action features: The agent circles to the far side of the "
+             "block so that block and target line up ahead of it.",
+    "push": "Action features: The agent presses against the block and "
+            "drives it along the line toward the target zone.",
+    "reach": "Action features: The block is close to the target and short "
+             "careful pushes finish the placement.",
+    "complete": "Action features: The block rests inside the target zone "
+                "and the agent holds position.",
+}
+
+
+def push_stage_templates() -> list[StageTemplate]:
+    """The five stages of the push task as protocol templates."""
+    return [StageTemplate(name=n, description=_STAGE_DESCRIPTIONS[n])
+            for n in STAGES]
 
 
 def sampler_objective(ts: TimestepSampler, k: int, r: float) -> float:

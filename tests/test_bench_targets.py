@@ -1,4 +1,5 @@
-"""The benchmark's span targets name functions that still exist.
+"""The benchmark's span targets name functions that still exist, and
+its episodes call diffpol in forms that still work.
 
 perfbench wraps diffpol functions by attribute name to split a run into
 layers; a renamed or deleted function would silently drop its span.
@@ -8,7 +9,13 @@ Importing the workload module runs no workload.
 import pathlib
 import sys
 
+import numpy as np
 import pytest
+
+from diffpol.diffusion import make_noise_schedule
+from diffpol.env import T_P, policy_features
+from diffpol.nets import init_params
+from diffpol.rollout import hvts_schedule_table
 
 PERFBENCH = str(pathlib.Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -31,3 +38,29 @@ def test_every_span_target_exists(workloads, build):
     missing = [f"{getattr(t.owner, '__name__', t.owner)}.{t.attr}"
                for t in targets if t.attr not in vars(t.owner)]
     assert missing == []
+
+
+def test_every_bench_row_runs_one_episode(workloads):
+    """Each row through the benchmark's own episode call on a tiny
+    policy: evaluate(..., seeds=, gap=), and, traced, scheduler_tick's
+    (N_a, N_d, state) with state.active and state.degraded."""
+    d_feat = policy_features(np.zeros(6)).size
+    params = init_params(0, d_o=d_feat, T_p=T_P, d_a=2, hidden=16,
+                         embed_dim=8, T=100)
+    sched = make_noise_schedule(params.T)
+    table = hvts_schedule_table()
+    out = workloads.Outcome()
+    tracer = workloads.spans.Tracer()
+    inst = workloads.spans.install(tracer, workloads.rollout_targets())
+    try:
+        for row in workloads.BENCH_ROWS:
+            m, _ = workloads._episode(out, params, sched, row, table,
+                                      workloads.eval_seed(0, 0))
+            assert m is not None and m.n_episodes == 1, row[0]
+    finally:
+        workloads.spans.restore(inst)
+    assert (out.attempted, out.failed, out.problems) == \
+        (len(workloads.BENCH_ROWS), 0, [])
+    ticks = [s.info for s in tracer.spans
+             if s.name == "scheduling.scheduler_tick"]
+    assert ticks and all(degraded is False for _, degraded in ticks)

@@ -93,17 +93,16 @@ class TestResolve:
     def test_config_values_convert_like_flags(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"steps": "12", "lr": "5e-4", "hidden": 8,
-                                   "beta_end": 1, "negate_reward": True,
-                                   "mode": "aln"}))
+                                   "beta_end": 1, "mode": "aln"}))
         args = resolved(["train", "--config", str(cfg), "--data", "d",
                          "--out", str(tmp_path)])
         assert args["steps"] == 12 and args["lr"] == 5e-4
         assert args["hidden"] == 8 and type(args["beta_end"]) is float
-        assert args["negate_reward"] is True and args["mode"] == "aln"
-        cfg.write_text(json.dumps({"seeds": 3, "gap": "0.5"}))
+        assert args["mode"] == "aln"
+        cfg.write_text(json.dumps({"seeds": 3, "episodes": "4"}))
         args = resolved(["eval", "--config", str(cfg), "--policy", "p",
                          "--out", str(tmp_path)])
-        assert args["seeds"] == "3" and args["gap"] == 0.5
+        assert args["seeds"] == "3" and args["episodes"] == 4
 
     def test_help_shows_each_default_from_defaults(self, monkeypatch):
         monkeypatch.setitem(DEFAULTS["gen-data"], "n", 123)
@@ -118,7 +117,7 @@ class TestResolve:
 
     @pytest.mark.parametrize("bad", [
         {"steps": "abc"}, {"steps": 2.5}, {"steps": True}, {"lr": [1]},
-        {"mode": "fast"}, {"negate_reward": 1}, {"hidden": "wide"},
+        {"mode": "fast"}, {"snapshot_every": True}, {"hidden": "wide"},
         {"data": ["a"]},
     ])
     def test_bad_config_values_exit_1(self, tmp_path, demo_file, bad, capsys):
@@ -266,6 +265,24 @@ class TestEval:
         assert capsys.readouterr().err == \
             "error: stage 'push': 300 denoising steps outside [1, 100]\n"
 
+    def test_short_table_exits_1_before_any_episode(
+            self, tmp_path, checkpoint, monkeypatch, capsys):
+        """A valid three-stage table (approach, align, push) cannot
+        serve the five-stage task: refused up front, not in the first
+        episode that reaches the reach stage."""
+        entries = json.loads(schedule_to_json(hvts_schedule_table()))[:3]
+        table = tmp_path / "sched.json"
+        table.write_text(json.dumps(entries))
+        episodes = []
+        monkeypatch.setattr(diffpol.rollout, "rollout",
+                            lambda *a, **k: episodes.append(a))
+        rc = main(["eval", "--policy", checkpoint, "--episodes", "1",
+                   "--schedule", f"table:{table}",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1 and episodes == []
+        assert capsys.readouterr().err == \
+            "error: schedule table has 3 stages; the task has 5\n"
+
     def test_missing_checkpoint_fails(self, tmp_path):
         assert main(["eval", "--policy", str(tmp_path / "nope.bin"),
                      "--out", str(tmp_path)]) == 1
@@ -406,6 +423,22 @@ class TestDecompose:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_endpoint_from_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(ENDPOINT_ENV_VAR, "http://from.env/chat")
+        replies = [(FIXTURES / "decompose_response.txt").read_text(),
+                   (FIXTURES / "schedule_response.txt").read_text()]
+        urls = []
+
+        def fake(url, body, timeout):
+            urls.append(url)
+            return _completion(replies[len(urls) - 1])
+
+        args = resolved(["decompose", "--ranges", "8,16,20,60",
+                         "--out", str(tmp_path / "run")])
+        assert args["endpoint"] is None
+        assert cmd_decompose(args, transport=fake) == 0
+        assert urls == ["http://from.env/chat"] * 2
+
     def test_no_endpoint_and_no_mock_fails(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
         assert main(["decompose", "--out", str(tmp_path)]) == 1
@@ -463,20 +496,21 @@ class TestManifest:
     def test_manifest_with_schedule_keys_is_refused(self, tmp_path,
                                                     checkpoint, capsys):
         """eval no longer takes beta_start/beta_end (the checkpoint
-        carries them), so a manifest that still holds them cannot
-        replay."""
+        carries them) or gap (the oracle's one-hot belief never reads
+        it), so a manifest that still holds them cannot replay."""
         run = tmp_path / "run"
         assert main(["eval", "--policy", checkpoint, "--episodes", "1",
                      "--schedule", "fixed:16,2", "--seeds", "0",
                      "--out", str(run)]) == 0
         doc = json.loads((run / "manifest.json").read_text())
-        doc["args"].update(beta_start=1e-4, beta_end=0.02)
+        doc["args"].update(beta_start=1e-4, beta_end=0.02, gap=0.2)
         old = tmp_path / "old_manifest.json"
         old.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run_from_manifest(str(old), str(tmp_path / "replay")) == 1
         assert capsys.readouterr().err == \
-            "error: unknown config keys for eval: ['beta_end', 'beta_start']\n"
+            "error: unknown config keys for eval: " \
+            "['beta_end', 'beta_start', 'gap']\n"
 
     def test_gen_data_replay(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

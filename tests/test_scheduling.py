@@ -1,6 +1,6 @@
-"""Classifiers (oracle and remote) and the periodic scheduler tick."""
+"""The oracle classifier, the periodic scheduler tick, and the
+chat-completion client."""
 
-import base64
 import http.client
 import json
 import socket
@@ -9,21 +9,21 @@ import urllib.error
 import numpy as np
 import pytest
 
-from diffpol.env import STAGES, env_step, push_stage_templates, reset_env, \
-    scripted_expert, stage_index
+from diffpol.env import STAGES, env_step, reset_env, scripted_expert, \
+    stage_index
 from diffpol.scheduling import (
-    ENDPOINT_ENV_VAR,
     ClassifierError,
     OracleStageClassifier,
-    RemoteStageClassifier,
     RemoteTimeout,
     RemoteTransportError,
     ResponseParseError,
     SchedulerState,
+    complete_text,
     make_scheduler,
     scheduler_tick,
 )
-from diffpol.stages import ScheduleEntry, ScheduleTable, StageBelief
+from diffpol.stages import ScheduleEntry, ScheduleRanges, ScheduleTable, \
+    StageBelief
 
 
 def push_table(pairs=None):
@@ -34,6 +34,15 @@ def push_table(pairs=None):
                       num_inference_steps=pairs.get(n, (16, 20))[1])
         for n in STAGES)
     return ScheduleTable(entries=entries)
+
+
+def horizon_table(na):
+    """Every stage at horizon na, so the tick reclassifies every na
+    steps; reach carries the (na, 40) precision budget, the rest (na, 20)."""
+    entries = tuple(ScheduleEntry(n, na, 40 if n == "reach" else 20)
+                    for n in STAGES)
+    return ScheduleTable(entries=entries,
+                         ranges=ScheduleRanges(na, na, 20, 40))
 
 
 class CountingOracle:
@@ -71,118 +80,13 @@ class TestOracleClassifier:
     def test_uses_latest_frame(self):
         a, b = reset_env(0), reset_env(1)
         out = OracleStageClassifier().classify([a, b])
-        assert out.top_stage == stage_index(b)
+        assert out.entries[0][0] == stage_index(b)
 
     def test_rejects_bad_buffers(self):
         with pytest.raises(ClassifierError):
             OracleStageClassifier().classify([])
         with pytest.raises(ClassifierError):
             OracleStageClassifier().classify([np.zeros(6)])
-
-
-def canned_reply(text):
-    return json.dumps(
-        {"choices": [{"message": {"content": text}}]}).encode()
-
-
-class TestRemoteClassifier:
-    def make(self, transport, **kw):
-        kw.setdefault("endpoint", "http://unit.test/v1/chat")
-        return RemoteStageClassifier(push_stage_templates(),
-                                     transport=transport, **kw)
-
-    def test_request_body_and_parsing(self):
-        captured = {}
-
-        def transport(url, body, timeout):
-            captured.update(url=url, body=json.loads(body), timeout=timeout)
-            return canned_reply("push: 0.6\nalign: 0.3\napproach: 0.1")
-
-        clf = self.make(transport, timeout=4.0)
-        frames = [b"frame-one", b"frame-two"]
-        belief = clf.classify(frames)
-        assert belief.entries == ((2, 0.6), (1, 0.3), (0, 0.1))
-        assert captured["url"] == "http://unit.test/v1/chat"
-        assert captured["timeout"] == 4.0
-        body = captured["body"]
-        assert body["temperature"] == 0.1
-        assert body["top_p"] == 0.7
-        assert body["max_new_tokens"] == 1024
-        content = body["messages"][0]["content"]
-        assert content[0]["type"] == "text"
-        assert "approach:" in content[0]["text"]
-        images = [base64.b64decode(c["image"]) for c in content[1:]]
-        assert images == frames  # chronological order preserved
-
-    def test_endpoint_from_environment(self, monkeypatch):
-        monkeypatch.setenv(ENDPOINT_ENV_VAR, "http://from.env/chat")
-        clf = RemoteStageClassifier(
-            push_stage_templates(),
-            transport=lambda u, b, t: canned_reply("push: 0.9"))
-        assert clf.endpoint == "http://from.env/chat"
-        monkeypatch.delenv(ENDPOINT_ENV_VAR)
-        with pytest.raises(ValueError):
-            RemoteStageClassifier(push_stage_templates(),
-                                  transport=lambda u, b, t: b"")
-
-    def test_timeout_surfaces_as_timeout(self):
-        def slow(url, body, timeout):
-            raise socket.timeout("too slow")
-
-        with pytest.raises(RemoteTimeout):
-            self.make(slow).classify([b"f"])
-
-        def slow_urllib(url, body, timeout):
-            raise urllib.error.URLError(socket.timeout("too slow"))
-
-        with pytest.raises(RemoteTimeout):
-            self.make(slow_urllib).classify([b"f"])
-
-    def test_network_failure_is_transport_error(self):
-        def dead(url, body, timeout):
-            raise urllib.error.URLError(ConnectionRefusedError())
-
-        with pytest.raises(RemoteTransportError):
-            self.make(dead).classify([b"f"])
-
-        def truncated(url, body, timeout):  # urllib's short-body error
-            raise http.client.IncompleteRead(b'{"ch', 96)
-
-        with pytest.raises(RemoteTransportError):
-            self.make(truncated).classify([b"f"])
-
-    def test_garbage_reply_is_parse_error(self):
-        with pytest.raises(ResponseParseError):
-            self.make(lambda u, b, t: b"not json").classify([b"f"])
-        with pytest.raises(ResponseParseError):
-            self.make(lambda u, b, t: b'{"unexpected": 1}').classify([b"f"])
-        with pytest.raises(ResponseParseError):
-            self.make(lambda u, b, t:
-                      canned_reply("nothing usable here")).classify([b"f"])
-
-    def test_non_text_content_is_parse_error(self):
-        for content in (None, 5, ["push: 0.9"]):
-            with pytest.raises(ResponseParseError):
-                self.make(lambda u, b, t, c=content:
-                          canned_reply(c)).classify([b"f"])
-
-    def test_unencodable_frames_degrade_the_tick(self):
-        # rollouts buffer EnvState frames, which have no byte encoding
-        def transport(url, body, timeout):
-            raise AssertionError("transport called with unencodable frames")
-
-        table = push_table()
-        st = make_scheduler(seed=0, period=4)
-        st.active = 3
-        na, nd, st = scheduler_tick(st, [reset_env(0)], self.make(transport),
-                                    table)
-        assert st.degraded
-        assert st.active == 3
-        assert (na, nd) == table.entries[3].pair
-
-    def test_all_remote_errors_are_classifier_errors(self):
-        for err in (RemoteTimeout, RemoteTransportError, ResponseParseError):
-            assert issubclass(err, ClassifierError)
 
 
 class TestSchedulerTick:
@@ -197,9 +101,9 @@ class TestSchedulerTick:
         assert not st.degraded
 
     def test_cached_between_classifications(self):
-        st = make_scheduler(seed=0, period=8)
+        st = make_scheduler(seed=0)
         oracle = CountingOracle()
-        table = push_table()
+        table = horizon_table(8)
         env = reset_env(0)
         results = []
         for _ in range(17):
@@ -210,9 +114,9 @@ class TestSchedulerTick:
         assert len(set(results)) == 1
 
     def test_call_count_bound_over_episode(self):
-        st = make_scheduler(seed=0, period=5)
+        st = make_scheduler(seed=0)
         oracle = CountingOracle()
-        table = push_table()
+        table = horizon_table(5)
         env = reset_env(1)
         length = 0
         done = False
@@ -225,7 +129,7 @@ class TestSchedulerTick:
     def test_dynamic_period_tracks_active_horizon(self):
         # stage 0 has horizon 16, stage 3 has horizon 8
         clf = ScriptedClassifier([0, 3, 3, 3])
-        st = make_scheduler(seed=0)  # period=None: follow active stage
+        st = make_scheduler(seed=0)
         table = push_table()
         for tick in range(40):
             _, _, st = scheduler_tick(st, [None], clf, table)
@@ -242,11 +146,11 @@ class TestSchedulerTick:
 
     def test_one_hot_zero_gap_is_deterministic(self):
         script = [0, 0, 1, 2, 2, 3, 4]
-        table = push_table()
+        table = horizon_table(1)  # classifies on every tick
         runs = []
         for seed in (0, 99):
             clf = ScriptedClassifier(script)
-            st = make_scheduler(seed=seed, gap=0.0, period=1)
+            st = make_scheduler(seed=seed, gap=0.0)
             out = []
             for _ in range(len(script)):
                 na, nd, st = scheduler_tick(st, [None], clf, table)
@@ -257,23 +161,23 @@ class TestSchedulerTick:
 
     def test_degraded_keeps_cached_stage(self):
         clf = ScriptedClassifier([2, ClassifierError("down"), 3])
-        st = make_scheduler(seed=0, period=4)
-        table = push_table()
+        st = make_scheduler(seed=0)
+        table = horizon_table(4)
         seen = []
         for _ in range(12):
             na, nd, st = scheduler_tick(st, [None], clf, table)
             seen.append((na, nd, st.degraded))
         # window 1: stage 2; window 2: failure, stage 2 kept, degraded;
         # window 3: recovered to stage 3
-        assert seen[:4] == [(16, 20, False)] * 4
-        assert seen[4:8] == [(16, 20, True)] * 4
-        assert seen[8:] == [(8, 40, False)] * 4
-        assert clf.calls == 3  # failure retried once per period, not per tick
+        assert seen[:4] == [(4, 20, False)] * 4
+        assert seen[4:8] == [(4, 20, True)] * 4
+        assert seen[8:] == [(4, 40, False)] * 4
+        assert clf.calls == 3  # failure retried once per horizon, not per tick
 
     def test_failure_on_first_tick_uses_initial_stage(self):
         clf = ScriptedClassifier([ClassifierError("down")])
-        st = make_scheduler(seed=0, period=4)
-        table = push_table()
+        st = make_scheduler(seed=0)
+        table = horizon_table(4)
         na, nd, st = scheduler_tick(st, [None], clf, table)
         assert (na, nd) == table.entries[0].pair
         assert st.degraded
@@ -285,8 +189,8 @@ class TestSchedulerTick:
             def classify(self, frames):
                 return belief
 
-        st = make_scheduler(seed=7, gap=0.2, period=1)
-        table = push_table()
+        st = make_scheduler(seed=7, gap=0.2)
+        table = horizon_table(1)
         seen = set()
         for _ in range(200):
             na, nd, st = scheduler_tick(st, [None], Static(), table)
@@ -296,7 +200,7 @@ class TestSchedulerTick:
     def test_rejects_invalid_states(self):
         table = push_table()
         with pytest.raises(ValueError):
-            SchedulerState(period=0)
+            SchedulerState(active=-1)
         st = make_scheduler()
         st.active = 99
         with pytest.raises(ValueError):
@@ -304,3 +208,76 @@ class TestSchedulerTick:
         bad = ScriptedClassifier([7])  # outside the 5-entry table
         with pytest.raises(ValueError):
             scheduler_tick(make_scheduler(), [None], bad, table)
+
+
+def completion(content) -> bytes:
+    return json.dumps(
+        {"choices": [{"message": {"content": content}}]}).encode()
+
+
+class TestCompleteText:
+    URL = "http://unit.test/v1/chat"
+
+    def call(self, transport, timeout=10.0):
+        return complete_text(self.URL, [{"type": "text", "text": "hi"}],
+                             timeout, transport)
+
+    def test_request_body_and_reply(self):
+        captured = {}
+
+        def transport(url, body, timeout):
+            captured.update(url=url, body=json.loads(body), timeout=timeout)
+            return completion("the reply")
+
+        content = [{"type": "text", "text": "first"},
+                   {"type": "text", "text": "second"}]
+        assert complete_text(self.URL, content, 4.0, transport) == "the reply"
+        assert captured["url"] == self.URL
+        assert captured["timeout"] == 4.0
+        assert captured["body"] == {
+            "messages": [{"role": "user", "content": content}],
+            "temperature": 0.1,
+            "top_p": 0.7,
+            "max_new_tokens": 1024,
+        }
+
+    def test_timeout_surfaces_as_timeout(self):
+        def slow(url, body, timeout):
+            raise socket.timeout("too slow")
+
+        with pytest.raises(RemoteTimeout):
+            self.call(slow)
+
+        def slow_urllib(url, body, timeout):
+            raise urllib.error.URLError(socket.timeout("too slow"))
+
+        with pytest.raises(RemoteTimeout):
+            self.call(slow_urllib)
+
+    def test_network_failure_is_transport_error(self):
+        def dead(url, body, timeout):
+            raise urllib.error.URLError(ConnectionRefusedError())
+
+        with pytest.raises(RemoteTransportError):
+            self.call(dead)
+
+        def truncated(url, body, timeout):  # urllib's short-body error
+            raise http.client.IncompleteRead(b'{"ch', 96)
+
+        with pytest.raises(RemoteTransportError):
+            self.call(truncated)
+
+    def test_garbage_reply_is_parse_error(self):
+        for reply in (b"not json", b'{"unexpected": 1}', b'{"choices": []}'):
+            with pytest.raises(ResponseParseError):
+                self.call(lambda url, body, timeout, r=reply: r)
+
+    def test_non_text_content_is_parse_error(self):
+        for content in (None, 5, ["text"]):
+            with pytest.raises(ResponseParseError):
+                self.call(lambda url, body, timeout, c=content:
+                          completion(c))
+
+    def test_all_remote_errors_are_classifier_errors(self):
+        for err in (RemoteTimeout, RemoteTransportError, ResponseParseError):
+            assert issubclass(err, ClassifierError)

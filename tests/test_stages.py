@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from diffpol.env import TASK_DESCRIPTION, push_stage_templates
+from diffpol.env import TASK_DESCRIPTION
 from diffpol.stages import (
     ScheduleEntry,
     ScheduleRanges,
@@ -14,12 +14,10 @@ from diffpol.stages import (
     StageBelief,
     StageParseError,
     StageTemplate,
-    build_classification_prompt,
     build_decomposition_prompt,
     build_schedule_prompt,
     normalize_name,
     parse_schedule,
-    parse_stage_probs,
     parse_stage_templates,
     sanitize_json,
     schedule_from_json,
@@ -28,6 +26,8 @@ from diffpol.stages import (
     templates_from_json,
     templates_to_json,
 )
+
+from helpers import push_stage_templates
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -46,10 +46,6 @@ class TestPromptBuilders:
         got = build_schedule_prompt(push_stage_templates())
         assert got == read_fixture("prompt_schedule.txt")
 
-    def test_classification_golden(self):
-        got = build_classification_prompt(push_stage_templates(), top_k=3)
-        assert got == read_fixture("prompt_classification.txt")
-
     def test_stage_count_substituted(self):
         got = build_decomposition_prompt("stack the cups", 4, 5)
         assert "exactly 5 stages" in got
@@ -61,14 +57,10 @@ class TestPromptBuilders:
         assert "[8, 16]" in got and "[20, 40]" in got
 
     def test_stage_list_in_template_order(self):
-        got = build_classification_prompt(push_stage_templates())
-        positions = [got.index(s.name + ":") for s in push_stage_templates()]
+        stages = push_stage_templates()[::-1]
+        got = build_schedule_prompt(stages)
+        positions = [got.index(s.name + ":") for s in stages]
         assert positions == sorted(positions)
-
-    def test_classification_format_lines_track_top_k(self):
-        got = build_classification_prompt(push_stage_templates(), top_k=2)
-        assert got.count("stage_name: probability") == 2
-        assert "top-2" in got
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -79,8 +71,6 @@ class TestPromptBuilders:
             build_decomposition_prompt("task", 4, 0)
         with pytest.raises(ValueError):
             build_schedule_prompt([])
-        with pytest.raises(ValueError):
-            build_classification_prompt(push_stage_templates(), top_k=0)
 
 
 class TestSanitizeJson:
@@ -182,9 +172,9 @@ class TestParseSchedule:
         stages = templates_from_json(read_fixture("stages_expected.json"))
         table = parse_schedule(read_fixture("schedule_response.txt"),
                                stages, ranges)
-        e = table.entry_for("robot_arm_releases_can_into_compartment")
-        assert e.pair == (8, 60)
-        assert table.names == tuple(t.name for t in stages)
+        pairs = {e.name: e.pair for e in table.entries}
+        assert pairs["robot_arm_releases_can_into_compartment"] == (8, 60)
+        assert [e.name for e in table.entries] == [t.name for t in stages]
 
     def test_round_trip_byte_identical(self):
         expected = read_fixture("schedule_expected.json")
@@ -265,14 +255,12 @@ class TestParseSchedule:
         with pytest.raises(ValueError):
             ScheduleTable(entries=(ScheduleEntry("a", 8, 40),
                                    ScheduleEntry("b", 8, 40)))  # identical
-        with pytest.raises(KeyError):
-            ScheduleTable(entries=(ok,)).entry_for("zzz")
 
     def test_degenerate_ranges_allowed(self):
         r = ScheduleRanges(8, 8, 30, 30)
         table = ScheduleTable(entries=(ScheduleEntry("a", 8, 30),
                                        ScheduleEntry("b", 8, 30)), ranges=r)
-        assert table.entry_for("a").pair == (8, 30)
+        assert table.entries[0].pair == (8, 30)
         parsed = parse_schedule(schedule_text([(8, 30), (8, 30)])
                                 .replace("approach", "a")
                                 .replace("align", "b"), ["a", "b"], r)
@@ -286,13 +274,13 @@ class TestScheduleFile:
         pairs = [(16, 20), (4, 90), (16, 90), (12, 35), (16, 20)]
         table = schedule_from_json(schedule_text(pairs))
         assert [e.pair for e in table.entries] == pairs
-        assert table.names == tuple(NAMES)
+        assert [e.name for e in table.entries] == NAMES
         assert table.ranges == ScheduleRanges(4, 16, 20, 90)
 
     def test_fixture_keeps_its_precision_stage(self):
         table = schedule_from_json(read_fixture("schedule_expected.json"))
-        e = table.entry_for("robot_arm_releases_can_into_compartment")
-        assert e.pair == (8, 60)
+        pairs = {e.name: e.pair for e in table.entries}
+        assert pairs["robot_arm_releases_can_into_compartment"] == (8, 60)
         assert table.ranges == ScheduleRanges(8, 16, 20, 60)
 
     @pytest.mark.parametrize("pairs", [
@@ -317,58 +305,8 @@ class TestScheduleFile:
                 "align", "approach"))
 
 
-class TestParseStageProbs:
-    def test_three_lines_preserved_exactly(self):
-        text = "push: 0.7\nalign: 0.2\napproach: 0.1\n"
-        b = parse_stage_probs(text, NAMES, top_k=3)
-        assert b.entries == ((2, 0.7), (1, 0.2), (0, 0.1))
-
-    def test_shuffled_input_sorted(self):
-        text = "approach: 0.1\npush: 0.7\nalign: 0.2\n"
-        b = parse_stage_probs(text, NAMES, top_k=3)
-        assert [p for _, p in b.entries] == [0.7, 0.2, 0.1]
-        assert b.top_stage == 2
-
-    def test_unknown_dropped_with_warning(self, caplog):
-        text = "warp_drive: 0.9\npush: 0.6\n"
-        with caplog.at_level("WARNING"):
-            b = parse_stage_probs(text, NAMES)
-        assert b.entries == ((2, 0.6),)
-        assert "warp_drive" in caplog.text
-
-    def test_spaces_in_names_normalized(self):
-        b = parse_stage_probs("pick up: 0.8", ["pick_up"], top_k=1)
-        assert b.entries == ((0, 0.8),)
-
-    def test_clamp_then_renormalize_only_above_one(self):
-        b = parse_stage_probs("push: 1.5\nalign: 0.2", NAMES)
-        total = 1.0 + 0.2
-        assert b.entries[0] == (2, pytest.approx(1.0 / total))
-        assert b.entries[1] == (1, pytest.approx(0.2 / total))
-        # a submass belief keeps its absolute confidences
-        b2 = parse_stage_probs("push: 0.5\nalign: 0.3", NAMES)
-        assert b2.entries == ((2, 0.5), (1, 0.3))
-
-    def test_top_k_truncation(self):
-        text = "\n".join(f"{n}: {p}" for n, p in
-                         zip(NAMES, [0.1, 0.3, 0.05, 0.25, 0.2]))
-        b = parse_stage_probs(text, NAMES, top_k=3)
-        assert [p for _, p in b.entries] == [0.3, 0.25, 0.2]
-
-    def test_prose_and_bullets_tolerated(self):
-        text = "The current stage is:\n- push: 0.6\n* align: 0.4\n"
-        b = parse_stage_probs(text, NAMES)
-        assert b.entries == ((2, 0.6), (1, 0.4))
-
-    def test_first_occurrence_wins(self):
-        b = parse_stage_probs("push: 0.6\npush: 0.1", NAMES)
-        assert b.entries == ((2, 0.6),)
-
-    def test_zero_recognized_is_error(self):
-        with pytest.raises(StageParseError):
-            parse_stage_probs("no structure at all", NAMES)
-
-    def test_belief_validation(self):
+class TestStageBelief:
+    def test_validation(self):
         with pytest.raises(ValueError):
             StageBelief(())
         with pytest.raises(ValueError):

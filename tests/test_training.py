@@ -468,11 +468,6 @@ class TestTrainLoop:
         np.testing.assert_array_equal(a.final_sampler_probs,
                                       b.final_sampler_probs)
 
-    def test_negate_reward_runs(self):
-        cfg = tiny_config(total_steps=20, warmup=5, negate_reward=True)
-        _, rep = train(cfg, tiny_dataset(), "aln")
-        assert len(rep.losses) == 20
-
     def test_non_finite_loss_stops_with_the_step(self):
         ds = tiny_dataset()
         ds.trajectories[2].actions[4, 7, 1] = np.nan
