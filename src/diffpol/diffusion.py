@@ -142,37 +142,25 @@ def ddpm_reverse_step(s: NoiseSchedule, eps_hat: np.ndarray, ak: np.ndarray,
 
 
 def ddim_reverse_step(s: NoiseSchedule, eps_hat: np.ndarray, ak: np.ndarray,
-                      k: int, k_prev: int, eta: float,
-                      z: np.ndarray) -> np.ndarray:
-    """Deterministic-family reverse step from level k to level k_prev.
+                      k: int, k_prev: int) -> np.ndarray:
+    """Deterministic reverse step from level k to level k_prev.
 
     Reconstructs the clean-sequence estimate and re-noises it to level
-    k_prev (k_prev = 0 means fully denoised, alpha_bar = 1):
+    k_prev along the predicted noise (k_prev = 0 means fully denoised,
+    alpha_bar = 1):
 
         a0_hat  = (a_k - sqrt(1 - ab_k) * eps_hat) / sqrt(ab_k)
-        sigma   = eta * sqrt((1 - ab_prev) / (1 - ab_k)
-                             * (1 - ab_k / ab_prev))
-        a_prev  = sqrt(ab_prev) * a0_hat
-                  + sqrt(1 - ab_prev - sigma^2) * eps_hat + sigma * z
-
-    eta = 0 is fully deterministic; eta = 1 at adjacent steps recovers
-    the posterior mean and variance of the stochastic step.
+        a_prev  = sqrt(ab_prev) * a0_hat + sqrt(1 - ab_prev) * eps_hat
     """
     ak = np.asarray(ak, dtype=np.float64)
     eps_hat = _check_like("eps_hat", eps_hat, ak)
-    z = _check_like("z", z, ak)
     i = _check_step(s, k)
     if not (0 <= k_prev < k):
         raise ValueError(f"k_prev must satisfy 0 <= k_prev < k, got {k_prev}")
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
     ab = s.alpha_bar[i]
     ab_prev = 1.0 if k_prev == 0 else s.alpha_bar[k_prev - 1]
     a0_hat = (ak - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
-    var = (1.0 - ab_prev) / (1.0 - ab) * (1.0 - ab / ab_prev)
-    sig = eta * np.sqrt(var)
-    dir_coef = np.sqrt(1.0 - ab_prev - sig * sig)
-    return np.sqrt(ab_prev) * a0_hat + dir_coef * eps_hat + sig * z
+    return np.sqrt(ab_prev) * a0_hat + np.sqrt(1.0 - ab_prev) * eps_hat
 
 
 def theoretical_weights(s: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:

@@ -2,10 +2,11 @@
 
 A rollout repeatedly denoises a full action window from Gaussian noise,
 executes the first few actions, and replans.  The budget per replan is
-either fixed or supplied by the stage scheduler, and every denoiser
-invocation is counted: the call count is the hardware-independent cost
-metric, with wall time recorded separately and excluded from equality
-so seeded rollouts stay bit-reproducible.
+either fixed or supplied by the stage scheduler, which classifies the
+current state once per replan.  Every denoiser invocation is counted:
+the call count is the hardware-independent cost metric, with wall time
+recorded separately and excluded from equality so seeded rollouts stay
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -17,15 +18,13 @@ import numpy as np
 
 from .diffusion import NoiseSchedule, ddim_reverse_step, ddpm_reverse_step, \
     respaced_schedule
-from .env import MAX_STEPS, STAGES, EnvState, env_step, is_success, observe, \
+from .env import MAX_STEPS, STAGES, env_step, is_success, observe, \
     policy_features, reset_env
 from .nets import DenoiserParams, denoiser_context, denoiser_forward
-from .scheduling import OracleStageClassifier, SchedulerState, make_scheduler, \
-    scheduler_tick
+from .scheduling import SchedulerState, scheduler_tick
 from .stages import ScheduleEntry, ScheduleTable
 
 EARLY_FRACTION = 0.6  # success this early in the budget counts as "early"
-FRAME_BUFFER_LEN = 4  # most recent frames handed to the stage classifier
 
 SAMPLER_KINDS = ("ddpm", "ddim")
 
@@ -76,12 +75,11 @@ def denoise_action_window(params: DenoiserParams, sched: NoiseSchedule,
             z = rng.standard_normal(a.shape) if j > 1 else np.zeros_like(a)
             a = ddpm_reverse_step(derived, eps_hat, a, j, z)
     else:
-        zero = np.zeros((params.T_p, params.d_a))
         for j in range(n_steps, 0, -1):
             k = int(idx[j - 1])
             k_prev = int(idx[j - 2]) if j > 1 else 0
             eps_hat = predict_noise(j, a)
-            a = ddim_reverse_step(sched, eps_hat, a, k, k_prev, 0.0, zero)
+            a = ddim_reverse_step(sched, eps_hat, a, k, k_prev)
     return np.clip(a, -1.0, 1.0)
 
 
@@ -102,28 +100,21 @@ class EpisodeResult:
 
 def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
             schedule, sampler_kind: str = "ddpm", seed: int = 0,
-            classifier=None, table: ScheduleTable | None = None,
             forward_fn=None) -> EpisodeResult:
     """Run one episode under a fixed or scheduled compute budget.
 
     ``schedule`` is either a fixed ``(N_a, N_d)`` pair or a
-    SchedulerState; the scheduled form requires ``classifier`` and
-    ``table`` and ticks the scheduler every control step, recording the
-    active stage in the trace (-1 for fixed runs).  ``seed`` drives only
-    the denoising noise; the initial condition comes from ``env_seed``.
+    SchedulerState, which is ticked once per replan to size the next
+    action window from the current state; the trace records the active
+    stage (-1 for fixed runs).  ``seed`` drives only the denoising
+    noise; the initial condition comes from ``env_seed``.
     """
-    fixed: tuple[int, int] | None = None
-    scheduler: SchedulerState | None = None
-    if isinstance(schedule, SchedulerState):
-        scheduler = schedule
-        if classifier is None or table is None:
-            raise ValueError("scheduled rollout needs classifier and table")
-    else:
-        na, nd = schedule
-        fixed = (int(na), int(nd))
+    scheduler = schedule if isinstance(schedule, SchedulerState) else None
+    if scheduler is None:
+        na, nd = (int(v) for v in schedule)
+    stage = -1
     rng = np.random.default_rng(seed)
     env = reset_env(env_seed)
-    frames: list[EnvState] = [env]
     pending: list[np.ndarray] = []
     trace: list[tuple[int, int, int, int]] = []
     calls = 0
@@ -132,14 +123,10 @@ def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
     t0 = time.perf_counter()
     done = False
     while not done:
-        if scheduler is not None:
-            na, nd, scheduler = scheduler_tick(scheduler, frames,
-                                               classifier, table)
-            stage = scheduler.active
-        else:
-            na, nd = fixed
-            stage = -1
         if not pending:
+            if scheduler is not None:
+                na, nd, scheduler = scheduler_tick(scheduler, env)
+                stage = scheduler.active
             window = denoise_action_window(params, sched, observe(env), nd,
                                            sampler_kind, rng, forward_fn)
             calls += nd
@@ -147,9 +134,6 @@ def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
         action = pending.pop(0)
         trace.append((step, stage, na, nd))
         env, _, done = env_step(env, action)
-        frames.append(env)
-        if len(frames) > FRAME_BUFFER_LEN:
-            frames.pop(0)
         step += 1
         if success_step is None and is_success(env):
             success_step = step
@@ -188,9 +172,11 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
     depend only on (seed, episode index), so two evaluations with the
     same seeds see identical environments.  The oracle indexes a table
     by stage position, so a table needs an entry for each of the task's
-    stages, and every step count the schedule can ask for must lie in
-    [1, sched.T]; either fault raises ValueError before any episode runs.
+    stages, an entry named after one of them must sit at its position,
+    and every step count the schedule can ask for must lie in
+    [1, sched.T]; each fault raises ValueError before any episode runs.
     """
+    seeds = tuple(seeds)
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     if not seeds:
@@ -199,27 +185,28 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
     if use_table and len(schedule.entries) < len(STAGES):
         raise ValueError(f"schedule table has {len(schedule.entries)} "
                          f"stages; the task has {len(STAGES)}")
+    for i, e in enumerate(schedule.entries if use_table else ()):
+        if e.name in STAGES and STAGES.index(e.name) != i:
+            raise ValueError(f"schedule table has stage {e.name!r} at "
+                             f"position {i}; the task has it at "
+                             f"{STAGES.index(e.name)}")
     budgets = ([(e.name, e.num_inference_steps) for e in schedule.entries]
                if use_table else [("fixed", schedule[1])])
     for name, n_steps in budgets:
         if not 1 <= n_steps <= sched.T:
             raise ValueError(f"stage {name!r}: {n_steps} denoising steps "
                              f"outside [1, {sched.T}]")
-    classifier = OracleStageClassifier() if use_table else None
     results: list[EpisodeResult] = []
     per_seed: list[float] = []
     for s in seeds:
         seed_results = []
         for env_seed in episode_seeds(s, n_episodes):
-            if use_table:
-                sub = make_scheduler(seed=env_seed, gap=gap)
-                r = rollout(params, sched, env_seed, sub, sampler_kind,
-                            seed=env_seed + 1, classifier=classifier,
-                            table=schedule, forward_fn=forward_fn)
-            else:
-                r = rollout(params, sched, env_seed, schedule, sampler_kind,
-                            seed=env_seed + 1, forward_fn=forward_fn)
-            seed_results.append(r)
+            sub = (SchedulerState(schedule, gap=gap,
+                                  rng=np.random.default_rng(env_seed))
+                   if use_table else schedule)
+            seed_results.append(rollout(params, sched, env_seed, sub,
+                                        sampler_kind, seed=env_seed + 1,
+                                        forward_fn=forward_fn))
         per_seed.append(float(np.mean([r.success for r in seed_results])))
         results.extend(seed_results)
     total_calls = sum(r.denoiser_calls for r in results)
@@ -229,7 +216,7 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
         early_success_rate=float(np.mean([r.early_success for r in results])),
         mean_calls_per_step=total_calls / total_steps,
         n_episodes=n_episodes,
-        seeds=tuple(seeds),
+        seeds=seeds,
         per_seed_success=tuple(per_seed),
         total_calls=total_calls,
         total_steps=total_steps,

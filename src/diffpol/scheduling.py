@@ -1,13 +1,13 @@
-"""Online stage scheduling: the oracle classifier, the periodic
-cache-and-tick, and the chat-completion client that `diffpol decompose`
+"""Online stage scheduling: the oracle classifier, the per-replan
+budget decision, and the chat-completion client that `diffpol decompose`
 uses.
 
-A rollout owns one SchedulerState and calls scheduler_tick every control
-step.  Classification runs once per active stage's action horizon, i.e.
-at replan boundaries; between classifications the cached stage's budget
-is reused.  Classifier failures never stall control: the cached stage is
-kept and the state is flagged degraded until the next successful
-classification.
+A rollout owns one SchedulerState, which carries the schedule table and
+the classifier, and calls scheduler_tick once per replan: the current
+environment state is classified and the stage's budget sizes the next
+action window.  Classifier failures never stall control: the cached
+stage is kept and the state is flagged degraded until the next
+successful classification.
 """
 
 from __future__ import annotations
@@ -86,64 +86,50 @@ def complete_text(endpoint: str, content: list[dict], timeout: float,
 
 
 class OracleStageClassifier:
-    """Ground-truth stand-in: reads the stage straight off the latest
+    """Ground-truth stand-in: reads the stage straight off the current
     environment state and returns a one-hot belief."""
 
-    def classify(self, frames) -> StageBelief:
-        if not frames:
-            raise ClassifierError("empty frame buffer")
-        st = frames[-1]
-        if not isinstance(st, EnvState):
-            raise ClassifierError("oracle needs environment states")
-        return StageBelief(((stage_index(st), 1.0),))
+    def classify(self, state) -> StageBelief:
+        if not isinstance(state, EnvState):
+            raise ClassifierError("oracle needs an environment state")
+        return StageBelief(((stage_index(state), 1.0),))
 
 
 # -- the scheduler ------------------------------------------------------------
 
-_NEVER = 1 << 60  # steps_since value forcing classification on first tick
-
 
 @dataclass
 class SchedulerState:
+    table: ScheduleTable
+    classifier: object = field(default_factory=OracleStageClassifier)
     gap: float = 0.2
     active: int = 0
-    steps_since: int = _NEVER
     degraded: bool = False
     rng: np.random.Generator = field(default_factory=np.random.default_rng,
                                      repr=False, compare=False)
 
     def __post_init__(self):
-        if self.active < 0:
-            raise ValueError("active stage must be >= 0")
+        if not 0 <= self.active < len(self.table.entries):
+            raise ValueError("active stage outside the schedule table")
 
 
-def make_scheduler(seed: int = 0, gap: float = 0.2) -> SchedulerState:
-    return SchedulerState(gap=gap, rng=np.random.default_rng(seed))
-
-
-def scheduler_tick(st: SchedulerState, frames, classifier,
-                   table: ScheduleTable) -> tuple[int, int, SchedulerState]:
-    """One control step: maybe reclassify, then return the active budget.
+def scheduler_tick(st: SchedulerState,
+                   state: EnvState) -> tuple[int, int, SchedulerState]:
+    """One replan: classify the current state, then return its budget.
 
     Returns (action horizon, denoising steps, state).  On classifier
-    failure the cached stage is kept, the state is flagged degraded, and
-    the counter still resets so a failing classifier is retried once per
-    horizon rather than every step.
+    failure the cached stage is kept and the state is flagged degraded,
+    so a failing classifier is retried once per replan.
     """
-    if st.active >= len(table.entries):
-        raise ValueError("active stage outside the schedule table")
-    if st.steps_since >= table.entries[st.active].n_action_steps:
-        try:
-            belief = classifier.classify(frames)
-        except ClassifierError:
-            st.degraded = True
-        else:
-            st.active = select_stage(belief, st.gap, st.rng)
-            if st.active >= len(table.entries):
-                raise ValueError("classifier returned a stage outside "
-                                 "the schedule table")
-            st.degraded = False
-        st.steps_since = 0
-    st.steps_since += 1
-    entry = table.entries[st.active]
+    try:
+        belief = st.classifier.classify(state)
+    except ClassifierError:
+        st.degraded = True
+    else:
+        active = select_stage(belief, st.gap, st.rng)
+        if active >= len(st.table.entries):
+            raise ValueError("classifier returned a stage outside "
+                             "the schedule table")
+        st.active, st.degraded = active, False
+    entry = st.table.entries[st.active]
     return entry.n_action_steps, entry.num_inference_steps, st

@@ -151,7 +151,7 @@ def test_02_reverse_chains_recover_the_clean_window():
     for j in range(25, 0, -1):
         k = int(idx[j - 1])
         k_prev = int(idx[j - 2]) if j > 1 else 0
-        a = ddim_reverse_step(s, oracle_eps(a, k), a, k, k_prev, 0.0, z)
+        a = ddim_reverse_step(s, oracle_eps(a, k), a, k, k_prev)
         if k_prev > 0:
             ab = s.alpha_bar[k_prev - 1]
             ref = np.sqrt(ab) * a0 + np.sqrt(1.0 - ab) * eps0

@@ -283,6 +283,25 @@ class TestEval:
         assert capsys.readouterr().err == \
             "error: schedule table has 3 stages; the task has 5\n"
 
+    def test_reordered_stage_names_exit_1_before_any_episode(
+            self, tmp_path, checkpoint, monkeypatch, capsys):
+        """The oracle applies a table by position, so the built-in table
+        saved in reversed order would run push's budget on another
+        stage: refused up front."""
+        entries = json.loads(schedule_to_json(hvts_schedule_table()))[::-1]
+        table = tmp_path / "sched.json"
+        table.write_text(json.dumps(entries))
+        episodes = []
+        monkeypatch.setattr(diffpol.rollout, "rollout",
+                            lambda *a, **k: episodes.append(a))
+        rc = main(["eval", "--policy", checkpoint, "--episodes", "1",
+                   "--schedule", f"table:{table}",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1 and episodes == []
+        assert capsys.readouterr().err == ("error: schedule table has stage "
+                                           "'complete' at position 0; the "
+                                           "task has it at 4\n")
+
     def test_missing_checkpoint_fails(self, tmp_path):
         assert main(["eval", "--policy", str(tmp_path / "nope.bin"),
                      "--out", str(tmp_path)]) == 1
@@ -343,7 +362,7 @@ class TestEval:
         # every classification lands on the precision stage
         monkeypatch.setattr(diffpol.scheduling.OracleStageClassifier,
                             "classify",
-                            lambda self, frames:
+                            lambda self, state:
                             StageBelief(((precision[0], 1.0),)))
         out = tmp_path / "eval"
         assert main(["eval", "--policy", checkpoint, "--episodes", "1",

@@ -156,42 +156,14 @@ class TestDdimReverseStep:
         for j, k in enumerate(steps):
             k_prev = steps[j + 1] if j + 1 < len(steps) else 0
             eh = oracle_eps_hat(s, a0, ak, k)
-            ak = ddim_reverse_step(s, eh, ak, k, k_prev, 0.0, np.zeros_like(ak))
+            ak = ddim_reverse_step(s, eh, ak, k, k_prev)
         np.testing.assert_allclose(ak, a0, atol=1e-9)
-
-    def test_eta_one_matches_stochastic_posterior(self):
-        # at adjacent steps: identical mean, noise scale = posterior std
-        s = make_noise_schedule(20)
-        rng = np.random.default_rng(11)
-        for k in (2, 7, 20):
-            ak = rng.normal(size=(3, 2))
-            eh = rng.normal(size=(3, 2))
-            zero = np.zeros_like(ak)
-            ddim_mean = ddim_reverse_step(s, eh, ak, k, k - 1, 1.0, zero)
-            i = k - 1
-            coef = (1 - s.alpha[i]) / np.sqrt(1 - s.alpha_bar[i])
-            ddpm_mean = (ak - coef * eh) / np.sqrt(s.alpha[i])
-            np.testing.assert_allclose(ddim_mean, ddpm_mean, atol=1e-12)
-            z = rng.standard_normal(ak.shape)
-            noise = ddim_reverse_step(s, eh, ak, k, k - 1, 1.0, z) - ddim_mean
-            post_var = s.beta[i] * (1 - s.alpha_bar[i - 1]) / (1 - s.alpha_bar[i])
-            np.testing.assert_allclose(noise, np.sqrt(post_var) * z, atol=1e-12)
-
-    def test_posterior_variance_frozen_value(self):
-        s = two_step()
-        ak = np.ones(1)
-        z = np.ones(1)
-        noise = (ddim_reverse_step(s, ak, ak, 2, 1, 1.0, z)
-                 - ddim_reverse_step(s, ak, ak, 2, 1, 1.0, np.zeros(1)))
-        np.testing.assert_allclose(noise ** 2, [0.07142857142857144], atol=1e-15)
 
     def test_rejects_bad_levels(self):
         s = two_step()
         one = np.ones(1)
         with pytest.raises(ValueError):
-            ddim_reverse_step(s, one, one, 2, 2, 0.0, one)
-        with pytest.raises(ValueError):
-            ddim_reverse_step(s, one, one, 1, 0, 1.5, one)
+            ddim_reverse_step(s, one, one, 2, 2)
 
 
 class TestLosses:

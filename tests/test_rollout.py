@@ -18,7 +18,7 @@ from diffpol.rollout import (
     hvts_schedule_table,
     rollout,
 )
-from diffpol.scheduling import OracleStageClassifier, make_scheduler
+from diffpol.scheduling import SchedulerState
 
 SCHED = make_noise_schedule(100)
 
@@ -140,9 +140,8 @@ class TestRollout:
         monkeypatch.setattr(diffpol.rollout, "denoiser_forward", counting)
         if scheduled:
             r = rollout(tiny_params(), SCHED, env_seed=1,
-                        schedule=make_scheduler(seed=1), sampler_kind="ddpm",
-                        seed=2, classifier=OracleStageClassifier(),
-                        table=hvts_schedule_table())
+                        schedule=SchedulerState(hvts_schedule_table()),
+                        sampler_kind="ddpm", seed=2)
         else:
             r = rollout(tiny_params(), SCHED, env_seed=1, schedule=(8, 10),
                         sampler_kind="ddim", seed=2)
@@ -166,9 +165,8 @@ class TestRollout:
     def test_scheduled_rollout_stays_in_table(self):
         table = hvts_schedule_table()
         r = rollout(tiny_params(), SCHED, env_seed=2,
-                    schedule=make_scheduler(seed=2), sampler_kind="ddim",
-                    seed=3, classifier=OracleStageClassifier(), table=table,
-                    forward_fn=expert_forward_fn(SCHED))
+                    schedule=SchedulerState(table), sampler_kind="ddim",
+                    seed=3, forward_fn=expert_forward_fn(SCHED))
         assert r.success
         pairs = {(t[2], t[3]) for t in r.trace}
         allowed = {e.pair for e in table.entries}
@@ -180,16 +178,14 @@ class TestRollout:
         fwd = expert_forward_fn(SCHED)
         fixed = rollout(tiny_params(), SCHED, 5, (16, 100), "ddpm", seed=0,
                         forward_fn=fwd)
-        hvts = rollout(tiny_params(), SCHED, 5,
-                       make_scheduler(seed=5), "ddpm", seed=0,
-                       classifier=OracleStageClassifier(), table=table,
-                       forward_fn=fwd)
+        hvts = rollout(tiny_params(), SCHED, 5, SchedulerState(table),
+                       "ddpm", seed=0, forward_fn=fwd)
         assert hvts.denoiser_calls / hvts.steps \
             < fixed.denoiser_calls / fixed.steps
 
     def test_rejects_bad_schedule_config(self):
         with pytest.raises(ValueError):
-            rollout(tiny_params(), SCHED, 0, make_scheduler(), "ddpm")
+            rollout(tiny_params(), SCHED, 0, (8,), "ddpm")
         with pytest.raises(ValueError):
             rollout(tiny_params(), SCHED, 0, (8, 500), "ddpm",
                     forward_fn=zero_forward_fn(SCHED))
@@ -236,6 +232,14 @@ class TestEvaluate:
             evaluate(tiny_params(), SCHED, 0, (8, 5))
         with pytest.raises(ValueError):
             evaluate(tiny_params(), SCHED, 1, (8, 5), seeds=())
+        with pytest.raises(ValueError):
+            evaluate(tiny_params(), SCHED, 1, (8, 5),
+                     seeds=(s for s in ()))
+
+    def test_seed_generator_matches_tuple(self):
+        args = (tiny_params(), SCHED, 2, (8, 5), "ddim")
+        assert evaluate(*args, seeds=(s for s in (0, 1))) \
+            == evaluate(*args, seeds=(0, 1))
 
 
 def fake_metrics(calls_per_step, success=1.0, seeds=(0, 1, 2)):

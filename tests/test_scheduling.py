@@ -1,4 +1,4 @@
-"""The oracle classifier, the periodic scheduler tick, and the
+"""The oracle classifier, the per-replan scheduler tick, and the
 chat-completion client."""
 
 import http.client
@@ -8,9 +8,13 @@ import urllib.error
 
 import numpy as np
 import pytest
+from helpers import zero_forward_fn
 
-from diffpol.env import STAGES, env_step, reset_env, scripted_expert, \
-    stage_index
+import diffpol.rollout
+from diffpol.diffusion import make_noise_schedule
+from diffpol.env import STAGES, T_P, policy_features, reset_env, stage_index
+from diffpol.nets import init_params
+from diffpol.rollout import hvts_schedule_table, rollout
 from diffpol.scheduling import (
     ClassifierError,
     OracleStageClassifier,
@@ -19,11 +23,12 @@ from diffpol.scheduling import (
     ResponseParseError,
     SchedulerState,
     complete_text,
-    make_scheduler,
     scheduler_tick,
 )
 from diffpol.stages import ScheduleEntry, ScheduleRanges, ScheduleTable, \
     StageBelief
+
+SCHED = make_noise_schedule(100)
 
 
 def push_table(pairs=None):
@@ -37,8 +42,8 @@ def push_table(pairs=None):
 
 
 def horizon_table(na):
-    """Every stage at horizon na, so the tick reclassifies every na
-    steps; reach carries the (na, 40) precision budget, the rest (na, 20)."""
+    """Every stage at horizon na; reach carries the (na, 40) precision
+    budget, the rest (na, 20)."""
     entries = tuple(ScheduleEntry(n, na, 40 if n == "reach" else 20)
                     for n in STAGES)
     return ScheduleTable(entries=entries,
@@ -50,9 +55,9 @@ class CountingOracle:
         self.calls = 0
         self.inner = OracleStageClassifier()
 
-    def classify(self, frames):
+    def classify(self, state):
         self.calls += 1
-        return self.inner.classify(frames)
+        return self.inner.classify(state)
 
 
 class ScriptedClassifier:
@@ -62,7 +67,7 @@ class ScriptedClassifier:
         self.seq = list(stage_sequence)
         self.calls = 0
 
-    def classify(self, frames):
+    def classify(self, state):
         i = min(self.calls, len(self.seq) - 1)
         self.calls += 1
         item = self.seq[i]
@@ -71,89 +76,110 @@ class ScriptedClassifier:
         return StageBelief(((item, 1.0),))
 
 
+def scheduled_rollout(st: SchedulerState, env_seed=0):
+    """One cheap episode under st; every replan is counted."""
+    d_feat = policy_features(np.zeros(6)).size
+    params = init_params(0, d_o=d_feat, T_p=T_P, d_a=2, hidden=8,
+                         embed_dim=4, T=SCHED.T)
+    return rollout(params, SCHED, env_seed, st, "ddim", seed=0,
+                   forward_fn=zero_forward_fn(SCHED))
+
+
+def window_starts(r) -> list[int]:
+    """Steps at which the rollout replanned, read off its trace: a
+    window lasts min(N_a, T_P) steps."""
+    starts, nxt = [], 0
+    for step, _, na, _ in r.trace:
+        if step == nxt:
+            starts.append(step)
+            nxt = step + min(na, T_P)
+    return starts
+
+
 class TestOracleClassifier:
     def test_one_hot_on_true_stage(self):
         st = reset_env(3)
-        b = OracleStageClassifier().classify([st])
+        b = OracleStageClassifier().classify(st)
         assert b.entries == ((stage_index(st), 1.0),)
 
-    def test_uses_latest_frame(self):
-        a, b = reset_env(0), reset_env(1)
-        out = OracleStageClassifier().classify([a, b])
-        assert out.entries[0][0] == stage_index(b)
-
-    def test_rejects_bad_buffers(self):
+    def test_rejects_non_states(self):
         with pytest.raises(ClassifierError):
-            OracleStageClassifier().classify([])
+            OracleStageClassifier().classify(None)
         with pytest.raises(ClassifierError):
-            OracleStageClassifier().classify([np.zeros(6)])
+            OracleStageClassifier().classify(np.zeros(6))
 
 
 class TestSchedulerTick:
     def test_first_tick_classifies_and_returns_true_stage(self):
-        st = make_scheduler(seed=0)
         oracle = CountingOracle()
         table = push_table()
+        st = SchedulerState(table, oracle)
         env = reset_env(0)
-        na, nd, st = scheduler_tick(st, [env], oracle, table)
+        na, nd, st = scheduler_tick(st, env)
         assert oracle.calls == 1
         assert (na, nd) == table.entries[stage_index(env)].pair
         assert not st.degraded
 
     def test_cached_between_classifications(self):
-        st = make_scheduler(seed=0)
         oracle = CountingOracle()
-        table = horizon_table(8)
-        env = reset_env(0)
-        results = []
-        for _ in range(17):
-            na, nd, st = scheduler_tick(st, [env], oracle, table)
-            results.append((na, nd))
-        # classify on ticks 0, 8, 16: three calls for 17 ticks
-        assert oracle.calls == 3
-        assert len(set(results)) == 1
+        r = scheduled_rollout(SchedulerState(horizon_table(8), oracle))
+        # one classification per 8-step window; the trace keeps its
+        # stage and budget until the next replan
+        assert oracle.calls == -(-r.steps // 8)
+        for i, t in enumerate(r.trace):
+            assert t[1:] == r.trace[i - i % 8][1:]
 
     def test_call_count_bound_over_episode(self):
-        st = make_scheduler(seed=0)
         oracle = CountingOracle()
-        table = horizon_table(5)
-        env = reset_env(1)
-        length = 0
-        done = False
-        while not done:
-            _, _, st = scheduler_tick(st, [env], oracle, table)
-            env, _, done = env_step(env, scripted_expert(env))
-            length += 1
-        assert oracle.calls <= int(np.ceil(length / 5)) + 1
+        r = scheduled_rollout(SchedulerState(horizon_table(5), oracle), 1)
+        assert oracle.calls <= int(np.ceil(r.steps / 5)) + 1
+
+    def test_oracle_hvts_classifies_once_per_replan(self, monkeypatch):
+        replans = {"n": 0}
+        inner = diffpol.rollout.denoise_action_window
+
+        def counting(*args, **kwargs):
+            replans["n"] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(diffpol.rollout, "denoise_action_window",
+                            counting)
+        oracle = CountingOracle()
+        r = scheduled_rollout(SchedulerState(hvts_schedule_table(), oracle))
+        assert replans["n"] > 1
+        assert oracle.calls == replans["n"] == len(window_starts(r))
 
     def test_dynamic_period_tracks_active_horizon(self):
         # stage 0 has horizon 16, stage 3 has horizon 8
-        clf = ScriptedClassifier([0, 3, 3, 3])
-        st = make_scheduler(seed=0)
-        table = push_table()
-        for tick in range(40):
-            _, _, st = scheduler_tick(st, [None], clf, table)
-            if tick == 0:
-                assert clf.calls == 1
-            if tick == 15:
-                assert clf.calls == 1  # still inside the 16-step window
-            if tick == 16:
-                assert clf.calls == 2  # reclassified, now stage 3 (horizon 8)
-            if tick == 23:
-                assert clf.calls == 2
-            if tick == 24:
-                assert clf.calls == 3  # 8 ticks after the switch
+        clf = ScriptedClassifier([0, 3])
+        r = scheduled_rollout(SchedulerState(push_table(), clf))
+        assert window_starts(r)[:5] == [0, 16, 24, 32, 40]
+        assert clf.calls == len(window_starts(r))
+
+    def test_long_horizon_reclassifies_at_each_replan(self):
+        # a horizon of 20 > T_P executes 16 actions per window; the stage
+        # change is picked up at the step-16 replan, not at step 20
+        entries = tuple(ScheduleEntry(n, 8 if n == "reach" else 20,
+                                      40 if n == "reach" else 20)
+                        for n in STAGES)
+        table = ScheduleTable(entries, ScheduleRanges(8, 20, 20, 40))
+        clf = ScriptedClassifier([0, 3])
+        r = scheduled_rollout(SchedulerState(table, clf))
+        assert r.trace[15][1:] == (0, 20, 20)
+        assert r.trace[16][1:] == (3, 8, 40)
+        assert window_starts(r)[:3] == [0, 16, 24]
 
     def test_one_hot_zero_gap_is_deterministic(self):
         script = [0, 0, 1, 2, 2, 3, 4]
-        table = horizon_table(1)  # classifies on every tick
+        table = horizon_table(8)
         runs = []
         for seed in (0, 99):
             clf = ScriptedClassifier(script)
-            st = make_scheduler(seed=seed, gap=0.0)
+            st = SchedulerState(table, clf, gap=0.0,
+                                rng=np.random.default_rng(seed))
             out = []
             for _ in range(len(script)):
-                na, nd, st = scheduler_tick(st, [None], clf, table)
+                na, nd, st = scheduler_tick(st, None)
                 out.append((na, nd))
             runs.append(out)
         assert runs[0] == runs[1]
@@ -161,24 +187,26 @@ class TestSchedulerTick:
 
     def test_degraded_keeps_cached_stage(self):
         clf = ScriptedClassifier([2, ClassifierError("down"), 3])
-        st = make_scheduler(seed=0)
-        table = horizon_table(4)
+        st = SchedulerState(horizon_table(4), clf)
         seen = []
-        for _ in range(12):
-            na, nd, st = scheduler_tick(st, [None], clf, table)
-            seen.append((na, nd, st.degraded))
-        # window 1: stage 2; window 2: failure, stage 2 kept, degraded;
-        # window 3: recovered to stage 3
-        assert seen[:4] == [(4, 20, False)] * 4
-        assert seen[4:8] == [(4, 20, True)] * 4
-        assert seen[8:] == [(4, 40, False)] * 4
-        assert clf.calls == 3  # failure retried once per horizon, not per tick
+        for _ in range(3):
+            na, nd, st = scheduler_tick(st, None)
+            seen.append((st.active, nd, st.degraded))
+        # replan 1: stage 2; replan 2: failure, stage 2 kept, degraded;
+        # replan 3: recovered to stage 3
+        assert seen == [(2, 20, False), (2, 20, True), (3, 40, False)]
+        assert clf.calls == 3
+
+    def test_degraded_retried_once_per_replan(self):
+        clf = ScriptedClassifier([2, ClassifierError("down")])
+        r = scheduled_rollout(SchedulerState(horizon_table(8), clf))
+        assert clf.calls == len(window_starts(r)) == -(-r.steps // 8)
+        assert {t[1] for t in r.trace} == {2}
 
     def test_failure_on_first_tick_uses_initial_stage(self):
         clf = ScriptedClassifier([ClassifierError("down")])
-        st = make_scheduler(seed=0)
         table = horizon_table(4)
-        na, nd, st = scheduler_tick(st, [None], clf, table)
+        na, nd, st = scheduler_tick(SchedulerState(table, clf), None)
         assert (na, nd) == table.entries[0].pair
         assert st.degraded
 
@@ -186,28 +214,26 @@ class TestSchedulerTick:
         belief = StageBelief(((0, 0.4), (1, 0.35), (2, 0.25)))
 
         class Static:
-            def classify(self, frames):
+            def classify(self, state):
                 return belief
 
-        st = make_scheduler(seed=7, gap=0.2)
-        table = horizon_table(1)
+        st = SchedulerState(horizon_table(8), Static(), gap=0.2,
+                            rng=np.random.default_rng(7))
         seen = set()
         for _ in range(200):
-            na, nd, st = scheduler_tick(st, [None], Static(), table)
+            na, nd, st = scheduler_tick(st, None)
             seen.add(st.active)
         assert seen == {0, 1, 2}
 
     def test_rejects_invalid_states(self):
         table = push_table()
         with pytest.raises(ValueError):
-            SchedulerState(active=-1)
-        st = make_scheduler()
-        st.active = 99
+            SchedulerState(table, active=-1)
         with pytest.raises(ValueError):
-            scheduler_tick(st, [None], ScriptedClassifier([0]), table)
+            SchedulerState(table, active=len(STAGES))
         bad = ScriptedClassifier([7])  # outside the 5-entry table
         with pytest.raises(ValueError):
-            scheduler_tick(make_scheduler(), [None], bad, table)
+            scheduler_tick(SchedulerState(table, bad), None)
 
 
 def completion(content) -> bytes:
