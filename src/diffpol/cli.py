@@ -1,13 +1,16 @@
 """Command line front end: demo generation, training, evaluation, stage
 artifact production, and the sampler/schedule benchmark table.
 
-Settings resolve as flag > config file > built-in default.  The config
-file (--config) is a JSON object keyed by flag name.  Every command
-writes its resolved settings to <out>/manifest.json, and
-run_from_manifest replays a recorded run; because all randomness flows
-from the recorded seeds, a replay reproduces the CSV artifacts bit for
-bit.  Wall-clock timings are printed to stdout only, never written to
-files.
+Settings resolve as flag > config file > built-in default.  Each
+command's settings are declared once, in SETTINGS, from which the
+parser, the defaults, the required-key check and the conversion of
+config values are all derived.  The config file (--config) is a JSON
+object keyed by setting name.  Every command writes its resolved
+settings to <out>/manifest.json, and run_from_manifest replays a
+recorded run by resolving the manifest's settings as a config file's;
+because all randomness flows from the recorded seeds, a replay
+reproduces the CSV artifacts bit for bit.  Wall-clock timings are
+printed to stdout only, never written to files.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import json
 import os
 import struct
 import sys
-import tempfile
 from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +32,6 @@ from .rollout import compare_speedup, evaluate, hvts_schedule_table
 from .scheduling import ENDPOINT_ENV_VAR, ClassifierError, complete_text
 from .stages import (
     ScheduleRanges,
-    StageParseError,
     build_decomposition_prompt,
     build_schedule_prompt,
     parse_schedule,
@@ -41,45 +43,95 @@ from .stages import (
 from .training import TrainConfig, train
 
 
-def _train_extras() -> dict:
-    out = {}
-    for f in fields(TrainConfig):
-        if f.name != "total_steps":
-            out[f.name] = f.default
-    return out
+def abs_path(text: str) -> str:
+    """A path setting's value, made absolute so that the manifest
+    replays from any working directory."""
+    return os.path.abspath(text)
 
 
-# Built-in defaults per command; None marks values that must be supplied
-# by a flag or the config file.
-DEFAULTS = {
-    "gen-data": {"n": 100, "seed": 0, "noise": 0.0, "out": None},
-    "train": {"mode": "uniform", "steps": None, "data": None, "out": None,
-              "eval_episodes": 20, **_train_extras()},
-    "eval": {"policy": None, "episodes": 50, "schedule": "fixed:16,100",
-             "sampler": "ddpm", "seeds": "0,1,2", "out": None},
-    "decompose": {"task": TASK_DESCRIPTION, "num_images": 8, "num_stages": 5,
-                  "ranges": "8,16,20,40", "mock": None, "endpoint": None,
-                  "timeout": 10.0, "out": None},
-    "bench": {"policy": None, "episodes": 50, "seeds": "0,1,2", "out": None},
+class Setting(NamedTuple):
+    """One config key of one command.
+
+    ``type`` converts the flag's text, or is the tuple of allowed
+    strings.  ``help`` None marks a key with no flag, set only through
+    the config file.  A tuple ``metavar`` makes the flag take that many
+    values.  A required key has no default; a flag or the config file
+    must give it."""
+    type: object
+    default: object = None
+    help: str | None = None
+    metavar: str | tuple[str, ...] | None = None
+    required: bool = False
+
+
+_OUT = Setting(abs_path, help="output directory, created if missing",
+               metavar="DIR", required=True)
+_POLICY = Setting(abs_path, help="checkpoint to load", metavar="FILE",
+                  required=True)
+_EPISODES = Setting(int, 50, "episodes per evaluation seed")
+_SEEDS = Setting(str, "0,1,2", "comma-separated evaluation seeds")
+_TRAIN = {f.name: f.default for f in fields(TrainConfig)}
+
+# Every command's settings, in flag order; --config is the only flag
+# that is not a setting.
+SETTINGS: dict[str, dict[str, Setting]] = {
+    "gen-data": {
+        "out": _OUT,
+        "n": Setting(int, 100, "number of demonstrations"),
+        "seed": Setting(int, 0, "base RNG seed"),
+        "noise": Setting(float, 0.0, "expert action noise scale"),
+    },
+    "train": {
+        "out": _OUT,
+        "mode": Setting(("uniform", "aln"), "uniform",
+                        "uniform baseline or adaptive sampling"),
+        "steps": Setting(int, help="gradient steps", required=True),
+        "seed": Setting(int, _TRAIN["seed"], "RNG seed"),
+        "data": Setting(abs_path, help="demo file from gen-data",
+                        metavar="FILE", required=True),
+        "batch_size": Setting(int, _TRAIN["batch_size"], "minibatch size"),
+        "warmup": Setting(int, _TRAIN["warmup"],
+                          "uniform warmup steps before adaptation kicks in"),
+        "entropy_coef": Setting(float, _TRAIN["entropy_coef"],
+                                "timestep sampler entropy coefficient"),
+        "lr": Setting(float, _TRAIN["lr"], "denoiser learning rate"),
+        "eval_every": Setting(int, _TRAIN["eval_every"],
+                              "rollout-evaluate every N steps, 0 disables"),
+        "eval_episodes": Setting(int, 20,
+                                 "episodes per mid-training evaluation"),
+    },
+    "eval": {
+        "out": _OUT,
+        "policy": _POLICY,
+        "episodes": _EPISODES,
+        "schedule": Setting(str, "fixed:16,100",
+                            "fixed:<Na>,<Nd> | table:<path> | oracle-hvts"),
+        "sampler": Setting(("ddpm", "ddim"), "ddpm",
+                           "reverse-process sampler"),
+        "seeds": _SEEDS,
+    },
+    "decompose": {
+        "out": _OUT,
+        "task": Setting(str, TASK_DESCRIPTION,
+                        "task description fed to the prompts"),
+        "num_images": Setting(int, 8, "frames mentioned in the prompt"),
+        "num_stages": Setting(int, 5, "stages to request"),
+        "ranges": Setting(str, "8,16,20,40",
+                          "a_min,a_max,i_min,i_max budget bounds"),
+        "mock": Setting(abs_path, None, "read canned responses instead of "
+                        "calling the endpoint; no network traffic in this "
+                        "mode", ("DECOMP_FILE", "SCHED_FILE")),
+        "endpoint": Setting(str, None, "completion endpoint URL (default: "
+                            f"${ENDPOINT_ENV_VAR})"),
+        "timeout": Setting(float, 10.0, "endpoint timeout in seconds"),
+    },
+    "bench": {"out": _OUT, "policy": _POLICY, "episodes": _EPISODES,
+              "seeds": _SEEDS},
 }
-
-_REQUIRED = {
-    "gen-data": ("out",),
-    "train": ("steps", "data", "out"),
-    "eval": ("policy", "out"),
-    "decompose": ("out",),
-    "bench": ("policy", "out"),
-}
-
-# Flag values that name filesystem paths, made absolute in the manifest
-# so a replay works from any working directory.
-_PATH_KEYS = {
-    "gen-data": ("out",),
-    "train": ("data", "out"),
-    "eval": ("policy", "out"),
-    "decompose": ("out",),
-    "bench": ("policy", "out"),
-}
+# TrainConfig's other fields are config-only train keys
+SETTINGS["train"].update({k: Setting(type(v), v) for k, v in _TRAIN.items()
+                          if k not in SETTINGS["train"]
+                          and k != "total_steps"})
 
 _BENCH_ROWS = (
     ("ddpm", "fixed:16,100"),
@@ -89,156 +141,89 @@ _BENCH_ROWS = (
 )
 
 
+def _flag_help(s: Setting) -> str:
+    """A flag's help line, ending in its default when it has one."""
+    if s.default is None:
+        return s.help
+    shown = f"{s.default:g}" if isinstance(s.default, float) else s.default
+    return f"{s.help} (default {shown})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="diffpol",
         description="Diffusion-policy toolkit for the toy push benchmark.")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    for command, (_, help_) in _COMMANDS.items():
         # SUPPRESS keeps unset flags out of the namespace so the
         # flag > config > default precedence can be resolved later.
-        p = sub.add_parser(name, help=help_,
+        p = sub.add_parser(command, help=help_,
                            argument_default=argparse.SUPPRESS)
         p.add_argument("--config", metavar="FILE",
                        help="JSON object with defaults for any flag")
-        p.add_argument("--out", metavar="DIR",
-                       help="output directory, created if missing")
-        return p
-
-    g = add("gen-data", "generate scripted-expert demonstrations")
-    g.add_argument("--n", type=int, help="number of demonstrations")
-    g.add_argument("--seed", type=int, help="base RNG seed")
-    g.add_argument("--noise", type=float, help="expert action noise scale")
-
-    t = add("train", "train a denoiser on saved demonstrations")
-    t.add_argument("--mode", choices=("uniform", "aln"),
-                   help="uniform baseline or adaptive sampling")
-    t.add_argument("--steps", type=int, help="gradient steps")
-    t.add_argument("--seed", type=int, help="RNG seed")
-    t.add_argument("--data", metavar="FILE", help="demo file from gen-data")
-    t.add_argument("--batch-size", type=int, dest="batch_size",
-                   help="minibatch size")
-    t.add_argument("--warmup", type=int,
-                   help="uniform warmup steps before adaptation kicks in")
-    t.add_argument("--entropy-coef", type=float, dest="entropy_coef",
-                   help="timestep sampler entropy coefficient")
-    t.add_argument("--lr", type=float, help="denoiser learning rate")
-    t.add_argument("--eval-every", type=int, dest="eval_every",
-                   help="rollout-evaluate every N steps, 0 disables")
-    t.add_argument("--eval-episodes", type=int, dest="eval_episodes",
-                   help="episodes per mid-training evaluation")
-
-    e = add("eval", "evaluate a checkpoint on fresh episodes")
-    e.add_argument("--policy", metavar="FILE", help="checkpoint to load")
-    e.add_argument("--episodes", type=int,
-                   help="episodes per evaluation seed")
-    e.add_argument("--schedule",
-                   help="fixed:<Na>,<Nd> | table:<path> | oracle-hvts")
-    e.add_argument("--sampler", choices=("ddpm", "ddim"),
-                   help="reverse-process sampler")
-    e.add_argument("--seeds", help="comma-separated evaluation seeds")
-
-    d = add("decompose", "produce stage and schedule artifacts")
-    d.add_argument("--task", help="task description fed to the prompts")
-    d.add_argument("--num-images", type=int, dest="num_images",
-                   help="frames mentioned in the prompt")
-    d.add_argument("--num-stages", type=int, dest="num_stages",
-                   help="stages to request")
-    d.add_argument("--ranges",
-                   help="a_min,a_max,i_min,i_max budget bounds")
-    d.add_argument("--mock", nargs=2,
-                   metavar=("DECOMP_FILE", "SCHED_FILE"),
-                   help="read canned responses instead of calling the "
-                   "endpoint; no network traffic in this mode")
-    d.add_argument("--endpoint", help="completion endpoint URL (default: "
-                   f"${ENDPOINT_ENV_VAR})")
-    d.add_argument("--timeout", type=float,
-                   help="endpoint timeout in seconds")
-
-    b = add("bench", "four-row sampler/schedule comparison table")
-    b.add_argument("--policy", metavar="FILE", help="checkpoint to load")
-    b.add_argument("--episodes", type=int,
-                   help="episodes per evaluation seed")
-    b.add_argument("--seeds", help="comma-separated evaluation seeds")
-
-    # each flag's help shows its built-in default, read from DEFAULTS
-    for name, p in sub.choices.items():
-        for a in p._actions:
-            v = DEFAULTS[name].get(a.dest)
-            if a.help is not None and v is not None:
-                a.help += f" (default {v:g})" if isinstance(v, float) \
-                    else f" (default {v})"
+        for key, s in SETTINGS[command].items():
+            if s.help is None:
+                continue
+            kw = ({"choices": s.type} if isinstance(s.type, tuple)
+                  else {"type": s.type})
+            if isinstance(s.metavar, tuple):
+                kw["nargs"] = len(s.metavar)
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           metavar=s.metavar, help=_flag_help(s), **kw)
     return ap
 
 
-def _flag_actions(command: str) -> dict[str, argparse.Action]:
-    """The command's flags by destination key."""
-    ap = build_parser()
-    sub = next(a for a in ap._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[command]._actions}
-
-
-def _from_config(key: str, value, action: argparse.Action | None, default):
+def _from_config(key: str, value, s: Setting):
     """Convert one config-file value as its flag would convert the same
-    text: the flag's type and choices, or, for a key with no flag, the
-    type of its default.  None means "not given" and passes through."""
+    text.  None means "not given" and passes through."""
     if value is None:
         return None
-    if action is not None and action.nargs == 2:
+    if isinstance(s.metavar, tuple):
         if not (isinstance(value, list) and len(value) == 2
                 and all(isinstance(v, str) for v in value)):
             raise ValueError(f"config key {key!r} wants a list of two "
                              f"strings, got {value!r}")
-        return value
-    conv = (action.type or str) if action is not None else type(default)
+        return [s.type(v) for v in value]
+    conv = str if isinstance(s.type, tuple) else s.type
+    name = "str" if conv is abs_path else conv.__name__  # as JSON gives it
     if isinstance(value, (bool, list, dict)):
-        raise ValueError(f"config key {key!r} wants a {conv.__name__}, "
+        raise ValueError(f"config key {key!r} wants a {name}, "
                          f"got {value!r}")
     try:
         out = conv(str(value))
     except ValueError:
-        raise ValueError(f"config key {key!r}: invalid {conv.__name__} "
+        raise ValueError(f"config key {key!r}: invalid {name} "
                          f"value {value!r}") from None
-    if action is not None and action.choices and out not in action.choices:
+    if isinstance(s.type, tuple) and out not in s.type:
         raise ValueError(f"config key {key!r}: {out!r} is not one of "
-                         f"{list(action.choices)}")
+                         f"{list(s.type)}")
     return out
 
 
-def resolve_args(command: str, ns: argparse.Namespace) -> dict:
-    """Merge flags over config file over defaults; check required keys."""
-    given = dict(vars(ns))
-    given.pop("command", None)
-    cfg_path = given.pop("config", None)
-    merged = dict(DEFAULTS[command])
-    if cfg_path is not None:
-        with open(cfg_path) as f:
-            loaded = json.load(f)
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = set(loaded) - set(merged)
-        if unknown:
-            raise ValueError(
-                f"unknown config keys for {command}: {sorted(unknown)}")
-        actions = _flag_actions(command)
-        merged.update({k: _from_config(k, v, actions.get(k), merged[k])
-                       for k, v in loaded.items()})
-    merged.update(given)
-    for key in _REQUIRED[command]:
-        if merged.get(key) is None:
+def resolve_args(command: str, flags: dict, config: dict) -> dict:
+    """Merge flags over config values over defaults; check required keys.
+
+    ``flags`` holds parsed flag values, already converted by their
+    types; ``config`` the raw values of a config file or manifest."""
+    settings = SETTINGS[command]
+    if not isinstance(config, dict):
+        raise ValueError("config file must hold a JSON object")
+    unknown = set(config) - set(settings)
+    if unknown:
+        raise ValueError(
+            f"unknown config keys for {command}: {sorted(unknown)}")
+    merged = {k: s.default for k, s in settings.items()}
+    merged.update({k: _from_config(k, v, settings[k])
+                   for k, v in config.items()})
+    merged.update(flags)
+    for key, s in settings.items():
+        if s.required and merged[key] is None:
             raise ValueError(
                 f"{command} requires --{key.replace('_', '-')} "
                 "(flag or config file)")
-    for key in _PATH_KEYS[command]:
-        if merged.get(key) is not None:
-            merged[key] = os.path.abspath(merged[key])
-    if merged.get("mock") is not None:
-        merged["mock"] = [os.path.abspath(p) for p in merged["mock"]]
-    sched = merged.get("schedule")
-    if isinstance(sched, str) and sched.startswith("table:"):
-        merged["schedule"] = "table:" + os.path.abspath(sched[len("table:"):])
+    sched = merged.get("schedule", "")
+    if sched.startswith("table:"):
+        merged["schedule"] = "table:" + abs_path(sched[len("table:"):])
     return merged
 
 
@@ -251,28 +236,20 @@ def write_manifest(out_dir: str, command: str, args: dict) -> None:
 def run_from_manifest(path: str, out: str | None = None) -> int:
     """Replay a recorded run, optionally into a different directory.
 
-    The manifest already holds every resolved setting, so it is replayed
-    by handing the stored values back as a config file.
-    """
+    The manifest already holds every resolved setting, so its values are
+    resolved as a config file's would be."""
     with open(path) as f:
         doc = json.load(f)
     args = dict(doc["args"])
     if out is not None:
         args["out"] = out
-    fd, tmp = tempfile.mkstemp(suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(args, f)
-        return main([doc["command"], "--config", tmp])
-    finally:
-        os.unlink(tmp)
+    return _run(doc["command"], {}, args)
 
 
 # -- shared plumbing ----------------------------------------------------------
 
 
 def _ensure_out(path: str) -> str:
-    path = os.path.abspath(path)
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -343,8 +320,8 @@ def _metrics_rows(m) -> list[tuple[str, str]]:
 
 
 def cmd_gen_data(args: dict) -> int:
-    out = _ensure_out(args["out"])
     ds = generate_demos(args["n"], args["seed"], args["noise"])
+    out = _ensure_out(args["out"])
     save_demos(os.path.join(out, "demos.bin"), ds)
     write_manifest(out, "gen-data", args)
     windows = sum(tr.n_windows for tr in ds.trajectories)
@@ -357,10 +334,9 @@ def cmd_gen_data(args: dict) -> int:
 def cmd_train(args: dict) -> int:
     _require_file(args["data"], "demo file")
     tc = TrainConfig(total_steps=args["steps"],
-                     **{f.name: args[f.name] for f in fields(TrainConfig)
-                        if f.name != "total_steps"})
-    out = _ensure_out(args["out"])
+                     **{k: args[k] for k in _TRAIN if k != "total_steps"})
     ds = load_demos(args["data"])
+    out = _ensure_out(args["out"])
     eval_fn = None
     if tc.eval_every > 0:
         n_ep = args["eval_episodes"]
@@ -389,11 +365,11 @@ def cmd_train(args: dict) -> int:
 
 def cmd_eval(args: dict) -> int:
     _require_file(args["policy"], "checkpoint")
-    out = _ensure_out(args["out"])
     params = load_checkpoint(args["policy"])
     schedule = _parse_schedule_arg(args["schedule"])
     m = evaluate(params, params.noise_schedule(), args["episodes"], schedule,
                  args["sampler"], seeds=_parse_seeds(args["seeds"]))
+    out = _ensure_out(args["out"])
     with open(os.path.join(out, "report.csv"), "w", newline="") as f:
         wr = csv.writer(f)
         wr.writerow(["metric", "value"])
@@ -416,7 +392,6 @@ def cmd_decompose(args: dict, transport=None) -> int:
     elif not endpoint:
         raise ValueError(f"no endpoint given and {ENDPOINT_ENV_VAR} is not "
                          "set; use --mock for offline runs")
-    out = _ensure_out(args["out"])
     ranges = _parse_ranges(args["ranges"])
 
     def respond(i: int, prompt: str) -> str:
@@ -435,6 +410,7 @@ def cmd_decompose(args: dict, transport=None) -> int:
         respond(1, build_schedule_prompt(stage_templates, ranges)),
         [s.name for s in stage_templates], ranges)
 
+    out = _ensure_out(args["out"])
     _write_text(os.path.join(out, "stages.json"),
                 templates_to_json(stage_templates))
     _write_text(os.path.join(out, "schedule.json"), schedule_to_json(table))
@@ -457,7 +433,6 @@ def format_bench_table(rows, metrics, reports) -> str:
 
 def cmd_bench(args: dict) -> int:
     _require_file(args["policy"], "checkpoint")
-    out = _ensure_out(args["out"])
     params = load_checkpoint(args["policy"])
     sched = params.noise_schedule()
     seeds = _parse_seeds(args["seeds"])
@@ -467,6 +442,7 @@ def cmd_bench(args: dict) -> int:
                      _parse_schedule_arg(label), sampler, seeds=seeds)
         metrics.append(m)
     reports = [compare_speedup(metrics[0], m) for m in metrics]
+    out = _ensure_out(args["out"])
     with open(os.path.join(out, "report.csv"), "w", newline="") as f:
         wr = csv.writer(f)
         wr.writerow(["sampler", "schedule", "success_rate",
@@ -483,24 +459,36 @@ def cmd_bench(args: dict) -> int:
     return 0
 
 
-_HANDLERS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "decompose": cmd_decompose,
-    "bench": cmd_bench,
+# each command's handler and its help line
+_COMMANDS = {
+    "gen-data": (cmd_gen_data, "generate scripted-expert demonstrations"),
+    "train": (cmd_train, "train a denoiser on saved demonstrations"),
+    "eval": (cmd_eval, "evaluate a checkpoint on fresh episodes"),
+    "decompose": (cmd_decompose, "produce stage and schedule artifacts"),
+    "bench": (cmd_bench, "four-row sampler/schedule comparison table"),
 }
 
 
-def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+def _run(command: str, flags: dict, config: dict,
+         config_path: str | None = None) -> int:
+    """Resolve and run one command, reading ``config`` from
+    ``config_path`` when one is given; an input error prints one line
+    and returns 1."""
     try:
-        args = resolve_args(ns.command, ns)
-        return _HANDLERS[ns.command](args)
+        if config_path is not None:
+            with open(config_path) as f:
+                config = json.load(f)
+        return _COMMANDS[command][0](resolve_args(command, flags, config))
     except (ValueError, OSError, RuntimeError, struct.error,
-            StageParseError, ClassifierError) as e:
+            ClassifierError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    flags = vars(build_parser().parse_args(argv))
+    command = flags.pop("command")
+    return _run(command, flags, {}, flags.pop("config", None))
 
 
 if __name__ == "__main__":

@@ -109,10 +109,6 @@ def stage_index(st: EnvState) -> int:
     return 0
 
 
-def stage_name(st: EnvState) -> str:
-    return STAGES[stage_index(st)]
-
-
 def env_step(st: EnvState, action: np.ndarray) -> tuple[EnvState, np.ndarray, bool]:
     """Advance one control step.
 

@@ -10,7 +10,7 @@ central finite differences as an independent route.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -245,9 +245,6 @@ class DenoiserParams:
     @property
     def d_in(self) -> int:
         return self.d_o + self.T_p * self.d_a + self.embed_dim
-
-    def copy(self) -> "DenoiserParams":
-        return replace(self, net=self.net.copy())
 
     def noise_schedule(self) -> NoiseSchedule:
         """The noise schedule the denoiser was trained under."""

@@ -211,19 +211,6 @@ def build_schedule_prompt(stages, ranges: ScheduleRanges | None = None) -> str:
 # -- response sanitation ------------------------------------------------------
 
 
-def _strip_code_fences(text: str) -> str:
-    start = text.find("```")
-    if start == -1:
-        return text
-    nl = text.find("\n", start)
-    if nl == -1:
-        return text[:start]
-    end = text.find("```", nl + 1)
-    if end == -1:
-        return text[:start] + text[nl + 1:]
-    return text[:start] + text[nl + 1:end] + text[end + 3:]
-
-
 def _extract_array(text: str) -> str:
     """Span of the first balanced top-level [...] pair, string-aware."""
     start = text.find("[")
@@ -281,11 +268,12 @@ def _drop_trailing_commas(text: str) -> str:
 
 
 def sanitize_json(raw: str) -> str:
-    """Recover the JSON array from a chatty response: drop code fences
-    and surrounding prose, remove trailing commas before ] or }.
+    """Recover the JSON array from a chatty response: take the first
+    balanced array, which skips code fences and surrounding prose, and
+    remove trailing commas before ] or }.
 
     Raises StageParseError when no bracketed array can be found."""
-    return _drop_trailing_commas(_extract_array(_strip_code_fences(raw)))
+    return _drop_trailing_commas(_extract_array(raw))
 
 
 def _load_array(text: str) -> list:

@@ -260,8 +260,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
-        if self.total_steps > 0 and self.warmup >= self.total_steps:
-            raise ValueError("warmup must be < total_steps")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32' or 'float64', "
                              f"got {self.dtype!r}")
@@ -329,6 +327,9 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     """
     if mode not in ("uniform", "aln"):
         raise ValueError(f"mode must be 'uniform' or 'aln', got {mode!r}")
+    # only the sampler reads the warmup; uniform mode has none
+    if mode == "aln" and 0 < config.total_steps <= config.warmup:
+        raise ValueError("warmup must be < total_steps")
     if dataset.n_traj == 0:
         raise ValueError("dataset has no trajectories")
 

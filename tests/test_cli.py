@@ -1,5 +1,6 @@
 """Command line surface: flag resolution, artifacts, manifest replay."""
 
+import dataclasses
 import json
 import pathlib
 import urllib.error
@@ -11,8 +12,8 @@ import pytest
 import diffpol.rollout
 import diffpol.scheduling
 from diffpol.cli import (
-    DEFAULTS,
-    _flag_actions,
+    SETTINGS,
+    _from_config,
     _metrics_rows,
     build_parser,
     cmd_decompose,
@@ -26,6 +27,7 @@ from diffpol.nets import init_params, load_checkpoint, save_checkpoint
 from diffpol.rollout import evaluate, hvts_schedule_table
 from diffpol.scheduling import ENDPOINT_ENV_VAR
 from diffpol.stages import StageBelief, schedule_to_json
+from diffpol.training import TrainConfig
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -53,14 +55,24 @@ def checkpoint(tmp_path_factory):
 
 
 def resolved(argv):
-    ns = build_parser().parse_args(argv)
-    return resolve_args(ns.command, ns)
+    flags = vars(build_parser().parse_args(argv))
+    command, cfg = flags.pop("command"), flags.pop("config", None)
+    config = json.loads(pathlib.Path(cfg).read_text()) if cfg else {}
+    return resolve_args(command, flags, config)
+
+
+def help_text(command, capsys, monkeypatch) -> str:
+    """The command's --help output, unwrapped to single spaces."""
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    return " ".join(capsys.readouterr().out.split())
 
 
 class TestResolve:
     def test_defaults_apply(self, tmp_path):
         args = resolved(["gen-data", "--out", str(tmp_path)])
-        assert args["n"] == DEFAULTS["gen-data"]["n"]
+        assert args["n"] == SETTINGS["gen-data"]["n"].default
         assert args["noise"] == 0.0
 
     def test_flag_beats_config_beats_default(self, tmp_path):
@@ -104,16 +116,32 @@ class TestResolve:
                          "--out", str(tmp_path)])
         assert args["seeds"] == "3" and args["episodes"] == 4
 
-    def test_help_shows_each_default_from_defaults(self, monkeypatch):
-        monkeypatch.setitem(DEFAULTS["gen-data"], "n", 123)
-        assert _flag_actions("gen-data")["n"].help == \
-            "number of demonstrations (default 123)"
-        for command, defaults in DEFAULTS.items():
-            for dest, action in _flag_actions(command).items():
-                if action.help is not None:
-                    shown = action.help.count("(default ")
-                    assert shown == (defaults.get(dest) is not None), \
-                        (command, dest, action.help)
+    def test_help_shows_each_default_from_defaults(self, monkeypatch,
+                                                   capsys):
+        n = SETTINGS["gen-data"]["n"]
+        monkeypatch.setitem(SETTINGS["gen-data"], "n",
+                            n._replace(default=123))
+        assert "--n N number of demonstrations (default 123)" in \
+            help_text("gen-data", capsys, monkeypatch)
+
+    def test_settings_table(self, capsys, monkeypatch):
+        for command, settings in SETTINGS.items():
+            text = help_text(command, capsys, monkeypatch)
+            for key, s in settings.items():
+                # a manifest records the default as JSON and replays it
+                # through the key's config conversion
+                value = _from_config(key, json.loads(json.dumps(s.default)),
+                                     s)
+                assert value == s.default, (command, key)
+                assert type(value) is type(s.default), (command, key)
+                if s.help is not None:
+                    shown = f"{s.default:g}" if isinstance(s.default, float) \
+                        else str(s.default)
+                    assert s.help in text, (command, key)
+                    assert (f"{s.help} (default {shown})" in text) == \
+                        (s.default is not None), (command, key)
+        train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert train_fields - {"total_steps"} <= set(SETTINGS["train"])
 
     @pytest.mark.parametrize("bad", [
         {"steps": "abc"}, {"steps": 2.5}, {"steps": True}, {"lr": [1]},
@@ -140,6 +168,25 @@ class TestResolve:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "dtype" in captured.err
         assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--policy", "{junk}"],
+        ["bench", "--policy", "{junk}"],
+        ["train", "--steps", "1", "--warmup", "0", "--data", "{junk}"],
+        ["decompose", "--ranges", "1,2,3", "--mock",
+         str(FIXTURES / "decompose_response.txt"),
+         str(FIXTURES / "schedule_response.txt")],
+        ["gen-data", "--n", "0"],
+    ], ids=["eval", "bench", "train", "decompose", "gen-data"])
+    def test_input_errors_leave_no_out_dir(self, tmp_path, argv, capsys):
+        junk = tmp_path / "junk.bin"
+        junk.write_bytes(b"not a diffpol file")
+        out = tmp_path / "run"
+        rc = main([a.format(junk=junk) for a in argv] + ["--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_bad_cli_strings_exit_nonzero(self, tmp_path, checkpoint):

@@ -25,7 +25,6 @@ from diffpol.env import (
     save_demos,
     scripted_expert,
     stage_index,
-    stage_name,
 )
 
 
@@ -57,7 +56,7 @@ class TestEnvBasics:
             st = reset_env(seed)
             assert np.linalg.norm(st.agent - st.block) >= APPROACH_RADIUS
             assert np.linalg.norm(st.block - st.target) >= 0.25
-            assert stage_name(st) == "approach"
+            assert STAGES[stage_index(st)] == "approach"
 
     def test_observation_layout(self):
         st = make_state([0.1, 0.2], [0.3, 0.4], [0.5, 0.6])
@@ -117,12 +116,12 @@ class TestStages:
             "complete": make_state([0.1, 0.1], [0.88, 0.5], target),
         }
         for name, st in cases.items():
-            assert stage_name(st) == name
+            assert STAGES[stage_index(st)] == name
 
     def test_precedence_block_position_wins(self):
         # agent in perfect pushing position but block already at target
         st = make_state([0.84, 0.5], [0.88, 0.5], [0.9, 0.5])
-        assert stage_name(st) == "complete"
+        assert STAGES[stage_index(st)] == "complete"
 
     def test_stage_names(self):
         assert STAGES == ("approach", "align", "push", "reach", "complete")

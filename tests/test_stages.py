@@ -82,6 +82,12 @@ class TestSanitizeJson:
         raw = '```json\n[{"name": "a"},]\n```'
         assert json.loads(sanitize_json(raw)) == [{"name": "a"}]
 
+    def test_triple_backtick_inside_a_string(self):
+        raw = ('[{"name": "a", "description": '
+               '"Action features: use ```x``` here"}]')
+        assert json.loads(sanitize_json(raw)) == [
+            {"name": "a", "description": "Action features: use ```x``` here"}]
+
     def test_surrounding_prose(self):
         raw = 'Sure! Here is the result: [1, 2, 3] Hope this helps'
         assert sanitize_json(raw) == "[1, 2, 3]"

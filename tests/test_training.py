@@ -479,13 +479,21 @@ class TestTrainLoop:
             train(tiny_config(), tiny_dataset(), "adaptive")
         with pytest.raises(ValueError):
             TrainConfig(total_steps=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(total_steps=10, warmup=10)
+        with pytest.raises(ValueError, match="warmup"):
+            train(tiny_config(total_steps=10, warmup=10), tiny_dataset(),
+                  "aln")
         with pytest.raises(ValueError):
             TrainConfig(total_steps=10, batch_size=0)
         for bad in ("float16", "f4", np.float32):
             with pytest.raises(ValueError, match="dtype"):
                 TrainConfig(total_steps=10, warmup=0, dtype=bad)
+
+    def test_uniform_run_shorter_than_warmup(self):
+        """Only the aln sampler reads the warmup, so uniform mode runs
+        however short the run is next to it."""
+        _, rep = train(tiny_config(total_steps=3, warmup=10), tiny_dataset(),
+                       "uniform")
+        assert rep.steps == [1, 2, 3]
 
     def test_csv_round_trip(self, tmp_path):
         cfg = tiny_config(total_steps=20, warmup=5, eval_every=10)
