@@ -335,6 +335,7 @@ def cmd_train(args: dict) -> int:
     _require_file(args["data"], "demo file")
     tc = TrainConfig(total_steps=args["steps"],
                      **{k: args[k] for k in _TRAIN if k != "total_steps"})
+    tc.check_mode(args["mode"])
     ds = load_demos(args["data"])
     out = _ensure_out(args["out"])
     eval_fn = None

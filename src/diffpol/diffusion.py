@@ -2,9 +2,11 @@
 
 Variance schedule tables, the forward noising map, single reverse steps
 (stochastic and deterministic variants), and the per-timestep loss
-weighting used by the adaptive trainer.  Everything is float64 numpy and
-step indices are 1-based: ``k`` runs over ``1..T`` and ``alpha_bar[0]``
-belongs to ``k = 1``.
+weighting used by the adaptive trainer.  Schedules and step arithmetic
+are float64 numpy: the reverse steps take ``eps_hat`` in any float dtype
+(a float32 denoiser's output, say) and compute in float64.  Step indices
+are 1-based: ``k`` runs over ``1..T`` and ``alpha_bar[0]`` belongs to
+``k = 1``.
 """
 
 from __future__ import annotations

@@ -277,15 +277,17 @@ def denoiser_context(p: DenoiserParams, obs: np.ndarray,
     """The first layer's step-invariant part for one observation and
     steps ``ks`` (integers in 1..T, else ValueError): row i is
     ``obs @ W0[obs rows] + b0 + embed(ks[i]) @ W0[embed rows]``, shape
-    (len(ks), hidden).  A reverse chain builds it once per window."""
-    obs = np.asarray(obs, dtype=np.float64)
+    (len(ks), hidden), in the net's dtype.  A reverse chain builds it
+    once per window."""
+    dtype = p.net.flat.dtype
+    obs = np.asarray(obs, dtype=dtype)
     if obs.shape != (p.d_o,):
         raise ValueError(f"obs shape {obs.shape} != ({p.d_o},)")
     ks = np.asarray(ks)
     _check_steps(ks, p.T)
     w0 = p.net.weights[0]
-    table = _embed_table(p.embed_dim, p.T)
-    ctx = table[ks - 1] @ w0[p.d_o + p.T_p * p.d_a:]
+    rows = _embed_table(p.embed_dim, p.T)[ks - 1].astype(dtype, copy=False)
+    ctx = rows @ w0[p.d_o + p.T_p * p.d_a:]
     ctx += obs @ w0[:p.d_o] + p.net.biases[0]
     return ctx
 
@@ -293,19 +295,22 @@ def denoiser_context(p: DenoiserParams, obs: np.ndarray,
 # First layer split: obs and step terms per window, the action term per step.
 def denoiser_forward(p: DenoiserParams, obs: np.ndarray, ak: np.ndarray,
                      k: int, context: np.ndarray | None = None) -> np.ndarray:
-    """Noise estimate for one noisy window at step k; returns (T_p, d_a).
+    """Noise estimate for one noisy window at step k; returns (T_p, d_a)
+    in the net's dtype, to which the inputs are cast.
 
     ``context`` is k's row of ``denoiser_context(p, obs, ks)`` when the
     caller built one for a whole window (obs is then not read); without
     it the row is built here, a window of one.  k must be an integer in
     1..T, else ValueError.
     """
+    dtype = p.net.flat.dtype
     if context is None:
         context = denoiser_context(p, obs, [k])[0]
     elif isinstance(k, bool) or not isinstance(k, (int, np.integer)) \
             or not 1 <= k <= p.T:
         raise ValueError(f"step must be an integer in [1, {p.T}], got {k!r}")
-    ak = np.asarray(ak, dtype=np.float64)
+    context = np.asarray(context, dtype=dtype)
+    ak = np.asarray(ak, dtype=dtype)
     if ak.shape != (p.T_p, p.d_a):
         raise ValueError(f"ak shape {ak.shape} != ({p.T_p}, {p.d_a})")
     w_act = p.net.weights[0][p.d_o:p.d_o + p.T_p * p.d_a]

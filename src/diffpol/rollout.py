@@ -12,7 +12,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -175,6 +175,8 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
     stages, an entry named after one of them must sit at its position,
     and every step count the schedule can ask for must lie in
     [1, sched.T]; each fault raises ValueError before any episode runs.
+    The denoiser runs in float32, the dtype training computes in, on a
+    copy of the net; the caller's params are left as they are.
     """
     seeds = tuple(seeds)
     if n_episodes < 1:
@@ -196,6 +198,8 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
         if not 1 <= n_steps <= sched.T:
             raise ValueError(f"stage {name!r}: {n_steps} denoising steps "
                              f"outside [1, {sched.T}]")
+    # float32 weights fit the batch-1 calls' working set in a per-core L2
+    params = replace(params, net=params.net.astype(np.float32))
     results: list[EpisodeResult] = []
     per_seed: list[float] = []
     for s in seeds:

@@ -264,6 +264,14 @@ class TrainConfig:
             raise ValueError("dtype must be 'float32' or 'float64', "
                              f"got {self.dtype!r}")
 
+    def check_mode(self, mode: str) -> None:
+        """ValueError unless ``train`` can run this config in ``mode``."""
+        if mode not in ("uniform", "aln"):
+            raise ValueError(f"mode must be 'uniform' or 'aln', got {mode!r}")
+        # only the sampler reads the warmup; uniform mode has none
+        if mode == "aln" and 0 < self.total_steps <= self.warmup:
+            raise ValueError("warmup must be < total_steps")
+
 
 @dataclass
 class TrainReport:
@@ -325,11 +333,7 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     steps with a float64 copy of the parameters, and its return value
     recorded in the report.  The returned parameters are float64.
     """
-    if mode not in ("uniform", "aln"):
-        raise ValueError(f"mode must be 'uniform' or 'aln', got {mode!r}")
-    # only the sampler reads the warmup; uniform mode has none
-    if mode == "aln" and 0 < config.total_steps <= config.warmup:
-        raise ValueError("warmup must be < total_steps")
+    config.check_mode(mode)
     if dataset.n_traj == 0:
         raise ValueError("dataset has no trajectories")
 

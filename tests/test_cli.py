@@ -174,16 +174,21 @@ class TestResolve:
         ["eval", "--policy", "{junk}"],
         ["bench", "--policy", "{junk}"],
         ["train", "--steps", "1", "--warmup", "0", "--data", "{junk}"],
+        ["train", "--mode", "aln", "--steps", "1", "--warmup", "1",
+         "--data", "{demos}"],
         ["decompose", "--ranges", "1,2,3", "--mock",
          str(FIXTURES / "decompose_response.txt"),
          str(FIXTURES / "schedule_response.txt")],
         ["gen-data", "--n", "0"],
-    ], ids=["eval", "bench", "train", "decompose", "gen-data"])
-    def test_input_errors_leave_no_out_dir(self, tmp_path, argv, capsys):
+    ], ids=["eval", "bench", "train", "train-aln-warmup", "decompose",
+            "gen-data"])
+    def test_input_errors_leave_no_out_dir(self, tmp_path, argv, capsys,
+                                           demo_file):
         junk = tmp_path / "junk.bin"
         junk.write_bytes(b"not a diffpol file")
         out = tmp_path / "run"
-        rc = main([a.format(junk=junk) for a in argv] + ["--out", str(out)])
+        rc = main([a.format(junk=junk, demos=demo_file) for a in argv]
+                  + ["--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

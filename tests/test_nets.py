@@ -3,6 +3,7 @@
 import json
 import pathlib
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,16 @@ def one_sample_grads(p, obs, ak, k, eps):
     losses, grads = denoiser_batch_grads(p, obs[None], ak[None],
                                          np.array([k]), eps[None])
     return float(losses[0]), grads
+
+
+def traced_peak(fn):
+    """fn's result and the peak bytes allocated while it ran, numpy's
+    array buffers included."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def central_diff(f, arr, idx, eps=1e-6):
@@ -244,6 +255,56 @@ class TestGradients:
             np.testing.assert_allclose(
                 denoiser_forward(p, obs, ak_b[k - 1], int(k)), ref,
                 rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [
+        dict(d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10),
+        dict(d_o=17, T_p=16, d_a=2, hidden=384, embed_dim=128, T=100),
+    ], ids=["tiny", "bench"])
+    def test_float32_forward_matches_float64(self, dims):
+        """A float32 net's context rows and noise estimates are float32
+        and within float32 rounding of the float64 net it came from."""
+        p = init_params(7, **dims)
+        p32 = replace(p, net=p.net.astype(np.float32))
+        rng = np.random.default_rng(9)
+        T = dims["T"]
+        obs = rng.uniform(-1.0, 1.0, dims["d_o"])
+        ak_b = rng.standard_normal((T, dims["T_p"], dims["d_a"]))
+        ks = np.arange(1, T + 1)
+        ctx = denoiser_context(p, obs, ks)
+        ctx32 = denoiser_context(p32, obs, ks)
+        assert ctx32.dtype == np.float32
+        np.testing.assert_allclose(ctx32, ctx, rtol=1e-4,
+                                   atol=1e-4 * np.abs(ctx).max())
+        for k in ks:
+            want = denoiser_forward(p, obs, ak_b[k - 1], int(k), ctx[k - 1])
+            for got in (denoiser_forward(p32, obs, ak_b[k - 1], int(k),
+                                         ctx32[k - 1]),
+                        denoiser_forward(p32, obs, ak_b[k - 1], int(k))):
+                assert got.dtype == np.float32
+                np.testing.assert_allclose(got, want, rtol=1e-4,
+                                           atol=1e-4 * np.abs(want).max())
+
+    def test_float32_forward_copies_no_weight(self):
+        """At bench dims a float32 net's calls, fed float64 inputs or a
+        float64 context row, allocate less than a float64 copy of the
+        smallest weight block they read (W0's observation rows) takes:
+        mixed-dtype matmuls would upcast the weights on every call."""
+        p = init_params(7, d_o=17, T_p=16, d_a=2, hidden=384, embed_dim=128,
+                        T=100)
+        p32 = replace(p, net=p.net.astype(np.float32))
+        limit = p.d_o * p.hidden * 8
+        rng = np.random.default_rng(10)
+        obs, ak = rng.uniform(-1.0, 1.0, 17), rng.standard_normal((16, 2))
+        row64 = denoiser_context(p, obs, [50])[0]
+        row32 = denoiser_context(p32, obs, [50])[0]
+        calls = [lambda: denoiser_context(p32, obs, [50]),
+                 lambda: denoiser_forward(p32, obs, ak, 50),
+                 lambda: denoiser_forward(p32, obs, ak, 50, row64),
+                 lambda: denoiser_forward(p32, obs, ak, 50, row32)]
+        for call in calls:
+            out, peak = traced_peak(call)
+            assert out.dtype == np.float32
+            assert peak < limit
 
 
 def reference_adam(p, grads, st):

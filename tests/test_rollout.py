@@ -1,5 +1,7 @@
 """Receding-horizon rollout, metrics aggregation, speedup comparison."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import expert_forward_fn, expert_window, zero_forward_fn
@@ -235,6 +237,32 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(tiny_params(), SCHED, 1, (8, 5),
                      seeds=(s for s in ()))
+
+    def test_denoiser_runs_on_a_float32_copy(self, monkeypatch):
+        """evaluate computes on a float32 copy of the net: a float64 net
+        and its float32 rounding make the same denoiser calls with the
+        same outputs, and the caller's net stays float64 and unchanged."""
+        seen = []
+        inner = diffpol.rollout.denoiser_forward
+
+        def recording(params, *args):
+            eps_hat = inner(params, *args)
+            seen.append((params.net.flat.dtype, eps_hat.tobytes()))
+            return eps_hat
+
+        monkeypatch.setattr(diffpol.rollout, "denoiser_forward", recording)
+        p = tiny_params(4)
+        before = p.net.flat.copy()
+        runs = []
+        for params in (p, replace(p, net=p.net.astype(np.float32))):
+            seen.clear()
+            m = evaluate(params, SCHED, 2, hvts_schedule_table(), "ddpm",
+                         seeds=(0, 1))
+            runs.append((m, list(seen)))
+        assert runs[0] == runs[1]
+        assert {dtype for dtype, _ in runs[0][1]} == {np.dtype(np.float32)}
+        assert p.net.flat.dtype == np.float64
+        np.testing.assert_array_equal(p.net.flat, before)
 
     def test_seed_generator_matches_tuple(self):
         args = (tiny_params(), SCHED, 2, (8, 5), "ddim")
