@@ -336,11 +336,13 @@ def cmd_train(args: dict) -> int:
     tc = TrainConfig(total_steps=args["steps"],
                      **{k: args[k] for k in _TRAIN if k != "total_steps"})
     tc.check_mode(args["mode"])
+    n_ep = args["eval_episodes"]
+    if tc.eval_every > 0 and n_ep < 1:
+        raise ValueError("eval_episodes must be >= 1 when eval_every > 0")
     ds = load_demos(args["data"])
     out = _ensure_out(args["out"])
     eval_fn = None
     if tc.eval_every > 0:
-        n_ep = args["eval_episodes"]
         # Offset keeps evaluation env seeds clear of the demo seeds.
         eval_seed = tc.seed + 101
 

@@ -86,7 +86,6 @@ def denoise_action_window(params: DenoiserParams, sched: NoiseSchedule,
 @dataclass(frozen=True)
 class EpisodeResult:
     success: bool
-    success_step: int | None
     steps: int
     denoiser_calls: int
     trace: tuple[tuple[int, int, int, int], ...]  # (step, stage, N_a, N_d)
@@ -94,8 +93,8 @@ class EpisodeResult:
 
     @property
     def early_success(self) -> bool:
-        return (self.success and self.success_step is not None
-                and self.success_step <= EARLY_FRACTION * MAX_STEPS)
+        # an episode ends at its first success, so it succeeded at `steps`
+        return self.success and self.steps <= EARLY_FRACTION * MAX_STEPS
 
 
 def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
@@ -119,7 +118,6 @@ def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
     trace: list[tuple[int, int, int, int]] = []
     calls = 0
     step = 0
-    success_step: int | None = None
     t0 = time.perf_counter()
     done = False
     while not done:
@@ -135,12 +133,10 @@ def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
         trace.append((step, stage, na, nd))
         env, _, done = env_step(env, action)
         step += 1
-        if success_step is None and is_success(env):
-            success_step = step
     wall = time.perf_counter() - t0
-    return EpisodeResult(success=is_success(env), success_step=success_step,
-                         steps=step, denoiser_calls=calls,
-                         trace=tuple(trace), wall_time=wall)
+    return EpisodeResult(success=is_success(env), steps=step,
+                         denoiser_calls=calls, trace=tuple(trace),
+                         wall_time=wall)
 
 
 @dataclass(frozen=True)
@@ -172,9 +168,10 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
     depend only on (seed, episode index), so two evaluations with the
     same seeds see identical environments.  The oracle indexes a table
     by stage position, so a table needs an entry for each of the task's
-    stages, an entry named after one of them must sit at its position,
-    and every step count the schedule can ask for must lie in
-    [1, sched.T]; each fault raises ValueError before any episode runs.
+    stages, and an entry named after one of them must sit at its
+    position.  Every step count the schedule can ask for must lie in
+    [1, sched.T], and a fixed horizon must be at least 1.  Each fault
+    raises ValueError before any episode runs.
     The denoiser runs in float32, the dtype training computes in, on a
     copy of the net; the caller's params are left as they are.
     """
@@ -194,6 +191,8 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
                              f"{STAGES.index(e.name)}")
     budgets = ([(e.name, e.num_inference_steps) for e in schedule.entries]
                if use_table else [("fixed", schedule[1])])
+    if not use_table and schedule[0] < 1:
+        raise ValueError(f"fixed schedule horizon {schedule[0]} must be >= 1")
     for name, n_steps in budgets:
         if not 1 <= n_steps <= sched.T:
             raise ValueError(f"stage {name!r}: {n_steps} denoising steps "

@@ -3,16 +3,18 @@
 A long task is decomposed into named stages, and each stage is assigned
 a compute budget (action horizon, denoising step count).  Both
 exchanges are plain text with a remote model, so every parser here is
-defensive: responses are sanitized, values are clamped into range, and
-a missing "hardest stage" designation is repaired by a deterministic
-fallback.  Schedule files, which this program writes, load as written.
-At run time a classifier reports a ranked belief over the stages, and
-select_stage picks the active one.
+defensive: a response's array is the first [ at which the standard JSON
+decoder succeeds once trailing commas are dropped, values are clamped
+into range, and a missing "hardest stage" designation is repaired by a
+deterministic fallback.  Schedule files, which this program writes,
+load as written.  At run time a classifier reports a ranked belief over
+the stages, and select_stage picks the active one.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,79 +213,37 @@ def build_schedule_prompt(stages, ranges: ScheduleRanges | None = None) -> str:
 # -- response sanitation ------------------------------------------------------
 
 
-def _extract_array(text: str) -> str:
-    """Span of the first balanced top-level [...] pair, string-aware."""
-    start = text.find("[")
-    while start != -1:
-        depth, in_str, esc = 0, False, False
-        for i in range(start, len(text)):
-            c = text[i]
-            if in_str:
-                if esc:
-                    esc = False
-                elif c == "\\":
-                    esc = True
-                elif c == '"':
-                    in_str = False
-            elif c == '"':
-                in_str = True
-            elif c in "[{":
-                depth += 1
-            elif c in "]}":
-                depth -= 1
-                if depth == 0:
-                    if c == "]":
-                        return text[start:i + 1]
-                    break  # mismatched closer, try the next opener
-        start = text.find("[", start + 1)
-    raise StageParseError("no JSON array found in response")
-
-
-def _drop_trailing_commas(text: str) -> str:
-    out = []
-    in_str, esc = False, False
-    n = len(text)
-    for i, c in enumerate(text):
-        if in_str:
-            out.append(c)
-            if esc:
-                esc = False
-            elif c == "\\":
-                esc = True
-            elif c == '"':
-                in_str = False
-            continue
-        if c == '"':
-            in_str = True
-            out.append(c)
-            continue
-        if c == ",":
-            j = i + 1
-            while j < n and text[j] in " \t\r\n":
-                j += 1
-            if j < n and text[j] in "]}":
-                continue
-        out.append(c)
-    return "".join(out)
+_DECODER = json.JSONDecoder()
+# a comma with nothing but whitespace before the next ] or }
+_TRAILING_COMMA = re.compile(r",[ \t\n\r]*[\]}]")
 
 
 def sanitize_json(raw: str) -> str:
-    """Recover the JSON array from a chatty response: take the first
-    balanced array, which skips code fences and surrounding prose, and
-    remove trailing commas before ] or }.
-
-    Raises StageParseError when no bracketed array can be found."""
-    return _drop_trailing_commas(_extract_array(raw))
+    """Recover the JSON array from a chatty response: the standard decoder
+    is tried at each [ in turn, which skips code fences and prose, and
+    the text of the first array it decodes is returned.  A trailing
+    comma (only whitespace between it and a ] or }) that stops the
+    decoder is dropped and the decode retried.  Raises StageParseError
+    when no [ starts an array, or when the array nests too deeply."""
+    text, start = raw, raw.find("[")
+    while start != -1:
+        try:
+            return text[start:_DECODER.raw_decode(text, start)[1]]
+        except json.JSONDecodeError as e:
+            # reported at the closer (at the comma from Python 3.13 on)
+            comma = text.rfind(",", start, e.pos + 1)
+            trailing = comma != -1 and _TRAILING_COMMA.match(text, comma)
+            if trailing and trailing.end() > e.pos:
+                text = text[:comma] + text[comma + 1:]
+            else:
+                text, start = raw, raw.find("[", start + 1)
+        except RecursionError as e:
+            raise StageParseError("response nests too deeply") from e
+    raise StageParseError("no JSON array found in response")
 
 
 def _load_array(text: str) -> list:
-    try:
-        data = json.loads(sanitize_json(text))
-    except json.JSONDecodeError as e:
-        raise StageParseError(f"response is not valid JSON: {e}") from e
-    if not isinstance(data, list):
-        raise StageParseError("response is not a JSON array")
-    return data
+    return json.loads(sanitize_json(text))
 
 
 # -- response parsing ---------------------------------------------------------

@@ -176,12 +176,14 @@ class TestResolve:
         ["train", "--steps", "1", "--warmup", "0", "--data", "{junk}"],
         ["train", "--mode", "aln", "--steps", "1", "--warmup", "1",
          "--data", "{demos}"],
+        ["train", "--steps", "2", "--eval-every", "2", "--eval-episodes",
+         "0", "--data", "{demos}"],
         ["decompose", "--ranges", "1,2,3", "--mock",
          str(FIXTURES / "decompose_response.txt"),
          str(FIXTURES / "schedule_response.txt")],
         ["gen-data", "--n", "0"],
-    ], ids=["eval", "bench", "train", "train-aln-warmup", "decompose",
-            "gen-data"])
+    ], ids=["eval", "bench", "train", "train-aln-warmup",
+            "train-eval-episodes", "decompose", "gen-data"])
     def test_input_errors_leave_no_out_dir(self, tmp_path, argv, capsys,
                                            demo_file):
         junk = tmp_path / "junk.bin"
@@ -197,6 +199,7 @@ class TestResolve:
     def test_bad_cli_strings_exit_nonzero(self, tmp_path, checkpoint):
         base = ["eval", "--policy", checkpoint, "--out", str(tmp_path)]
         assert main(base + ["--schedule", "fixed:16"]) == 1
+        assert main(base + ["--schedule", "fixed:0,10"]) == 1
         assert main(base + ["--schedule", "nonsense"]) == 1
         assert main(base + ["--seeds", "a,b"]) == 1
         assert main(["decompose", "--ranges", "1,2,3",

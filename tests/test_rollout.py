@@ -95,8 +95,7 @@ class TestRollout:
         r = rollout(tiny_params(), SCHED, env_seed=0, schedule=(8, 25),
                     sampler_kind="ddim", seed=1,
                     forward_fn=expert_forward_fn(SCHED))
-        assert r.success and r.success_step == r.steps
-        assert r.steps < MAX_STEPS
+        assert r.success and r.steps < MAX_STEPS
 
     def test_expert_policy_succeeds_ddpm(self):
         for env_seed in range(5):
@@ -109,7 +108,7 @@ class TestRollout:
         r = rollout(tiny_params(), SCHED, env_seed=0, schedule=(8, 10),
                     sampler_kind="ddim", seed=1,
                     forward_fn=zero_forward_fn(SCHED))
-        assert not r.success and r.success_step is None
+        assert not r.success
         assert r.steps == MAX_STEPS
 
     def test_replan_arithmetic_and_counter(self):
@@ -237,6 +236,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(tiny_params(), SCHED, 1, (8, 5),
                      seeds=(s for s in ()))
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_rejects_nonpositive_fixed_horizon(self, horizon, monkeypatch):
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(diffpol.rollout, "rollout", no_rollout)
+        with pytest.raises(ValueError, match="horizon"):
+            evaluate(tiny_params(), SCHED, 1, (horizon, 10))
 
     def test_denoiser_runs_on_a_float32_copy(self, monkeypatch):
         """evaluate computes on a float32 copy of the net: a float64 net

@@ -113,6 +113,23 @@ class TestSanitizeJson:
         raw = '[{"a": [1, 2,],},]'
         assert json.loads(sanitize_json(raw)) == [{"a": [1, 2]}]
 
+    def test_bracketed_prose_before_the_array(self):
+        raw = ('Stages [as JSON]:\n```json\n'
+               '[{"name": "a", "description": "b"}]\n```')
+        assert json.loads(sanitize_json(raw)) == [
+            {"name": "a", "description": "b"}]
+
+    def test_unmatched_quote_in_prose_before_the_array(self):
+        raw = 'He said "here it is: ["keep, ]", 2, ]'
+        assert json.loads(sanitize_json(raw)) == ["keep, ]", 2]
+
+    def test_deep_nesting_is_a_parse_error(self):
+        raw = "[" * 2000 + "]" * 2000
+        with pytest.raises(StageParseError):
+            sanitize_json(raw)
+        with pytest.raises(StageParseError):
+            parse_stage_templates(raw, 1)
+
     def test_no_array_is_error(self):
         with pytest.raises(StageParseError):
             sanitize_json("there is no structured data here")
