@@ -4,14 +4,17 @@ Variance schedule tables, the forward noising map, single reverse steps
 (stochastic and deterministic variants), and the per-timestep loss
 weighting used by the adaptive trainer.  Schedules and step arithmetic
 are float64 numpy: the reverse steps take ``eps_hat`` in any float dtype
-(a float32 denoiser's output, say) and compute in float64.  Step indices
+(a float32 denoiser's output, say) and compute in float64, with their
+scalar coefficients as Python floats.  Step indices
 are 1-based: ``k`` runs over ``1..T`` and ``alpha_bar[0]`` belongs to
 ``k = 1``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,21 +73,33 @@ def respaced_schedule(s: NoiseSchedule, n_steps: int) -> tuple[NoiseSchedule, np
     """Evenly spaced ``n_steps``-step subsequence of a T-step schedule.
 
     Returns the derived schedule plus the selected original step indices
-    (1-based, strictly increasing, ending at T).  The derived chain keeps
-    the original alpha_bar at the selected steps and re-derives beta so
-    that running the short chain matches the marginals of the long one.
-    With ``n_steps == T`` the original tables are reproduced.
+    (1-based, strictly increasing, ending at T, read-only).  The derived
+    chain keeps the original alpha_bar at the selected steps and
+    re-derives beta so that running the short chain matches the
+    marginals of the long one.  With ``n_steps == T`` the original
+    tables are reproduced.  Results are memoised on the schedule's
+    values and ``n_steps``, so repeated calls share one result.
     """
     if not (1 <= n_steps <= s.T):
         raise ValueError(f"n_steps must be in [1, {s.T}], got {n_steps}")
+    return _respaced(np.asarray(s.alpha_bar, dtype=np.float64).tobytes(),
+                     n_steps)
+
+
+@lru_cache(maxsize=64)
+def _respaced(alpha_bar: bytes,
+              n_steps: int) -> tuple[NoiseSchedule, np.ndarray]:
+    alpha_bar = np.frombuffer(alpha_bar, dtype=np.float64)
+    T = alpha_bar.size
     if n_steps == 1:
-        idx = np.array([s.T], dtype=np.int64)
+        idx = np.array([T], dtype=np.int64)
     else:
-        idx = np.round(np.linspace(1, s.T, n_steps)).astype(np.int64)
+        idx = np.round(np.linspace(1, T, n_steps)).astype(np.int64)
     # spacing >= 1 guarantees strictly increasing rounded indices
-    ab = s.alpha_bar[idx - 1]
+    ab = alpha_bar[idx - 1]
     prev = np.concatenate(([1.0], ab[:-1]))
     beta = 1.0 - ab / prev
+    idx.setflags(write=False)
     return schedule_from_betas(beta), idx
 
 
@@ -138,9 +153,10 @@ def ddpm_reverse_step(s: NoiseSchedule, eps_hat: np.ndarray, ak: np.ndarray,
     i = _check_step(s, k)
     if k == 1 and np.any(z != 0.0):
         raise ValueError("z must be zero at the final reverse step (k = 1)")
-    coef = (1.0 - s.alpha[i]) / np.sqrt(1.0 - s.alpha_bar[i])
-    mean = (ak - coef * eps_hat) / np.sqrt(s.alpha[i])
-    return mean + s.sigma[i] * z
+    alpha = s.alpha.item(i)
+    coef = (1.0 - alpha) / math.sqrt(1.0 - s.alpha_bar.item(i))
+    mean = (ak - coef * eps_hat) / math.sqrt(alpha)
+    return mean + s.sigma.item(i) * z
 
 
 def ddim_reverse_step(s: NoiseSchedule, eps_hat: np.ndarray, ak: np.ndarray,
@@ -159,10 +175,10 @@ def ddim_reverse_step(s: NoiseSchedule, eps_hat: np.ndarray, ak: np.ndarray,
     i = _check_step(s, k)
     if not (0 <= k_prev < k):
         raise ValueError(f"k_prev must satisfy 0 <= k_prev < k, got {k_prev}")
-    ab = s.alpha_bar[i]
-    ab_prev = 1.0 if k_prev == 0 else s.alpha_bar[k_prev - 1]
-    a0_hat = (ak - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
-    return np.sqrt(ab_prev) * a0_hat + np.sqrt(1.0 - ab_prev) * eps_hat
+    ab = s.alpha_bar.item(i)
+    ab_prev = 1.0 if k_prev == 0 else s.alpha_bar.item(k_prev - 1)
+    a0_hat = (ak - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
+    return math.sqrt(ab_prev) * a0_hat + math.sqrt(1.0 - ab_prev) * eps_hat
 
 
 def theoretical_weights(s: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:

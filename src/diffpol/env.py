@@ -10,6 +10,7 @@ only through the seeded initial placement and optional action noise.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -41,6 +42,19 @@ class EnvState:
     t: int = 0
 
 
+def _norm(v: np.ndarray) -> float:
+    """Length of a 1-d float64 vector: ``np.linalg.norm``'s own 1-d path
+    (sqrt of the dot product), bit for bit, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
+def _clip(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``np.clip`` bit for bit, signed zeros and NaN included, at about
+    half its call overhead on the small vectors here.  The bound comes
+    first so that a tie returns the bound, as ``np.clip`` does."""
+    return np.minimum(hi, np.maximum(lo, v))
+
+
 def reset_env(seed: int) -> EnvState:
     """Seeded initial placement: block between agent and a far target,
     with enough separation that every stage is exercised."""
@@ -49,9 +63,9 @@ def reset_env(seed: int) -> EnvState:
         target = rng.uniform(0.55, 0.92, size=2)
         block = rng.uniform(0.15, 0.55, size=2)
         agent = rng.uniform(0.05, 0.95, size=2)
-        d_bt = float(np.linalg.norm(block - target))
-        d_ab = float(np.linalg.norm(agent - block))
-        d_at = float(np.linalg.norm(agent - target))
+        d_bt = _norm(block - target)
+        d_ab = _norm(agent - block)
+        d_at = _norm(agent - target)
         if 0.25 <= d_bt <= 0.8 and d_ab >= APPROACH_RADIUS + 0.03 \
                 and d_at >= 0.1:
             return EnvState(agent=agent, block=block, target=target)
@@ -91,16 +105,16 @@ def stage_index(st: EnvState) -> int:
     """Stage as a pure function of the geometry (first match wins):
     complete / reach by block-target distance, push by contact plus
     alignment, align by agent-block distance, approach otherwise."""
-    d_bt = float(np.linalg.norm(st.block - st.target))
+    d_bt = _norm(st.block - st.target)
     if d_bt <= TARGET_TOL:
         return 4
     if d_bt <= REACH_RADIUS:
         return 3
-    d_ab = float(np.linalg.norm(st.agent - st.block))
+    d_ab = _norm(st.agent - st.block)
     if d_ab <= CONTACT_RADIUS + 0.02:
         to_block = st.block - st.agent
         to_target = st.target - st.block
-        nb, nt = np.linalg.norm(to_block), np.linalg.norm(to_target)
+        nb, nt = _norm(to_block), _norm(to_target)
         if nb > 1e-12 and nt > 1e-12 \
                 and float(to_block @ to_target) / (nb * nt) >= ALIGN_COS:
             return 2
@@ -121,24 +135,24 @@ def env_step(st: EnvState, action: np.ndarray) -> tuple[EnvState, np.ndarray, bo
     action = np.asarray(action, dtype=np.float64)
     if action.shape != (D_A,):
         raise ValueError(f"action shape {action.shape} != ({D_A},)")
-    a = np.clip(action, -1.0, 1.0)
-    agent = np.clip(st.agent + STEP_SIZE * a, 0.0, 1.0)
+    a = _clip(action, -1.0, 1.0)
+    agent = _clip(st.agent + STEP_SIZE * a, 0.0, 1.0)
     block = st.block
-    d = float(np.linalg.norm(block - agent))
+    d = _norm(block - agent)
     if d < CONTACT_RADIUS:
         if d < 1e-9:
             direction = np.array([1.0, 0.0])  # degenerate overlap
         else:
             direction = (block - agent) / d
-        block = np.clip(agent + CONTACT_RADIUS * direction, 0.0, 1.0)
+        block = _clip(agent + CONTACT_RADIUS * direction, 0.0, 1.0)
     nxt = EnvState(agent=agent, block=block, target=st.target, t=st.t + 1)
-    d_bt = float(np.linalg.norm(block - st.target))
+    d_bt = _norm(block - st.target)
     done = d_bt <= TARGET_TOL or nxt.t >= MAX_STEPS
     return nxt, observe(nxt), done
 
 
 def is_success(st: EnvState) -> bool:
-    return float(np.linalg.norm(st.block - st.target)) <= TARGET_TOL
+    return _norm(st.block - st.target) <= TARGET_TOL
 
 
 # -- scripted expert ---------------------------------------------------------
@@ -146,7 +160,7 @@ def is_success(st: EnvState) -> bool:
 
 def _toward(agent: np.ndarray, point: np.ndarray, gain: float = 1.0) -> np.ndarray:
     """Saturating proportional step toward a waypoint."""
-    return np.clip(gain * (point - agent) / STEP_SIZE, -1.0, 1.0)
+    return _clip(gain * (point - agent) / STEP_SIZE, -1.0, 1.0)
 
 
 def scripted_expert(st: EnvState) -> np.ndarray:
@@ -162,12 +176,12 @@ def scripted_expert(st: EnvState) -> np.ndarray:
     if stage_index(st) == 4:
         return np.zeros(D_A)
     to_target = st.target - st.block
-    d_bt = float(np.linalg.norm(to_target))
+    d_bt = _norm(to_target)
     u = to_target / max(d_bt, 1e-12)
     chase = st.block - 0.035 * u   # pushing waypoint, inside contact
     behind = st.block - 0.09 * u   # staging waypoint, outside contact
     to_block = st.block - st.agent
-    d_ab = float(np.linalg.norm(to_block))
+    d_ab = _norm(to_block)
     cos = float((to_block / d_ab) @ u) if d_ab > 1e-12 else 1.0
 
     if d_ab <= 0.12 and cos >= 0.75:
@@ -181,13 +195,12 @@ def scripted_expert(st: EnvState) -> np.ndarray:
         # pick the orbit direction that progresses toward the staging
         # point; near the symmetric (antipodal) case keep a fixed
         # chirality so the choice cannot alternate between steps
-        score = float(tangent @ to_stage) / max(float(np.linalg.norm(to_stage)),
-                                                1e-12)
+        score = float(tangent @ to_stage) / max(_norm(to_stage), 1e-12)
         if score < -0.3:
             tangent = -tangent
         outward = -to_block / max(d_ab, 1e-12)
         direction = tangent + 0.25 * outward  # tangent dominates: progress
-        return direction / float(np.linalg.norm(direction))
+        return direction / _norm(direction)
     return _toward(st.agent, behind)
 
 
@@ -241,7 +254,7 @@ def run_expert_episode(env_seed: int, noise_level: float,
     while not done:
         a = scripted_expert(st)
         if noise_level > 0.0:
-            a = np.clip(a + noise_level * rng.standard_normal(D_A), -1.0, 1.0)
+            a = _clip(a + noise_level * rng.standard_normal(D_A), -1.0, 1.0)
         st, obs, done = env_step(st, a)
         act_seq.append(a)
         obs_seq.append(obs)

@@ -58,29 +58,40 @@ def denoise_action_window(params: DenoiserParams, sched: NoiseSchedule,
     if not (1 <= n_steps <= sched.T):
         raise ValueError(f"n_steps {n_steps} outside [1, {sched.T}]")
     obs = policy_features(obs)  # same lift the denoiser was trained on
-    a = rng.standard_normal((params.T_p, params.d_a))
+    # the start window and, for ddpm, each step's z but the last (zero)
+    # in one draw, which consumes rng exactly as per-step draws would
+    noise = rng.standard_normal((n_steps if kind == "ddpm" else 1,
+                                 params.T_p, params.d_a))
+    a = noise[0]
     derived, idx = respaced_schedule(sched, n_steps)
+    ks = idx.tolist()
     # the default denoiser's step-invariant first-layer terms, per window
     ctx = denoiser_context(params, obs, idx) if forward_fn is None else None
 
     def predict_noise(j: int, a: np.ndarray) -> np.ndarray:
-        k = int(idx[j - 1])
         if ctx is None:
-            return forward_fn(params, obs, a, k)
-        return denoiser_forward(params, obs, a, k, ctx[j - 1])
+            return forward_fn(params, obs, a, ks[j - 1])
+        return denoiser_forward(params, obs, a, ks[j - 1], ctx[j - 1])
 
     if kind == "ddpm":
         for j in range(n_steps, 0, -1):
             eps_hat = predict_noise(j, a)
-            z = rng.standard_normal(a.shape) if j > 1 else np.zeros_like(a)
+            z = noise[n_steps - j + 1] if j > 1 else np.zeros_like(a)
             a = ddpm_reverse_step(derived, eps_hat, a, j, z)
     else:
         for j in range(n_steps, 0, -1):
-            k = int(idx[j - 1])
-            k_prev = int(idx[j - 2]) if j > 1 else 0
             eps_hat = predict_noise(j, a)
-            a = ddim_reverse_step(sched, eps_hat, a, k, k_prev)
+            a = ddim_reverse_step(sched, eps_hat, a, ks[j - 1],
+                                  ks[j - 2] if j > 1 else 0)
     return np.clip(a, -1.0, 1.0)
+
+
+def _fixed_pair(schedule) -> tuple[int, int]:
+    """A fixed ``(N_a, N_d)`` schedule as ints; N_a must be at least 1."""
+    na, nd = (int(v) for v in schedule)
+    if na < 1:
+        raise ValueError(f"fixed schedule horizon {na} must be >= 1")
+    return na, nd
 
 
 @dataclass(frozen=True)
@@ -105,12 +116,13 @@ def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
     ``schedule`` is either a fixed ``(N_a, N_d)`` pair or a
     SchedulerState, which is ticked once per replan to size the next
     action window from the current state; the trace records the active
-    stage (-1 for fixed runs).  ``seed`` drives only the denoising
-    noise; the initial condition comes from ``env_seed``.
+    stage (-1 for fixed runs).  A fixed horizon below 1 raises
+    ValueError before the first window.  ``seed`` drives only the
+    denoising noise; the initial condition comes from ``env_seed``.
     """
     scheduler = schedule if isinstance(schedule, SchedulerState) else None
     if scheduler is None:
-        na, nd = (int(v) for v in schedule)
+        na, nd = _fixed_pair(schedule)
     stage = -1
     rng = np.random.default_rng(seed)
     env = reset_env(env_seed)
@@ -190,9 +202,7 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
                              f"position {i}; the task has it at "
                              f"{STAGES.index(e.name)}")
     budgets = ([(e.name, e.num_inference_steps) for e in schedule.entries]
-               if use_table else [("fixed", schedule[1])])
-    if not use_table and schedule[0] < 1:
-        raise ValueError(f"fixed schedule horizon {schedule[0]} must be >= 1")
+               if use_table else [("fixed", _fixed_pair(schedule)[1])])
     for name, n_steps in budgets:
         if not 1 <= n_steps <= sched.T:
             raise ValueError(f"stage {name!r}: {n_steps} denoising steps "

@@ -225,10 +225,21 @@ def sanitize_json(raw: str) -> str:
     comma (only whitespace between it and a ] or }) that stops the
     decoder is dropped and the decode retried.  Raises StageParseError
     when no [ starts an array, or when the array nests too deeply."""
+    return _first_array(raw)[1]
+
+
+def _load_array(raw: str) -> list:
+    """The array sanitize_json recovers, decoded once."""
+    return _first_array(raw)[0]
+
+
+def _first_array(raw: str) -> tuple[list, str]:
+    """(decoded value, text) of the array sanitize_json describes."""
     text, start = raw, raw.find("[")
     while start != -1:
         try:
-            return text[start:_DECODER.raw_decode(text, start)[1]]
+            value, end = _DECODER.raw_decode(text, start)
+            return value, text[start:end]
         except json.JSONDecodeError as e:
             # reported at the closer (at the comma from Python 3.13 on)
             comma = text.rfind(",", start, e.pos + 1)
@@ -240,10 +251,6 @@ def sanitize_json(raw: str) -> str:
         except RecursionError as e:
             raise StageParseError("response nests too deeply") from e
     raise StageParseError("no JSON array found in response")
-
-
-def _load_array(text: str) -> list:
-    return json.loads(sanitize_json(text))
 
 
 # -- response parsing ---------------------------------------------------------

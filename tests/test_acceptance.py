@@ -3,7 +3,8 @@
 Each test exercises a full subsystem at its stated tolerance and prints
 one pass/fail line under pytest -v.  The slow entries (convergence-speed
 and scheduled-inference efficiency) train real policies and dominate the
-suite's runtime; their budgets are asserted explicitly.
+suite's runtime; their budgets are asserted explicitly.  Both carry the
+``slow`` marker, so ``pytest -m "not slow"`` skips them.
 """
 
 import json
@@ -11,6 +12,7 @@ import pathlib
 import time
 
 import numpy as np
+import pytest
 
 from diffpol.cli import main, run_from_manifest
 from diffpol.diffusion import (
@@ -180,6 +182,7 @@ def test_03_importance_sampling_is_unbiased():
     assert rel <= 0.01, f"IS estimate off by {rel:.4f} relative"
 
 
+@pytest.mark.slow
 def test_04_sampler_concentrates_and_keeps_entropy_guard():
     """A planted 5x-loss band on steps 40..60 of T=100 must collect at
     least 0.42 of the sampler's mass (2x uniform's 0.21) within
@@ -239,6 +242,7 @@ def test_05_hard_trajectories_get_oversampled():
     assert min_seen >= 1e-4 - 1e-12, f"weight floor broken: {min_seen:.2e}"
 
 
+@pytest.mark.slow
 def test_07_scheduled_inference_cuts_denoiser_calls():
     """A stage-scheduled DDPM policy (one (8, 40) stage, rest (16, 20))
     must spend at most half the denoiser calls per control step of the

@@ -18,6 +18,35 @@ def two_step():
     return schedule_from_betas(np.array([0.1, 0.2]))
 
 
+def uncached_respacing(s, n):
+    """The respacing arithmetic, computed afresh on every call."""
+    if n == 1:
+        idx = np.array([s.T], dtype=np.int64)
+    else:
+        idx = np.round(np.linspace(1, s.T, n)).astype(np.int64)
+    ab = s.alpha_bar[idx - 1]
+    prev = np.concatenate(([1.0], ab[:-1]))
+    return schedule_from_betas(1.0 - ab / prev), idx
+
+
+def numpy_scalar_ddpm(s, eps_hat, ak, k, z):
+    """ddpm_reverse_step with numpy-scalar coefficients."""
+    i = k - 1
+    eps_hat = np.asarray(eps_hat, dtype=np.float64)
+    coef = (1.0 - s.alpha[i]) / np.sqrt(1.0 - s.alpha_bar[i])
+    mean = (ak - coef * eps_hat) / np.sqrt(s.alpha[i])
+    return mean + s.sigma[i] * z
+
+
+def numpy_scalar_ddim(s, eps_hat, ak, k, k_prev):
+    """ddim_reverse_step with numpy-scalar coefficients."""
+    eps_hat = np.asarray(eps_hat, dtype=np.float64)
+    ab = s.alpha_bar[k - 1]
+    ab_prev = 1.0 if k_prev == 0 else s.alpha_bar[k_prev - 1]
+    a0_hat = (ak - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
+    return np.sqrt(ab_prev) * a0_hat + np.sqrt(1.0 - ab_prev) * eps_hat
+
+
 def oracle_eps_hat(s, a0, ak, k):
     # exact noise for a point-mass clean sequence: invert the forward map
     ab = s.alpha_bar[k - 1]
@@ -146,6 +175,37 @@ class TestDdpmReverseStep:
         np.testing.assert_allclose(ak, a0, atol=1e-6)
 
 
+class TestScalarCoefficients:
+    """The reverse steps take their coefficients as Python floats; the
+    outputs are the numpy-scalar forms' bit for bit, and a float32
+    eps_hat still computes in float64."""
+
+    @pytest.mark.parametrize("eps_dtype", [np.float64, np.float32])
+    def test_ddpm_matches_numpy_scalars(self, eps_dtype):
+        s = respaced_schedule(make_noise_schedule(100), 40)[0]
+        rng = np.random.default_rng(11)
+        for k in range(1, s.T + 1):
+            ak = rng.standard_normal((16, 2))
+            eh = rng.standard_normal((16, 2)).astype(eps_dtype)
+            z = rng.standard_normal((16, 2)) if k > 1 else np.zeros((16, 2))
+            got = ddpm_reverse_step(s, eh, ak, k, z)
+            assert got.dtype == np.float64
+            assert got.tobytes() == numpy_scalar_ddpm(s, eh, ak, k, z).tobytes()
+
+    @pytest.mark.parametrize("eps_dtype", [np.float64, np.float32])
+    def test_ddim_matches_numpy_scalars(self, eps_dtype):
+        s = make_noise_schedule(100)
+        rng = np.random.default_rng(12)
+        for k in range(1, s.T + 1):
+            for k_prev in {0, k // 2, k - 1}:
+                ak = rng.standard_normal((16, 2))
+                eh = rng.standard_normal((16, 2)).astype(eps_dtype)
+                got = ddim_reverse_step(s, eh, ak, k, k_prev)
+                want = numpy_scalar_ddim(s, eh, ak, k, k_prev)
+                assert got.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
+
+
 class TestDdimReverseStep:
     def test_point_mass_chain_recovers_exactly(self):
         s = make_noise_schedule(50)
@@ -225,6 +285,39 @@ class TestRespacedSchedule:
             eh = oracle_eps_hat(sub, a0, ak, k)
             ak = ddpm_reverse_step(sub, eh, ak, k, np.zeros_like(ak))
         np.testing.assert_allclose(ak, a0, atol=1e-6)
+
+    def test_memoised_result_matches_uncached_for_every_n(self):
+        s = make_noise_schedule(100)
+        for n in range(1, s.T + 1):
+            sub, idx = respaced_schedule(s, n)
+            want, want_idx = uncached_respacing(s, n)
+            assert sub.T == want.T == n
+            for name in ("beta", "alpha", "alpha_bar", "sigma"):
+                assert getattr(sub, name).tobytes() \
+                    == getattr(want, name).tobytes(), (n, name)
+            assert idx.dtype == want_idx.dtype
+            assert idx.tobytes() == want_idx.tobytes()
+
+    def test_equal_schedules_share_one_result(self):
+        a = respaced_schedule(make_noise_schedule(100), 7)
+        b = respaced_schedule(make_noise_schedule(100), 7)
+        assert a[0] is b[0] and a[1] is b[1]
+
+    def test_idx_is_read_only(self):
+        _, idx = respaced_schedule(make_noise_schedule(100), 10)
+        with pytest.raises(ValueError):
+            idx[0] = 5
+        assert respaced_schedule(make_noise_schedule(100), 10)[1][0] == 1
+
+    def test_same_length_different_betas_differ(self):
+        s1 = make_noise_schedule(50)
+        s2 = make_noise_schedule(50, 1e-3, 0.05)
+        for n in (1, 10, 50):
+            sub1, _ = respaced_schedule(s1, n)
+            sub2, _ = respaced_schedule(s2, n)
+            assert not np.array_equal(sub1.beta, sub2.beta)
+            assert sub2.beta.tobytes() \
+                == uncached_respacing(s2, n)[0].beta.tobytes()
 
     def test_rejects_out_of_range(self):
         s = make_noise_schedule(10)

@@ -1,5 +1,7 @@
 """Push world dynamics, stage labels, scripted expert, demo datasets."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from diffpol.env import (
     T_P,
     TARGET_TOL,
     DemoTrajectory,
+    _clip,
+    _norm,
     EnvState,
     env_step,
     generate_demos,
@@ -26,6 +30,11 @@ from diffpol.env import (
     scripted_expert,
     stage_index,
 )
+
+
+# sha256 of save_demos(generate_demos(20, seed=0, noise_level=0.1)),
+# recorded before the scalar helpers replaced np.linalg.norm and np.clip
+DEMO_GOLDEN = "473a4fb43fe1457f1de0f88bf854d79de35a5fdb0bc7cb203031cafa2c3c3571"
 
 
 def replay_episode(env_seed, actions):
@@ -103,6 +112,32 @@ class TestEnvBasics:
         st = reset_env(0)
         with pytest.raises(ValueError):
             env_step(st, np.zeros(3))
+
+
+def random_vectors(seed, n=10_000):
+    """2-vectors over magnitudes from subnormal to overflowing squares,
+    with signed zeros, infinities and NaN among them."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-320, 300, (n, 1))
+    v[:8] = [[0.0, -0.0], [-0.0, -0.0], [1.0, -1.0], [np.nan, 0.5],
+             [np.inf, -np.inf], [5e-324, -5e-324], [1e154, 1e154],
+             [-1e-160, 1e-160]]
+    return v
+
+
+class TestVectorHelpers:
+    def test_norm_matches_numpy_bit_for_bit(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v in random_vectors(0):
+                want = np.linalg.norm(v)
+                assert np.float64(_norm(v)).tobytes() == want.tobytes(), v
+
+    @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (0.0, 1.0)])
+    def test_clip_matches_numpy_bit_for_bit(self, lo, hi):
+        vs = random_vectors(1)
+        vs[8:4000] = np.round(vs[8:4000], 1)  # many ties with the bounds
+        for v in vs:
+            assert _clip(v, lo, hi).tobytes() == np.clip(v, lo, hi).tobytes()
 
 
 class TestStages:
@@ -189,6 +224,12 @@ class TestDemos:
         b = generate_demos(2, seed=3, noise_level=0.05)
         for ta, tb in zip(a.trajectories, b.trajectories):
             np.testing.assert_array_equal(ta.actions, tb.actions)
+
+    def test_bytes_match_golden(self, tmp_path):
+        """Pins the expert, the dynamics and the action-noise draws."""
+        p = tmp_path / "demos.bin"
+        save_demos(str(p), generate_demos(20, seed=0, noise_level=0.1))
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == DEMO_GOLDEN
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

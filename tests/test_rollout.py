@@ -7,9 +7,11 @@ import pytest
 from helpers import expert_forward_fn, expert_window, zero_forward_fn
 
 import diffpol.rollout
-from diffpol.diffusion import make_noise_schedule
+from diffpol.diffusion import ddim_reverse_step, ddpm_reverse_step, \
+    make_noise_schedule, respaced_schedule
 from diffpol.env import MAX_STEPS, T_P, observe, policy_features, reset_env
-from diffpol.nets import _embed_table, init_params, mlp_forward
+from diffpol.nets import _embed_table, denoiser_context, denoiser_forward, \
+    init_params, mlp_forward
 from diffpol.rollout import (
     EpisodeResult,
     Metrics,
@@ -30,6 +32,25 @@ def tiny_params(seed=0):
     d_feat = policy_features(np.zeros(6)).size
     return init_params(seed, d_o=d_feat, T_p=T_P, d_a=2, hidden=16,
                        embed_dim=8, T=100)
+
+
+def per_step_draw_window(p, sched, obs, n_steps, kind, rng):
+    """The reverse chain with the start window and each z drawn in
+    separate calls, in chain order."""
+    obs = policy_features(obs)
+    a = rng.standard_normal((p.T_p, p.d_a))
+    derived, idx = respaced_schedule(sched, n_steps)
+    ctx = denoiser_context(p, obs, idx)
+    for j in range(n_steps, 0, -1):
+        k = int(idx[j - 1])
+        eps_hat = denoiser_forward(p, obs, a, k, ctx[j - 1])
+        if kind == "ddpm":
+            z = rng.standard_normal(a.shape) if j > 1 else np.zeros_like(a)
+            a = ddpm_reverse_step(derived, eps_hat, a, j, z)
+        else:
+            k_prev = int(idx[j - 2]) if j > 1 else 0
+            a = ddim_reverse_step(sched, eps_hat, a, k, k_prev)
+    return np.clip(a, -1.0, 1.0)
 
 
 class TestDenoiseWindow:
@@ -88,6 +109,24 @@ class TestDenoiseWindow:
                                          np.random.default_rng(n_steps),
                                          forward_fn=concat_forward)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n_steps", [1, 2, 20, 100])
+    @pytest.mark.parametrize("kind", ["ddpm", "ddim"])
+    def test_matches_per_step_draws(self, kind, n_steps, dtype):
+        """One draw per window gives the per-step draws' window bit for
+        bit and leaves the generator where they leave it."""
+        p = tiny_params(6)
+        p = replace(p, net=p.net.astype(dtype))
+        obs = observe(reset_env(n_steps))
+        rng_a = np.random.default_rng(40 + n_steps)
+        rng_b = np.random.default_rng(40 + n_steps)
+        got = denoise_action_window(p, SCHED, obs, n_steps, kind, rng_a)
+        want = per_step_draw_window(p, SCHED, obs, n_steps, kind, rng_b)
+        assert got.tobytes() == want.tobytes()
+        assert rng_a.standard_normal(4).tobytes() \
+            == rng_b.standard_normal(4).tobytes()
 
 
 class TestRollout:
@@ -190,6 +229,17 @@ class TestRollout:
         with pytest.raises(ValueError):
             rollout(tiny_params(), SCHED, 0, (8, 500), "ddpm",
                     forward_fn=zero_forward_fn(SCHED))
+
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_rejects_nonpositive_fixed_horizon(self, horizon, monkeypatch):
+        def no_window(*args, **kwargs):
+            raise AssertionError("a window was drawn")
+
+        monkeypatch.setattr(diffpol.rollout, "denoise_action_window",
+                            no_window)
+        with pytest.raises(ValueError, match="horizon"):
+            rollout(tiny_params(), SCHED, 0, (horizon, 10))
 
 
 class TestEvaluate:

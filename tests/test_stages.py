@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import diffpol.stages
 from diffpol.env import TASK_DESCRIPTION
 from diffpol.stages import (
     ScheduleEntry,
@@ -135,6 +136,35 @@ class TestSanitizeJson:
             sanitize_json("there is no structured data here")
         with pytest.raises(StageParseError):
             sanitize_json('{"name": "object, not array"}')
+
+
+class TestDecodeOnce:
+    @pytest.mark.parametrize("parse", [
+        lambda t: parse_stage_templates(t, 5),
+        lambda t: parse_schedule(t, push_stage_templates()),
+    ], ids=["templates", "schedule"])
+    def test_reply_is_decoded_once(self, parse, monkeypatch):
+        """The parsers decode the recovered array once, with no second
+        json.loads of its text."""
+        decodes = []
+        raw_decode = diffpol.stages._DECODER.raw_decode
+
+        def counting(text, idx=0):
+            decodes.append(idx)
+            return raw_decode(text, idx)
+
+        def no_loads(*args, **kwargs):
+            raise AssertionError("json.loads re-decoded the reply")
+
+        monkeypatch.setattr(diffpol.stages._DECODER, "raw_decode", counting)
+        monkeypatch.setattr(diffpol.stages.json, "loads", no_loads)
+        entries = ",".join(
+            f'{{"name": "{t.name}", "description": "{t.description}", '
+            f'"n_action_steps": 8, "num_inference_steps": 20}}'
+            for t in push_stage_templates())
+        parse(f"Here you go:\n```json\n[{entries},]\n```")
+        # one failed try at the trailing comma, then one decode
+        assert len(decodes) == 2
 
 
 class TestParseStageTemplates:
