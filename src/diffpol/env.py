@@ -6,6 +6,12 @@ reach, complete -- each a deterministic function of the geometry, so an
 oracle can label the stage at any time without a classifier.  All
 dynamics are deterministic given the action sequence; randomness enters
 only through the seeded initial placement and optional action noise.
+
+Rollouts step one state at a time (``env_step``).  Noise-free
+demonstrations are collected in lockstep, all pending episodes through
+one batched expert and transition; noisy ones one at a time, so the
+shared generator draws their noise in episode order.  The dataset bytes
+equal those of the earlier episode-by-episode collector.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # geometry and episode limits
 CONTACT_RADIUS = 0.05   # agent-block distance at which pushing engages
@@ -27,6 +34,7 @@ MAX_STEPS = 200
 D_O = 6                 # observation: agent, block, target positions
 D_A = 2                 # action: planar agent velocity in [-1, 1]
 T_P = 16                # action window length used everywhere downstream
+LOCKSTEP_BATCH = 256    # episodes per collection round (~3 MB of buffers)
 
 STAGES = ("approach", "align", "push", "reach", "complete")
 DEMO_MAGIC = b"DIFFDEM1"
@@ -53,6 +61,16 @@ def _clip(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     half its call overhead on the small vectors here.  The bound comes
     first so that a tie returns the bound, as ``np.clip`` does."""
     return np.minimum(hi, np.maximum(lo, v))
+
+
+_QUARTER_TURN = np.array([-1.0, 1.0])  # (x, y)[::-1] * this = (-y, x)
+_OVERLAP_PUSH = np.array([1.0, 0.0])   # push direction at full overlap
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Row lengths of an (n, 2) array, each equal to ``_norm`` of the row
+    bit for bit (``vecdot`` takes the same dot product per row)."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def reset_env(seed: int) -> EnvState:
@@ -155,53 +173,79 @@ def is_success(st: EnvState) -> bool:
     return _norm(st.block - st.target) <= TARGET_TOL
 
 
+def step_batch(agent: np.ndarray, block: np.ndarray, target: np.ndarray,
+               actions: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``env_step``'s push rule for (n, 2) rows at once: returns the next
+    agent and block positions and whether each block is at its target.
+
+    A second form of the same transition, kept for demo collection;
+    ``env_step`` stays scalar because the rollout calls it once per
+    control step, where a batch of one would cost twice as much.  Tests
+    pin the two to each other bit for bit.
+    """
+    a = _clip(actions, -1.0, 1.0)
+    agent = _clip(agent + STEP_SIZE * a, 0.0, 1.0)
+    d = _norms(block - agent)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direction = np.where(d < 1e-9, _OVERLAP_PUSH, (block - agent) / d)
+    pushed = _clip(agent + CONTACT_RADIUS * direction, 0.0, 1.0)
+    block = np.where(d < CONTACT_RADIUS, pushed, block)
+    return agent, block, _norms(block - target) <= TARGET_TOL
+
+
 # -- scripted expert ---------------------------------------------------------
 
 
-def _toward(agent: np.ndarray, point: np.ndarray, gain: float = 1.0) -> np.ndarray:
-    """Saturating proportional step toward a waypoint."""
-    return _clip(gain * (point - agent) / STEP_SIZE, -1.0, 1.0)
-
-
-def scripted_expert(st: EnvState) -> np.ndarray:
-    """Deterministic proportional controller, a pure function of state.
+def expert_actions(agent: np.ndarray, block: np.ndarray,
+                   target: np.ndarray) -> np.ndarray:
+    """Deterministic proportional controller for (n, 2) rows of states;
+    row i is a pure function of (agent[i], block[i], target[i]).
 
     Far from the block it walks to a staging point behind the block
     (detouring sideways rather than bumping the block off line); once
     roughly behind it chases a waypoint just inside the contact radius,
     which both pushes the block toward the target and continuously
     steers the agent back onto the push line, slowing inside the reach
-    radius for the final placement.
+    radius for the final placement.  A block at its target gets the
+    zero action.  Every branch is evaluated for every row and the
+    row's own branch is selected.
     """
-    if stage_index(st) == 4:
-        return np.zeros(D_A)
-    to_target = st.target - st.block
-    d_bt = _norm(to_target)
-    u = to_target / max(d_bt, 1e-12)
-    chase = st.block - 0.035 * u   # pushing waypoint, inside contact
-    behind = st.block - 0.09 * u   # staging waypoint, outside contact
-    to_block = st.block - st.agent
-    d_ab = _norm(to_block)
-    cos = float((to_block / d_ab) @ u) if d_ab > 1e-12 else 1.0
+    to_target = target - block
+    d_bt = _norms(to_target)[:, None]
+    u = to_target / np.maximum(d_bt, 1e-12)
+    to_block = block - agent
+    d_ab = _norms(to_block)[:, None]
+    v = to_block / np.maximum(d_ab, 1e-12)
+    # roughly behind the block (or on it): chase the pushing waypoint,
+    # inside contact; otherwise head for the staging waypoint, outside
+    pushing = (d_ab <= 0.12) \
+        & ((d_ab <= 1e-12) | (np.vecdot(v, u)[:, None] >= 0.75))
+    behind = block - 0.09 * u
+    waypoint = np.where(pushing, block - 0.035 * u, behind)
+    gain = np.where(pushing & (d_bt <= REACH_RADIUS), 0.5, 1.0)
+    toward = _clip(gain * (waypoint - agent) / STEP_SIZE, -1.0, 1.0)
 
-    if d_ab <= 0.12 and cos >= 0.75:
-        gain = 0.5 if d_bt <= REACH_RADIUS else 1.0
-        return _toward(st.agent, chase, gain)
-    # navigate to the staging point; when close on the wrong side,
-    # slide around the block instead of bumping it off line
-    if d_ab < 0.085:
-        to_stage = behind - st.agent
-        tangent = np.array([-to_block[1], to_block[0]]) / max(d_ab, 1e-12)
-        # pick the orbit direction that progresses toward the staging
-        # point; near the symmetric (antipodal) case keep a fixed
-        # chirality so the choice cannot alternate between steps
-        score = float(tangent @ to_stage) / max(_norm(to_stage), 1e-12)
-        if score < -0.3:
-            tangent = -tangent
-        outward = -to_block / max(d_ab, 1e-12)
-        direction = tangent + 0.25 * outward  # tangent dominates: progress
-        return direction / _norm(direction)
-    return _toward(st.agent, behind)
+    # close on the wrong side: slide around the block instead of bumping
+    # it off line, in the orbit direction that progresses toward the
+    # staging point; near the symmetric (antipodal) case keep a fixed
+    # chirality so the choice cannot alternate between steps
+    to_stage = behind - agent
+    tangent = v[:, ::-1] * _QUARTER_TURN
+    score = np.vecdot(tangent, to_stage)[:, None] \
+        / np.maximum(_norms(to_stage)[:, None], 1e-12)
+    tangent = np.where(score < -0.3, -tangent, tangent)
+    direction = tangent - 0.25 * v  # tangent dominates: progress
+    with np.errstate(invalid="ignore"):  # 0/0 only on rows not orbiting
+        orbit = direction / _norms(direction)[:, None]
+
+    act = np.where(~pushing & (d_ab < 0.085), orbit, toward)
+    return np.where(d_bt <= TARGET_TOL, 0.0, act)
+
+
+def scripted_expert(st: EnvState) -> np.ndarray:
+    """The expert's action for one state: a batch of one."""
+    return expert_actions(st.agent[None], st.block[None], st.target[None])[0]
 
 
 # -- demonstrations ----------------------------------------------------------
@@ -242,55 +286,79 @@ class DemoDataset:
         return T_P
 
 
-def run_expert_episode(env_seed: int, noise_level: float,
-                       rng: np.random.Generator
-                       ) -> tuple[list[np.ndarray], list[np.ndarray], bool, int]:
-    """Roll the scripted expert with optional action noise; returns the
-    observation sequence, executed actions, success flag, and length."""
-    st = reset_env(env_seed)
-    obs_seq = [observe(st)]
-    act_seq: list[np.ndarray] = []
-    done = False
-    while not done:
-        a = scripted_expert(st)
+def collect_episodes(seeds: range, noise_level: float,
+                     rng: np.random.Generator
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Roll the scripted expert from every seeded start in lockstep; an
+    episode leaves the batch when it ends.  Returns lengths (k,), success
+    flags (k,), observations (k, MAX_STEPS + 1, D_O) and actions
+    (k, MAX_STEPS, D_A); rows past an episode's length are unwritten.
+    With noise, the episodes' draws interleave step by step.
+    """
+    k = len(seeds)
+    obs = np.empty((k, MAX_STEPS + 1, D_O))
+    acts = np.empty((k, MAX_STEPS, D_A))
+    obs[:, 0] = [observe(reset_env(s)) for s in seeds]
+    agent, block, target = obs[:, 0, 0:2], obs[:, 0, 2:4], obs[:, 0, 4:6]
+    lengths = np.zeros(k, dtype=np.int64)
+    success = np.zeros(k, dtype=bool)
+    rows = np.arange(k)
+    for t in range(1, MAX_STEPS + 1):
+        a = expert_actions(agent, block, target)
         if noise_level > 0.0:
-            a = _clip(a + noise_level * rng.standard_normal(D_A), -1.0, 1.0)
-        st, obs, done = env_step(st, a)
-        act_seq.append(a)
-        obs_seq.append(obs)
-    return obs_seq, act_seq, is_success(st), st.t
+            a = _clip(a + noise_level * rng.standard_normal(a.shape),
+                      -1.0, 1.0)
+        agent, block, reached = step_batch(agent, block, target, a)
+        acts[rows, t - 1] = a
+        obs[rows, t] = np.concatenate([agent, block, target], axis=1)
+        done = reached | (t >= MAX_STEPS)
+        if done.any():
+            lengths[rows[done]] = t
+            success[rows[done]] = reached[done]
+            live = ~done
+            rows, agent, block, target = \
+                rows[live], agent[live], block[live], target[live]
+            if not rows.size:
+                break
+    return lengths, success, obs, acts
 
 
 def generate_demos(n: int, seed: int, noise_level: float = 0.0) -> DemoDataset:
     """Collect n successful expert episodes as overlapping windows.
 
-    Episodes that fail, or end before one full window fits, are redrawn
-    (bounded retries).  Each episode of length L yields L - T_P + 1
-    windows pairing the observation at step t with actions t..t+T_P-1.
+    Seeds seed, seed + 1, ... are tried in rounds of at most
+    LOCKSTEP_BATCH episodes (one episode per round with action noise,
+    which keeps the generator's draw order); episodes that fail, or end
+    before one full window fits, are skipped, so the result is the first
+    n successes in seed order, within 20 n attempts.  Each episode of
+    length L yields L - T_P + 1 windows pairing the observation at step
+    t with actions t..t+T_P-1.
     """
     if n < 1:
         raise ValueError("need at least one demonstration")
     if noise_level < 0.0:
         raise ValueError("noise_level must be >= 0")
     rng = np.random.default_rng(seed)
+    batch = 1 if noise_level > 0.0 else LOCKSTEP_BATCH
     trajectories: list[DemoTrajectory] = []
-    attempts = 0
-    next_seed = seed
+    next_seed, attempts_left = seed, 20 * n
     while len(trajectories) < n:
-        attempts += 1
-        if attempts > 20 * n:
+        k = min(n - len(trajectories), batch, attempts_left)
+        if k == 0:
             raise RuntimeError("expert failed too often; check noise_level")
-        env_seed = next_seed
-        next_seed += 1
-        obs_seq, act_seq, ok, length = run_expert_episode(
-            env_seed, noise_level, rng)
-        if not ok or length < T_P:
-            continue
-        n_w = length - T_P + 1
-        obs = np.stack(obs_seq[:n_w])
-        acts = np.stack([np.stack(act_seq[t:t + T_P]) for t in range(n_w)])
-        trajectories.append(DemoTrajectory(env_seed=env_seed, length=length,
-                                           obs=obs, actions=acts))
+        seeds = range(next_seed, next_seed + k)
+        next_seed += k
+        attempts_left -= k
+        lengths, success, obs, acts = collect_episodes(seeds, noise_level, rng)
+        for i, env_seed in enumerate(seeds):
+            length = int(lengths[i])
+            if not success[i] or length < T_P:
+                continue
+            windows = sliding_window_view(acts[i, :length], (T_P, D_A))
+            trajectories.append(DemoTrajectory(
+                env_seed=env_seed, length=length,
+                obs=obs[i, :length - T_P + 1].copy(),
+                actions=windows[:, 0].copy()))
     return DemoDataset(trajectories)
 
 
@@ -308,19 +376,33 @@ def save_demos(path: str, ds: DemoDataset) -> None:
 
 
 def load_demos(path: str) -> DemoDataset:
+    """Read a ``save_demos`` file.  Any header or size that does not
+    describe a well-formed dataset is a ``ValueError`` naming the path."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != DEMO_MAGIC:
         raise ValueError(f"{path}: not a demo dataset (bad magic)")
+    off = 8 + 4 * 8
+    if len(blob) < off:
+        raise ValueError(f"{path}: truncated header")
     n_traj, d_o, d_a, t_p = struct.unpack_from("<4q", blob, 8)
     if (d_o, d_a, t_p) != (D_O, D_A, T_P):
         raise ValueError(f"{path}: dims {(d_o, d_a, t_p)} do not match "
                          f"{(D_O, D_A, T_P)}")
-    off = 8 + 4 * 8
+    if n_traj < 1:
+        raise ValueError(f"{path}: {n_traj} trajectories")
     trajectories = []
-    for _ in range(n_traj):
+    for i in range(n_traj):
+        if len(blob) < off + 3 * 8:
+            raise ValueError(f"{path}: trajectory {i}: truncated header")
         env_seed, length, n_w = struct.unpack_from("<3q", blob, off)
         off += 3 * 8
+        if n_w < 1 or n_w != length - t_p + 1:
+            raise ValueError(f"{path}: trajectory {i}: {n_w} windows for "
+                             f"length {length} (need length - {t_p} + 1 "
+                             f">= 1)")
+        if len(blob) < off + n_w * (d_o + t_p * d_a) * 8:
+            raise ValueError(f"{path}: trajectory {i}: truncated payload")
         obs = np.frombuffer(blob, dtype="<f8", count=n_w * d_o, offset=off)
         off += n_w * d_o * 8
         acts = np.frombuffer(blob, dtype="<f8", count=n_w * t_p * d_a,
