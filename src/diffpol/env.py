@@ -7,11 +7,12 @@ oracle can label the stage at any time without a classifier.  All
 dynamics are deterministic given the action sequence; randomness enters
 only through the seeded initial placement and optional action noise.
 
-Rollouts step one state at a time (``env_step``).  Noise-free
-demonstrations are collected in lockstep, all pending episodes through
-one batched expert and transition; noisy ones one at a time, so the
-shared generator draws their noise in episode order.  The dataset bytes
-equal those of the earlier episode-by-episode collector.
+``env_step`` (one state) and ``step_batch`` (rows) are one transition:
+each returns the next state and whether the block is at its target, and
+the episode loops count steps against MAX_STEPS.  Noise-free demos are
+collected in lockstep through the batched expert and transition; noisy
+ones one episode at a time, so the shared generator draws their noise in
+episode order.  The bytes equal the episode-by-episode collector's.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class EnvState:
     agent: np.ndarray
     block: np.ndarray
     target: np.ndarray
-    t: int = 0
 
 
 def _norm(v: np.ndarray) -> float:
@@ -141,14 +141,14 @@ def stage_index(st: EnvState) -> int:
     return 0
 
 
-def env_step(st: EnvState, action: np.ndarray) -> tuple[EnvState, np.ndarray, bool]:
+def env_step(st: EnvState, action: np.ndarray) -> tuple[EnvState, bool]:
     """Advance one control step.
 
     The agent moves by STEP_SIZE * clip(action); if it ends up inside
     the contact radius the block is displaced outward along the
     agent-block line until the separation is exactly the contact radius
-    (a rigid frictionless push).  Returns (state', observation, done);
-    done is success (block at target) or the step limit.
+    (a rigid frictionless push).  Returns (state', reached): whether the
+    block is at its target, as ``step_batch`` returns it per row.
     """
     action = np.asarray(action, dtype=np.float64)
     if action.shape != (D_A,):
@@ -163,27 +163,17 @@ def env_step(st: EnvState, action: np.ndarray) -> tuple[EnvState, np.ndarray, bo
         else:
             direction = (block - agent) / d
         block = _clip(agent + CONTACT_RADIUS * direction, 0.0, 1.0)
-    nxt = EnvState(agent=agent, block=block, target=st.target, t=st.t + 1)
-    d_bt = _norm(block - st.target)
-    done = d_bt <= TARGET_TOL or nxt.t >= MAX_STEPS
-    return nxt, observe(nxt), done
-
-
-def is_success(st: EnvState) -> bool:
-    return _norm(st.block - st.target) <= TARGET_TOL
+    reached = _norm(block - st.target) <= TARGET_TOL
+    return EnvState(agent=agent, block=block, target=st.target), reached
 
 
 def step_batch(agent: np.ndarray, block: np.ndarray, target: np.ndarray,
                actions: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``env_step``'s push rule for (n, 2) rows at once: returns the next
-    agent and block positions and whether each block is at its target.
-
-    A second form of the same transition, kept for demo collection;
-    ``env_step`` stays scalar because the rollout calls it once per
-    control step, where a batch of one would cost twice as much.  Tests
-    pin the two to each other bit for bit.
-    """
+    """``env_step`` for (n, 2) rows: the next agent and block positions
+    and whether each block is at its target.  Tests pin the two forms
+    bit for bit; the rollout keeps the scalar one, since a batch of one
+    would cost twice as much per control step."""
     a = _clip(actions, -1.0, 1.0)
     agent = _clip(agent + STEP_SIZE * a, 0.0, 1.0)
     d = _norms(block - agent)[:, None]
@@ -376,8 +366,8 @@ def save_demos(path: str, ds: DemoDataset) -> None:
 
 
 def load_demos(path: str) -> DemoDataset:
-    """Read a ``save_demos`` file.  Any header or size that does not
-    describe a well-formed dataset is a ``ValueError`` naming the path."""
+    """Read a ``save_demos`` file.  A malformed header or size, or a
+    non-finite value, is a ``ValueError`` naming the path."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != DEMO_MAGIC:
@@ -408,6 +398,9 @@ def load_demos(path: str) -> DemoDataset:
         acts = np.frombuffer(blob, dtype="<f8", count=n_w * t_p * d_a,
                              offset=off)
         off += n_w * t_p * d_a * 8
+        for what, a in (("observation", obs), ("action", acts)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{path}: trajectory {i}: non-finite {what}")
         trajectories.append(DemoTrajectory(
             env_seed=env_seed, length=length,
             obs=obs.reshape(n_w, d_o).astype(np.float64),

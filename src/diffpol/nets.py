@@ -395,6 +395,8 @@ def load_checkpoint(path: str) -> DenoiserParams:
         raise ValueError(f"{path}: payload size mismatch")
     flat = np.frombuffer(blob, dtype="<f8", offset=HEADER_BYTES).astype(
         np.float64)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path}: non-finite weight")
     return DenoiserParams(d_o=d_o, T_p=T_p, d_a=d_a, embed_dim=embed_dim,
                           hidden=hidden, T=T,
                           net=MlpParams.from_flat(flat, shapes),

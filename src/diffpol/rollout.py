@@ -1,12 +1,11 @@
 """Receding-horizon rollout, evaluation metrics, and speedup comparison.
 
-A rollout repeatedly denoises a full action window from Gaussian noise,
-executes the first few actions, and replans.  The budget per replan is
-either fixed or supplied by the stage scheduler, which classifies the
-current state once per replan.  Every denoiser invocation is counted:
-the call count is the hardware-independent cost metric, with wall time
-recorded separately and excluded from equality so seeded rollouts stay
-bit-reproducible.
+A rollout runs window by window: each replan takes a horizon N_a and a
+step count N_d, fixed or from the stage scheduler, denoises one action
+window with N_d denoiser calls, records (step, stage, N_a, N_d), and
+runs the window's first N_a actions open loop.  Denoiser calls, the
+hardware-independent cost metric, are summed over the replans; wall
+time is excluded from equality so seeded rollouts stay bit-reproducible.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ import numpy as np
 
 from .diffusion import NoiseSchedule, ddim_reverse_step, ddpm_reverse_step, \
     respaced_schedule
-from .env import MAX_STEPS, STAGES, env_step, is_success, observe, \
-    policy_features, reset_env
+from .env import MAX_STEPS, STAGES, env_step, observe, policy_features, \
+    reset_env
 from .nets import DenoiserParams, denoiser_context, denoiser_forward
 from .scheduling import SchedulerState, scheduler_tick
 from .stages import ScheduleEntry, ScheduleTable
@@ -98,9 +97,12 @@ def _fixed_pair(schedule) -> tuple[int, int]:
 class EpisodeResult:
     success: bool
     steps: int
-    denoiser_calls: int
-    trace: tuple[tuple[int, int, int, int], ...]  # (step, stage, N_a, N_d)
+    replans: tuple[tuple[int, int, int, int], ...]  # (step, stage, N_a, N_d)
     wall_time: float = field(compare=False, default=0.0)
+
+    @property
+    def denoiser_calls(self) -> int:
+        return sum(nd for _, _, _, nd in self.replans)
 
     @property
     def early_success(self) -> bool:
@@ -115,10 +117,11 @@ def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
 
     ``schedule`` is either a fixed ``(N_a, N_d)`` pair or a
     SchedulerState, which is ticked once per replan to size the next
-    action window from the current state; the trace records the active
-    stage (-1 for fixed runs).  A fixed horizon below 1 raises
-    ValueError before the first window.  ``seed`` drives only the
-    denoising noise; the initial condition comes from ``env_seed``.
+    action window from the current state; a replan's record holds its
+    first step and stage (-1 for fixed runs).  A window runs until the
+    block reaches the target or the episode reaches MAX_STEPS.  A fixed
+    horizon below 1 raises ValueError before the first window.  ``seed``
+    drives only the denoising noise; ``env_seed``, the initial condition.
     """
     scheduler = schedule if isinstance(schedule, SchedulerState) else None
     if scheduler is None:
@@ -126,29 +129,23 @@ def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
     stage = -1
     rng = np.random.default_rng(seed)
     env = reset_env(env_seed)
-    pending: list[np.ndarray] = []
-    trace: list[tuple[int, int, int, int]] = []
-    calls = 0
-    step = 0
+    replans: list[tuple[int, int, int, int]] = []
+    step, reached = 0, False
     t0 = time.perf_counter()
-    done = False
-    while not done:
-        if not pending:
-            if scheduler is not None:
-                na, nd, scheduler = scheduler_tick(scheduler, env)
-                stage = scheduler.active
-            window = denoise_action_window(params, sched, observe(env), nd,
-                                           sampler_kind, rng, forward_fn)
-            calls += nd
-            pending = [window[i] for i in range(min(na, window.shape[0]))]
-        action = pending.pop(0)
-        trace.append((step, stage, na, nd))
-        env, _, done = env_step(env, action)
-        step += 1
-    wall = time.perf_counter() - t0
-    return EpisodeResult(success=is_success(env), steps=step,
-                         denoiser_calls=calls, trace=tuple(trace),
-                         wall_time=wall)
+    while not reached and step < MAX_STEPS:
+        if scheduler is not None:
+            na, nd, scheduler = scheduler_tick(scheduler, env)
+            stage = scheduler.active
+        window = denoise_action_window(params, sched, observe(env), nd,
+                                       sampler_kind, rng, forward_fn)
+        replans.append((step, stage, na, nd))
+        for action in window[:min(na, MAX_STEPS - step)]:
+            env, reached = env_step(env, action)
+            step += 1
+            if reached:
+                break
+    return EpisodeResult(success=reached, steps=step, replans=tuple(replans),
+                         wall_time=time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ parameters are float64, like every artifact.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -258,8 +259,11 @@ class TrainConfig:
             raise ValueError("total_steps must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.warmup < 0:
-            raise ValueError("warmup must be >= 0")
+        for name in ("warmup", "eval_every", "snapshot_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32' or 'float64', "
                              f"got {self.dtype!r}")

@@ -47,7 +47,7 @@ def expert_window(obs: np.ndarray) -> np.ndarray:
     for i in range(T_P):
         a = scripted_expert(st)
         acts[i] = a
-        st, _, _ = env_step(st, a)
+        st, _ = env_step(st, a)
     return acts
 
 

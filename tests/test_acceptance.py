@@ -194,7 +194,7 @@ def test_04_sampler_concentrates_and_keeps_entropy_guard():
     ts = make_timestep_sampler(0, T=T, warmup=warmup, entropy_coef=1.0)
     rng = np.random.default_rng(100)
     for step in range(warmup + 2000):
-        ks = np.array([sample_timestep(ts, rng, step) for _ in range(batch)])
+        ks = sample_timestep(ts, rng, step, size=batch)
         base = rng.normal(1.0, 0.1, size=batch)
         losses = np.where((ks >= 40) & (ks <= 60), 5.0 * base, base)
         if step >= warmup:
@@ -205,7 +205,7 @@ def test_04_sampler_concentrates_and_keeps_entropy_guard():
     ts = make_timestep_sampler(0, T=T, warmup=warmup, entropy_coef=1.0)
     rng = np.random.default_rng(200)
     for step in range(warmup + 2000):
-        ks = np.array([sample_timestep(ts, rng, step) for _ in range(batch)])
+        ks = sample_timestep(ts, rng, step, size=batch)
         losses = rng.normal(1.0, 0.1, size=batch)
         if step >= warmup:
             sampler_update_batch(ts, ks, normalize_rewards(losses))
@@ -227,8 +227,7 @@ def test_05_hard_trajectories_get_oversampled():
     counts = np.zeros(n_traj)
     min_seen = np.inf
     for step in range(steps):
-        idxs = np.array([weighted_sample_index(tw, rng)
-                         for _ in range(batch)])
+        idxs = weighted_sample_index(tw, rng, size=batch)
         base = rng.normal(1.0, 0.1, size=batch)
         losses = np.where(np.isin(idxs, hard), 3.0 * base, base)
         alpha = anneal_alpha(step, steps)

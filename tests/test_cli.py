@@ -170,6 +170,23 @@ class TestResolve:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", [
+        {"lr": -1e-3}, {"lr": 0.0}, {"lr": float("nan")},
+        {"lr": float("inf")}, {"eval_every": -5}, {"snapshot_every": -1},
+    ], ids=["lr-negative", "lr-zero", "lr-nan", "lr-inf", "eval-every",
+            "snapshot-every"])
+    def test_bad_train_numbers_exit_1_before_out(self, tmp_path, demo_file,
+                                                 bad, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(bad))
+        out = tmp_path / "run"
+        rc = main(["train", "--steps", "2", "--config", str(cfg),
+                   "--data", demo_file, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and next(iter(bad)) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--policy", "{junk}"],
         ["bench", "--policy", "{junk}"],

@@ -26,7 +26,6 @@ from diffpol.env import (
     env_step,
     expert_actions,
     generate_demos,
-    is_success,
     load_demos,
     observe,
     reset_env,
@@ -55,19 +54,20 @@ DEMO_GOLDENS = {
 
 
 def replay_episode(env_seed, actions):
-    """Open-loop replay of recorded actions from the seeded start."""
+    """Open-loop replay of recorded actions from the seeded start:
+    whether the block reaches the target within the step limit."""
     st = reset_env(env_seed)
-    for a in actions:
-        st, _, done = env_step(st, a)
-        if done:
-            break
-    return is_success(st)
+    for a in actions[:env.MAX_STEPS]:
+        st, reached = env_step(st, a)
+        if reached:
+            return True
+    return False
 
 
-def make_state(agent, block, target, t=0):
+def make_state(agent, block, target):
     return EnvState(agent=np.array(agent, dtype=float),
                     block=np.array(block, dtype=float),
-                    target=np.array(target, dtype=float), t=t)
+                    target=np.array(target, dtype=float))
 
 
 class TestEnvBasics:
@@ -92,38 +92,39 @@ class TestEnvBasics:
 
     def test_step_moves_agent(self):
         st = make_state([0.5, 0.5], [0.9, 0.9], [0.2, 0.2])
-        nxt, obs, done = env_step(st, np.array([1.0, -0.5]))
+        nxt, reached = env_step(st, np.array([1.0, -0.5]))
         np.testing.assert_allclose(nxt.agent,
                                    [0.5 + STEP_SIZE, 0.5 - 0.5 * STEP_SIZE])
         np.testing.assert_array_equal(nxt.block, st.block)
-        assert not done and nxt.t == 1
+        assert reached is False
 
     def test_action_clipped(self):
         st = make_state([0.5, 0.5], [0.9, 0.9], [0.2, 0.2])
-        big, _, _ = env_step(st, np.array([10.0, 0.0]))
-        one, _, _ = env_step(st, np.array([1.0, 0.0]))
+        big, _ = env_step(st, np.array([10.0, 0.0]))
+        one, _ = env_step(st, np.array([1.0, 0.0]))
         np.testing.assert_array_equal(big.agent, one.agent)
 
     def test_push_resolution(self):
         # agent stepping into the block shoves it out to exact contact
         st = make_state([0.456, 0.5], [0.5, 0.5], [0.9, 0.5])
-        nxt, _, _ = env_step(st, np.array([1.0, 0.0]))
+        nxt, _ = env_step(st, np.array([1.0, 0.0]))
         d = np.linalg.norm(nxt.block - nxt.agent)
         assert abs(d - CONTACT_RADIUS) < 1e-12
         assert nxt.block[0] > 0.5  # pushed along the contact line
 
     def test_no_pull(self):
         st = make_state([0.44, 0.5], [0.5, 0.5], [0.9, 0.5])
-        nxt, _, _ = env_step(st, np.array([-1.0, 0.0]))
+        nxt, _ = env_step(st, np.array([-1.0, 0.0]))
         np.testing.assert_array_equal(nxt.block, st.block)
 
-    def test_done_on_success_and_timeout(self):
+    def test_reached_only_at_the_target(self):
+        # the step limit belongs to the episode loops (see test_rollout)
         st = make_state([0.1, 0.1], [0.5, 0.5], [0.5, 0.52])
-        _, _, done = env_step(st, np.zeros(2))
-        assert done  # block already within tolerance
-        st2 = make_state([0.1, 0.1], [0.5, 0.5], [0.9, 0.9], t=MAX_STEPS - 1)
-        _, _, done2 = env_step(st2, np.zeros(2))
-        assert done2
+        assert env_step(st, np.zeros(2))[1] is True  # within tolerance
+        st2 = make_state([0.1, 0.1], [0.5, 0.5], [0.9, 0.9])
+        for _ in range(MAX_STEPS + 1):
+            st2, reached = env_step(st2, np.zeros(2))
+            assert reached is False
 
     def test_rejects_bad_action_shape(self):
         st = reset_env(0)
@@ -203,10 +204,11 @@ class TestScriptedExpert:
         for seed in range(30):
             st = reset_env(seed)
             hit.add(stage_index(st))
-            done = False
-            while not done:
-                st, _, done = env_step(st, scripted_expert(st))
+            for _ in range(MAX_STEPS):
+                st, reached = env_step(st, scripted_expert(st))
                 hit.add(stage_index(st))
+                if reached:
+                    break
         assert hit == {0, 1, 2, 3, 4}
 
     def test_zero_action_when_complete(self):
@@ -224,10 +226,10 @@ class TestBatchedForms:
                                                    actions)
         for i in range(len(agent)):
             st = EnvState(agent=agent[i], block=block[i], target=target[i])
-            nxt, obs, done = env_step(st, actions[i])
+            nxt, one_reached = env_step(st, actions[i])
             assert nxt_agent[i].tobytes() == nxt.agent.tobytes(), i
             assert nxt_block[i].tobytes() == nxt.block.tobytes(), i
-            assert reached[i] == done, i  # t = 0: no timeout
+            assert reached[i] == one_reached, i
 
     def test_transition_matches_env_step_on_random_states(self):
         rng = np.random.default_rng(0)
@@ -304,25 +306,27 @@ class TestBatchedForms:
                 seeds, noise, np.random.default_rng(5))
             rng = np.random.default_rng(5)
             for i, seed in enumerate(seeds):
-                st, want_obs, want_acts = step_expert(seed, noise, rng)
-                assert (lengths[i], ok[i]) == (st.t, is_success(st))
-                assert obs[i, :st.t + 1].tobytes() == want_obs.tobytes()
-                assert acts[i, :st.t].tobytes() == want_acts.tobytes()
+                reached, want_obs, want_acts = step_expert(seed, noise, rng)
+                length = len(want_acts)
+                assert (lengths[i], ok[i]) == (length, reached)
+                assert obs[i, :length + 1].tobytes() == want_obs.tobytes()
+                assert acts[i, :length].tobytes() == want_acts.tobytes()
 
 
 def step_expert(seed, noise=0.0, rng=None):
-    """One expert episode through the per-state expert and env_step:
-    the final state, the observations and the executed actions."""
+    """One expert episode through the per-state expert and env_step, to
+    the target or the step limit: whether it reached the target, the
+    observations and the executed actions."""
     st = reset_env(seed)
-    obs, acts, done = [observe(st)], [], False
-    while not done:
+    obs, acts, reached = [observe(st)], [], False
+    while not reached and len(acts) < env.MAX_STEPS:
         a = scripted_expert(st)
         if noise:
             a = _clip(a + noise * rng.standard_normal(D_A), -1.0, 1.0)
-        st, o, done = env_step(st, a)
-        obs.append(o)
+        st, reached = env_step(st, a)
+        obs.append(observe(st))
         acts.append(a)
-    return st, np.array(obs), np.array(acts)
+    return reached, np.array(obs), np.array(acts)
 
 
 def reference_expert(st):
@@ -400,7 +404,7 @@ class TestDemos:
         # a short step limit fails about half the episodes, so the
         # collector needs several rounds of retries
         monkeypatch.setattr(env, "MAX_STEPS", 64)
-        succeeded = [s for s in range(200) if is_success(step_expert(s)[0])]
+        succeeded = [s for s in range(200) if step_expert(s)[0]]
         whole = generate_demos(30, seed=0)
         assert [t.env_seed for t in whole.trajectories] == succeeded[:30]
         monkeypatch.setattr(env, "LOCKSTEP_BATCH", 7)
@@ -478,6 +482,18 @@ class TestDemos:
         save_demos(str(p), generate_demos(1, seed=5))
         p.write_bytes(p.read_bytes()[:keep])
         with pytest.raises(ValueError, match=f"{p}: .*truncated header"):
+            load_demos(str(p))
+
+    @pytest.mark.parametrize("what", ["observation", "action"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_load_rejects_non_finite_values(self, tmp_path, what, value):
+        ds = generate_demos(2, seed=5)
+        tr = ds.trajectories[1]
+        (tr.obs if what == "observation" else tr.actions)[3].flat[1] = value
+        p = tmp_path / "d.bin"
+        save_demos(str(p), ds)
+        with pytest.raises(ValueError,
+                           match=f"{p}: trajectory 1: non-finite {what}"):
             load_demos(str(p))
 
     def test_load_rejects_an_empty_dataset(self, tmp_path):

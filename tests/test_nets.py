@@ -551,6 +551,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="v1.bin.*predates"):
             load_checkpoint(str(v1))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, tmp_path, value):
+        p = init_params(0, d_o=2, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
+        p.net.flat[37] = value
+        path = tmp_path / "c.bin"
+        save_checkpoint(str(path), p)
+        with pytest.raises(ValueError, match=f"{path}: non-finite weight"):
+            load_checkpoint(str(path))
+
     def test_rejects_bad_schedule_headers(self, tmp_path):
         p = init_params(0, d_o=2, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
         path = tmp_path / "c.bin"

@@ -188,13 +188,34 @@ class TestRollout:
         assert r.denoiser_calls > 0
         assert calls["n"] == r.denoiser_calls
 
-    def test_trace_covers_every_step(self):
+    def test_replans_cover_every_step(self):
+        # one record per 8-step window, the last one cut at the success
         r = rollout(tiny_params(), SCHED, env_seed=0, schedule=(8, 5),
                     sampler_kind="ddim", seed=0,
                     forward_fn=expert_forward_fn(SCHED))
-        assert len(r.trace) == r.steps
-        assert [t[0] for t in r.trace] == list(range(r.steps))
-        assert all(t[1] == -1 and t[2] == 8 and t[3] == 5 for t in r.trace)
+        assert r.success and r.steps % 8 != 0
+        assert [t[0] for t in r.replans] == list(range(0, r.steps, 8))
+        assert all(t[1:] == (-1, 8, 5) for t in r.replans)
+        assert r.denoiser_calls == 5 * len(r.replans)
+
+    def test_step_limit_cuts_the_last_window(self, monkeypatch):
+        # MAX_STEPS = 12 * 16 + 8: the 13th window runs 8 of its actions
+        assert MAX_STEPS == 12 * 16 + 8
+        calls = {"n": 0}
+        inner = diffpol.rollout.env_step
+
+        def counting(st, action):
+            calls["n"] += 1
+            return inner(st, action)
+
+        monkeypatch.setattr(diffpol.rollout, "env_step", counting)
+        r = rollout(tiny_params(), SCHED, env_seed=0, schedule=(16, 10),
+                    sampler_kind="ddim", seed=0,
+                    forward_fn=zero_forward_fn(SCHED))
+        assert not r.success
+        assert r.steps == calls["n"] == MAX_STEPS
+        assert [t[0] for t in r.replans] == list(range(0, MAX_STEPS, 16))
+        assert r.denoiser_calls == 13 * 10
 
     def test_seeded_rollout_bit_identical(self):
         p = tiny_params()
@@ -208,10 +229,10 @@ class TestRollout:
                     schedule=SchedulerState(table), sampler_kind="ddim",
                     seed=3, forward_fn=expert_forward_fn(SCHED))
         assert r.success
-        pairs = {(t[2], t[3]) for t in r.trace}
+        pairs = {(t[2], t[3]) for t in r.replans}
         allowed = {e.pair for e in table.entries}
         assert pairs <= allowed
-        assert {t[1] for t in r.trace} <= {0, 1, 2, 3, 4}
+        assert {t[1] for t in r.replans} <= {0, 1, 2, 3, 4}
 
     def test_scheduled_cheaper_than_fixed_heavy(self):
         table = hvts_schedule_table()

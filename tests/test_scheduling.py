@@ -86,14 +86,8 @@ def scheduled_rollout(st: SchedulerState, env_seed=0):
 
 
 def window_starts(r) -> list[int]:
-    """Steps at which the rollout replanned, read off its trace: a
-    window lasts min(N_a, T_P) steps."""
-    starts, nxt = [], 0
-    for step, _, na, _ in r.trace:
-        if step == nxt:
-            starts.append(step)
-            nxt = step + min(na, T_P)
-    return starts
+    """Steps at which the rollout replanned."""
+    return [step for step, _, _, _ in r.replans]
 
 
 class TestOracleClassifier:
@@ -123,11 +117,9 @@ class TestSchedulerTick:
     def test_cached_between_classifications(self):
         oracle = CountingOracle()
         r = scheduled_rollout(SchedulerState(horizon_table(8), oracle))
-        # one classification per 8-step window; the trace keeps its
-        # stage and budget until the next replan
-        assert oracle.calls == -(-r.steps // 8)
-        for i, t in enumerate(r.trace):
-            assert t[1:] == r.trace[i - i % 8][1:]
+        # one classification per 8-step window, recorded at its start
+        assert oracle.calls == len(r.replans) == -(-r.steps // 8)
+        assert window_starts(r) == list(range(0, r.steps, 8))
 
     def test_call_count_bound_over_episode(self):
         oracle = CountingOracle()
@@ -165,9 +157,8 @@ class TestSchedulerTick:
         table = ScheduleTable(entries, ScheduleRanges(8, 20, 20, 40))
         clf = ScriptedClassifier([0, 3])
         r = scheduled_rollout(SchedulerState(table, clf))
-        assert r.trace[15][1:] == (0, 20, 20)
-        assert r.trace[16][1:] == (3, 8, 40)
-        assert window_starts(r)[:3] == [0, 16, 24]
+        assert r.replans[:3] == ((0, 0, 20, 20), (16, 3, 8, 40),
+                                 (24, 3, 8, 40))
 
     def test_one_hot_zero_gap_is_deterministic(self):
         script = [0, 0, 1, 2, 2, 3, 4]
@@ -201,7 +192,7 @@ class TestSchedulerTick:
         clf = ScriptedClassifier([2, ClassifierError("down")])
         r = scheduled_rollout(SchedulerState(horizon_table(8), clf))
         assert clf.calls == len(window_starts(r)) == -(-r.steps // 8)
-        assert {t[1] for t in r.trace} == {2}
+        assert {t[1] for t in r.replans} == {2}
 
     def test_failure_on_first_tick_uses_initial_stage(self):
         clf = ScriptedClassifier([ClassifierError("down")])

@@ -488,6 +488,16 @@ class TestTrainLoop:
             with pytest.raises(ValueError, match="dtype"):
                 TrainConfig(total_steps=10, warmup=0, dtype=bad)
 
+    @pytest.mark.parametrize("bad", [
+        {"lr": -1e-3}, {"lr": 0.0}, {"lr": -0.0}, {"lr": float("nan")},
+        {"lr": float("inf")}, {"eval_every": -5}, {"snapshot_every": -1},
+    ], ids=["lr-negative", "lr-zero", "lr-negative-zero", "lr-nan", "lr-inf",
+            "eval-every", "snapshot-every"])
+    def test_rejects_bad_lr_and_periods(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig(total_steps=10, **bad)
+        TrainConfig(total_steps=10, lr=1e-9, eval_every=0, snapshot_every=0)
+
     def test_uniform_run_shorter_than_warmup(self):
         """Only the aln sampler reads the warmup, so uniform mode runs
         however short the run is next to it."""
