@@ -9,6 +9,7 @@ central finite differences as an independent route.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -68,7 +69,7 @@ class MlpParams:
         if len(weights) != len(biases):
             raise ValueError("need one bias per weight matrix")
         shapes = [(np.shape(w), np.shape(b)) for w, b in zip(weights, biases)]
-        n = sum(int(np.prod(ws)) + int(np.prod(bs)) for ws, bs in shapes)
+        n = sum(math.prod(ws) + math.prod(bs) for ws, bs in shapes)
         self._bind(np.empty(n), shapes)
         for dst, src in zip(self.weights + self.biases, weights + biases):
             dst[...] = src
@@ -80,7 +81,7 @@ class MlpParams:
         off = 0
         for ws, bs in self.shapes:
             for shape, out in ((ws, self.weights), (bs, self.biases)):
-                size = int(np.prod(shape))
+                size = math.prod(shape)
                 out.append(flat[off:off + size].reshape(shape))
                 off += size
 
@@ -124,13 +125,15 @@ def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
 
 def _mlp_from_first(p: MlpParams, z: np.ndarray,
                     cache: list[np.ndarray] | None = None) -> np.ndarray:
-    """The rest of a forward pass, given layer 0's pre-activation z;
-    appends each layer's output to ``cache`` when one is given."""
+    """The rest of a forward pass, given layer 0's pre-activation z,
+    which it overwrites; appends each layer's output to ``cache`` when
+    one is given."""
     for w, b in zip(p.weights[1:], p.biases[1:]):
-        z = np.tanh(z)
+        np.tanh(z, out=z)
         if cache is not None:
             cache.append(z)
-        z = z @ w + b
+        z = z @ w
+        z += b
     if cache is not None:
         cache.append(z)
     return z
@@ -272,23 +275,36 @@ def _check_steps(ks: np.ndarray, T: int) -> None:
         raise ValueError(f"steps must be integers in [1, {T}], got {ks!r}")
 
 
+def denoiser_step_part(p: DenoiserParams, ks: np.ndarray) -> np.ndarray:
+    """The first layer's step term for steps ``ks`` (integers in 1..T,
+    else ValueError): row i is ``embed(ks[i]) @ W0[embed rows]``, shape
+    (len(ks), hidden), in the net's dtype.  It depends on the weights
+    and the steps only, so a rollout builds it once per step count."""
+    ks = np.asarray(ks)
+    _check_steps(ks, p.T)
+    rows = _embed_table(p.embed_dim, p.T)[ks - 1].astype(p.net.flat.dtype,
+                                                          copy=False)
+    return rows @ p.net.weights[0][p.d_o + p.T_p * p.d_a:]
+
+
+def denoiser_obs_part(p: DenoiserParams, obs: np.ndarray) -> np.ndarray:
+    """The first layer's observation term ``obs @ W0[obs rows] + b0``,
+    shape (hidden,), in the net's dtype, to which obs is cast."""
+    obs = np.asarray(obs, dtype=p.net.flat.dtype)
+    if obs.shape != (p.d_o,):
+        raise ValueError(f"obs shape {obs.shape} != ({p.d_o},)")
+    return obs @ p.net.weights[0][:p.d_o] + p.net.biases[0]
+
+
 def denoiser_context(p: DenoiserParams, obs: np.ndarray,
                      ks: np.ndarray) -> np.ndarray:
     """The first layer's step-invariant part for one observation and
-    steps ``ks`` (integers in 1..T, else ValueError): row i is
-    ``obs @ W0[obs rows] + b0 + embed(ks[i]) @ W0[embed rows]``, shape
-    (len(ks), hidden), in the net's dtype.  A reverse chain builds it
-    once per window."""
-    dtype = p.net.flat.dtype
-    obs = np.asarray(obs, dtype=dtype)
-    if obs.shape != (p.d_o,):
-        raise ValueError(f"obs shape {obs.shape} != ({p.d_o},)")
-    ks = np.asarray(ks)
-    _check_steps(ks, p.T)
-    w0 = p.net.weights[0]
-    rows = _embed_table(p.embed_dim, p.T)[ks - 1].astype(dtype, copy=False)
-    ctx = rows @ w0[p.d_o + p.T_p * p.d_a:]
-    ctx += obs @ w0[:p.d_o] + p.net.biases[0]
+    steps ``ks``: row i is ``denoiser_step_part(p, ks)[i] +
+    denoiser_obs_part(p, obs)``, shape (len(ks), hidden), in the net's
+    dtype.  A reverse chain adds the two once per window."""
+    obs_part = denoiser_obs_part(p, obs)
+    ctx = denoiser_step_part(p, ks)
+    ctx += obs_part
     return ctx
 
 
@@ -314,7 +330,9 @@ def denoiser_forward(p: DenoiserParams, obs: np.ndarray, ak: np.ndarray,
     if ak.shape != (p.T_p, p.d_a):
         raise ValueError(f"ak shape {ak.shape} != ({p.T_p}, {p.d_a})")
     w_act = p.net.weights[0][p.d_o:p.d_o + p.T_p * p.d_a]
-    y = _mlp_from_first(p.net, ak.reshape(-1) @ w_act + context)
+    z = ak.reshape(-1) @ w_act
+    z += context
+    y = _mlp_from_first(p.net, z)
     return y.reshape(p.T_p, p.d_a)
 
 

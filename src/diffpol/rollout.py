@@ -19,7 +19,8 @@ from .diffusion import NoiseSchedule, ddim_reverse_step, ddpm_reverse_step, \
     respaced_schedule
 from .env import MAX_STEPS, STAGES, env_step, observe, policy_features, \
     reset_env
-from .nets import DenoiserParams, denoiser_context, denoiser_forward
+from .nets import DenoiserParams, denoiser_forward, denoiser_obs_part, \
+    denoiser_step_part
 from .scheduling import SchedulerState, scheduler_tick
 from .stages import ScheduleEntry, ScheduleTable
 
@@ -43,7 +44,9 @@ def hvts_schedule_table() -> ScheduleTable:
 def denoise_action_window(params: DenoiserParams, sched: NoiseSchedule,
                           obs: np.ndarray, n_steps: int, kind: str,
                           rng: np.random.Generator,
-                          forward_fn=None) -> np.ndarray:
+                          forward_fn=None,
+                          step_parts: dict[int, np.ndarray] | None = None
+                          ) -> np.ndarray:
     """Draw one action window by reverse diffusion from pure noise.
 
     kind "ddpm" walks a respaced chain with re-derived coefficients and
@@ -51,6 +54,11 @@ def denoise_action_window(params: DenoiserParams, sched: NoiseSchedule,
     original schedule deterministically.  The denoiser is always queried
     at original-schedule step indices.  n_steps must not exceed the
     training schedule length.
+
+    ``step_parts`` maps a step count to the default denoiser's
+    ``denoiser_step_part`` for its chain; a missing entry is built and
+    stored.  One map serves one (params, sched) pair, such as an
+    episode's windows; without one, the step part is built per call.
     """
     if kind not in SAMPLER_KINDS:
         raise ValueError(f"kind must be one of {SAMPLER_KINDS}, got {kind!r}")
@@ -64,8 +72,15 @@ def denoise_action_window(params: DenoiserParams, sched: NoiseSchedule,
     a = noise[0]
     derived, idx = respaced_schedule(sched, n_steps)
     ks = idx.tolist()
-    # the default denoiser's step-invariant first-layer terms, per window
-    ctx = denoiser_context(params, obs, idx) if forward_fn is None else None
+    # the default denoiser's step-invariant first-layer terms: the step
+    # part once per step count, the observation part per window
+    ctx = None
+    if forward_fn is None:
+        if step_parts is None:
+            step_parts = {}
+        if n_steps not in step_parts:
+            step_parts[n_steps] = denoiser_step_part(params, idx)
+        ctx = step_parts[n_steps] + denoiser_obs_part(params, obs)
 
     def predict_noise(j: int, a: np.ndarray) -> np.ndarray:
         if ctx is None:
@@ -127,6 +142,7 @@ def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
     if scheduler is None:
         na, nd = _fixed_pair(schedule)
     stage = -1
+    step_parts: dict[int, np.ndarray] = {}  # per N_d, for every window
     rng = np.random.default_rng(seed)
     env = reset_env(env_seed)
     replans: list[tuple[int, int, int, int]] = []
@@ -137,7 +153,8 @@ def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
             na, nd, scheduler = scheduler_tick(scheduler, env)
             stage = scheduler.active
         window = denoise_action_window(params, sched, observe(env), nd,
-                                       sampler_kind, rng, forward_fn)
+                                       sampler_kind, rng, forward_fn,
+                                       step_parts)
         replans.append((step, stage, na, nd))
         for action in window[:min(na, MAX_STEPS - step)]:
             env, reached = env_step(env, action)

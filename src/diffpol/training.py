@@ -212,9 +212,12 @@ def update_traj_weights_batch(tw: TrajectoryWeights, idxs: np.ndarray,
                               alpha: float) -> TrajectoryWeights:
     """EMA updates for every drawn trajectory, in draw order, each blending
     its weight toward reward + 1: w = (1 - alpha) * w + alpha * (r + 1);
-    then one floor + renorm.  An index outside [0, n) or alpha outside
-    (0, 1] raises."""
-    idxs = np.asarray(idxs)
+    then one floor + renorm.  idxs and rs must be matching 1-d arrays,
+    else ValueError; an index outside [0, n) is an IndexError and alpha
+    outside (0, 1] a ValueError."""
+    idxs, rs = np.asarray(idxs), np.asarray(rs)
+    if idxs.shape != rs.shape or idxs.ndim != 1:
+        raise ValueError("idxs and rs must be matching 1-d arrays")
     if np.any((idxs < 0) | (idxs >= tw.n)):
         raise IndexError(f"trajectory index outside [0, {tw.n})")
     if not (0.0 < alpha <= 1.0):
@@ -325,6 +328,22 @@ def _wide_csv(path: str, snapshots: list[tuple[int, np.ndarray]],
             wr.writerow([s] + [f"{x:.17g}" for x in v])
 
 
+def _check_dataset(dataset: DemoDataset) -> None:
+    """ValueError, naming the trajectory, unless every trajectory holds
+    n >= 1 windows: obs (n, d_o) and actions (n, T_p, d_a)."""
+    if dataset.n_traj == 0:
+        raise ValueError("dataset has no trajectories")
+    for i, tr in enumerate(dataset.trajectories):
+        obs, acts = np.shape(tr.obs), np.shape(tr.actions)
+        n = obs[0] if obs else 0
+        if n < 1 or obs != (n, dataset.d_o) \
+                or acts != (n, dataset.T_p, dataset.d_a):
+            raise ValueError(
+                f"trajectory {i} (env seed {tr.env_seed}): obs {obs} and "
+                f"actions {acts} must be (n, {dataset.d_o}) and "
+                f"(n, {dataset.T_p}, {dataset.d_a}) with n >= 1 windows")
+
+
 def train(config: TrainConfig, dataset: DemoDataset, mode: str,
           eval_fn=None) -> tuple[DenoiserParams, TrainReport]:
     """Run the denoiser regression loop in "uniform" or "aln" mode.
@@ -338,8 +357,7 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     recorded in the report.  The returned parameters are float64.
     """
     config.check_mode(mode)
-    if dataset.n_traj == 0:
-        raise ValueError("dataset has no trajectories")
+    _check_dataset(dataset)
 
     rng = np.random.default_rng(config.seed)
     # the denoiser conditions on the lifted observation, not the raw one

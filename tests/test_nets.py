@@ -17,6 +17,8 @@ from diffpol.nets import (
     denoiser_batch_grads,
     denoiser_context,
     denoiser_forward,
+    denoiser_obs_part,
+    denoiser_step_part,
     init_mlp,
     init_params,
     load_checkpoint,
@@ -225,10 +227,29 @@ class TestGradients:
         for bad_ks in ([0, 3], [3, 11], [3.0], [[3]], [True]):
             with pytest.raises(ValueError):
                 denoiser_context(p, obs, bad_ks)
+            with pytest.raises(ValueError):
+                denoiser_step_part(p, bad_ks)
         with pytest.raises(ValueError):
             denoiser_context(p, obs[:2], [3])
+        with pytest.raises(ValueError):
+            denoiser_obs_part(p, obs[:2])
         for k in (1, np.int64(10)):  # the valid edges
             denoiser_forward(p, obs, ak, k)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_context_is_step_part_plus_obs_part(self, dtype):
+        """The context is the sum of its two parts, bit for bit, so a
+        rollout may build the step part once and add each window's
+        observation part to it."""
+        p = init_params(0, d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
+        p = replace(p, net=p.net.astype(dtype))
+        obs = np.random.default_rng(11).normal(size=3)
+        ks = np.array([7, 2, 10])
+        step, obs_part = denoiser_step_part(p, ks), denoiser_obs_part(p, obs)
+        assert step.dtype == obs_part.dtype == dtype
+        assert step.shape == (3, 8) and obs_part.shape == (8,)
+        assert denoiser_context(p, obs, ks).tobytes() \
+            == (step + obs_part).tobytes()
 
     @pytest.mark.parametrize("dims", [
         dict(d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10),

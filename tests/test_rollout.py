@@ -116,15 +116,21 @@ class TestDenoiseWindow:
     @pytest.mark.parametrize("kind", ["ddpm", "ddim"])
     def test_matches_per_step_draws(self, kind, n_steps, dtype):
         """One draw per window gives the per-step draws' window bit for
-        bit and leaves the generator where they leave it."""
+        bit and leaves the generator where they leave it, with the step
+        part built for the window or taken from a map that windows
+        share, as an episode's do."""
         p = tiny_params(6)
         p = replace(p, net=p.net.astype(dtype))
-        obs = observe(reset_env(n_steps))
         rng_a = np.random.default_rng(40 + n_steps)
         rng_b = np.random.default_rng(40 + n_steps)
-        got = denoise_action_window(p, SCHED, obs, n_steps, kind, rng_a)
-        want = per_step_draw_window(p, SCHED, obs, n_steps, kind, rng_b)
-        assert got.tobytes() == want.tobytes()
+        shared = {}
+        for env_seed, step_parts in enumerate((None, shared, shared)):
+            obs = observe(reset_env(n_steps + env_seed))
+            got = denoise_action_window(p, SCHED, obs, n_steps, kind, rng_a,
+                                        step_parts=step_parts)
+            want = per_step_draw_window(p, SCHED, obs, n_steps, kind, rng_b)
+            assert got.tobytes() == want.tobytes()
+        assert list(shared) == [n_steps]
         assert rng_a.standard_normal(4).tobytes() \
             == rng_b.standard_normal(4).tobytes()
 
@@ -187,6 +193,30 @@ class TestRollout:
                         sampler_kind="ddim", seed=2)
         assert r.denoiser_calls > 0
         assert calls["n"] == r.denoiser_calls
+
+    def test_step_part_built_once_per_step_count(self, monkeypatch):
+        """A scheduled episode builds the denoiser's step part once for
+        each distinct N_d among its replans, not once per replan."""
+        built = []
+        inner = diffpol.rollout.denoiser_step_part
+
+        def counting(params, ks):
+            built.append(len(ks))
+            return inner(params, ks)
+
+        monkeypatch.setattr(diffpol.rollout, "denoiser_step_part", counting)
+        # the HVTS table with align's step count apart from approach's,
+        # the two stages this episode visits
+        table = hvts_schedule_table()
+        table = replace(table, entries=tuple(
+            replace(e, num_inference_steps=25) if e.name == "align" else e
+            for e in table.entries))
+        r = rollout(tiny_params(), SCHED, env_seed=3,
+                    schedule=SchedulerState(table),
+                    sampler_kind="ddim", seed=2)
+        n_ds = [nd for *_, nd in r.replans]
+        assert set(n_ds) == {20, 25} and len(n_ds) > 2
+        assert sorted(built) == [20, 25]
 
     def test_replans_cover_every_step(self):
         # one record per 8-step window, the last one cut at the success

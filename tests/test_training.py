@@ -177,6 +177,18 @@ class TestTrajectoryWeights:
         with pytest.raises(ValueError):
             update_traj_weights_batch(tw, [0], [0.0], 1.5)
 
+    @pytest.mark.parametrize("idxs, rs", [
+        ([0, 1, 2], [0.5]), ([0], [0.5, 0.5]), ([[0, 1]], [[0.5, 0.5]]),
+        (0, 0.5),
+    ], ids=["fewer-rewards", "more-rewards", "2-d", "0-d"])
+    def test_rejects_unmatched_draws(self, idxs, rs):
+        """Each drawn index needs its own reward: zipping unequal inputs
+        would update some draws and drop the rest without a word."""
+        tw = make_traj_weights(3)
+        with pytest.raises(ValueError, match="matching 1-d"):
+            update_traj_weights_batch(tw, np.array(idxs), np.array(rs), 0.1)
+        np.testing.assert_array_equal(tw.w, np.ones(3))
+
 
 class TestTimestepSampler:
     def test_distribution_is_normalized(self):
@@ -473,6 +485,19 @@ class TestTrainLoop:
         ds.trajectories[2].actions[4, 7, 1] = np.nan
         with pytest.raises(ValueError, match=r"non-finite.*at step \d+"):
             train(tiny_config(), ds, "uniform")
+
+    def test_rejects_trajectory_without_windows(self):
+        ds = tiny_dataset()
+        tr = ds.trajectories[2]
+        tr.obs, tr.actions = tr.obs[:0], tr.actions[:0]
+        with pytest.raises(ValueError, match=r"trajectory 2 \(env seed 2\)"):
+            train(tiny_config(total_steps=1), ds, "uniform")
+
+    def test_rejects_more_observations_than_actions(self):
+        ds = tiny_dataset()
+        ds.trajectories[1].actions = ds.trajectories[1].actions[:-1]
+        with pytest.raises(ValueError, match=r"trajectory 1 \(env seed 1\)"):
+            train(tiny_config(total_steps=1), ds, "uniform")
 
     def test_rejects_bad_mode_and_config(self):
         with pytest.raises(ValueError):
