@@ -24,8 +24,6 @@ import sys
 from dataclasses import fields
 from typing import NamedTuple
 
-import numpy as np
-
 from .env import TASK_DESCRIPTION, generate_demos, load_demos, save_demos
 from .nets import load_checkpoint, save_checkpoint
 from .rollout import compare_speedup, evaluate, hvts_schedule_table
@@ -324,10 +322,8 @@ def cmd_gen_data(args: dict) -> int:
     out = _ensure_out(args["out"])
     save_demos(os.path.join(out, "demos.bin"), ds)
     write_manifest(out, "gen-data", args)
-    windows = sum(tr.n_windows for tr in ds.trajectories)
-    mean_len = float(np.mean([tr.length for tr in ds.trajectories]))
-    print(f"wrote {ds.n_traj} demos ({windows} windows, mean length "
-          f"{mean_len:.1f}) to {out}")
+    print(f"wrote {ds.n_traj} demos ({ds.n_windows.sum()} windows, mean "
+          f"length {ds.lengths.mean():.1f}) to {out}")
     return 0
 
 

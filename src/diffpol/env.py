@@ -13,12 +13,15 @@ the episode loops count steps against MAX_STEPS.  Noise-free demos are
 collected in lockstep through the batched expert and transition; noisy
 ones one episode at a time, so the shared generator draws their noise in
 episode order.  The bytes equal the episode-by-episode collector's.
+A dataset stores each executed action once and cuts its overlapping
+windows by index; only the file format writes every window out.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,7 @@ D_O = 6                 # observation: agent, block, target positions
 D_A = 2                 # action: planar agent velocity in [-1, 1]
 T_P = 16                # action window length used everywhere downstream
 LOCKSTEP_BATCH = 256    # episodes per collection round (~3 MB of buffers)
+_HORIZON = np.arange(T_P)
 
 STAGES = ("approach", "align", "push", "reach", "complete")
 DEMO_MAGIC = b"DIFFDEM1"
@@ -73,21 +77,54 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
+# Placement ranges, in the order one attempt draws them: target, block,
+# agent.  ``lo + span * u`` is numpy's ``uniform(lo, hi)`` bit for bit.
+_PLACE_LO = np.array([0.55, 0.55, 0.15, 0.15, 0.05, 0.05])
+_PLACE_SPAN = np.array([0.92, 0.92, 0.55, 0.55, 0.95, 0.95]) - _PLACE_LO
+_PLACE_BLOCK = 8        # attempts per draw; 1.3 are needed on average
+_PLACE_ATTEMPTS = 1000  # per seed, before giving up
+_DRAWN_TO_OBS = np.array([4, 5, 2, 3, 0, 1])  # (target, block, agent) -> obs
+# a valid attempt's block-target, agent-block and agent-target distances
+_GAP_HEADS = np.array([2, 3, 4, 5, 4, 5])
+_GAP_TAILS = np.array([0, 1, 2, 3, 0, 1])
+_GAP_MIN = np.array([0.25, APPROACH_RADIUS + 0.03, 0.1])
+_GAP_MAX = np.array([0.8, np.inf, np.inf])
+
+
+def initial_observations(seeds: Iterable[int]) -> np.ndarray:
+    """Seeded initial placements as (len(seeds), D_O) observations: block
+    between agent and a far target, with enough separation that every
+    stage is exercised.
+
+    Each seed's own generator draws its attempts a block at a time, each
+    attempt uniform target, block and agent positions, and the first
+    valid attempt wins; a seed with no valid attempt among the first
+    1000 is a RuntimeError.
+    """
+    seeds = list(seeds)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    obs = np.empty((len(seeds), D_O))
+    u = np.empty((len(seeds), _PLACE_BLOCK, 6))
+    rows = np.arange(len(seeds))
+    for _ in range(_PLACE_ATTEMPTS // _PLACE_BLOCK):
+        for i in rows:
+            rngs[i].random(out=u[i])
+        x = _PLACE_LO + _PLACE_SPAN * u[rows]
+        gaps = x[..., _GAP_HEADS] - x[..., _GAP_TAILS]
+        d = _norms(gaps.reshape(rows.size, _PLACE_BLOCK, 3, 2))
+        valid = ((_GAP_MIN <= d) & (d <= _GAP_MAX)).all(axis=-1)
+        hit = valid.any(axis=1)
+        obs[rows[hit]] = x[hit, valid[hit].argmax(axis=1)][:, _DRAWN_TO_OBS]
+        rows = rows[~hit]
+        if not rows.size:
+            return obs
+    raise RuntimeError(f"no valid initial placement for seed {seeds[rows[0]]}")
+
+
 def reset_env(seed: int) -> EnvState:
-    """Seeded initial placement: block between agent and a far target,
-    with enough separation that every stage is exercised."""
-    rng = np.random.default_rng(seed)
-    for _ in range(1000):
-        target = rng.uniform(0.55, 0.92, size=2)
-        block = rng.uniform(0.15, 0.55, size=2)
-        agent = rng.uniform(0.05, 0.95, size=2)
-        d_bt = _norm(block - target)
-        d_ab = _norm(agent - block)
-        d_at = _norm(agent - target)
-        if 0.25 <= d_bt <= 0.8 and d_ab >= APPROACH_RADIUS + 0.03 \
-                and d_at >= 0.1:
-            return EnvState(agent=agent, block=block, target=target)
-    raise RuntimeError(f"no valid initial placement for seed {seed}")
+    """The seeded initial placement of one episode: a batch of one."""
+    o = initial_observations((seed,))[0]
+    return EnvState(agent=o[0:2], block=o[2:4], target=o[4:6])
 
 
 def observe(st: EnvState) -> np.ndarray:
@@ -241,9 +278,9 @@ def scripted_expert(st: EnvState) -> np.ndarray:
 # -- demonstrations ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class DemoTrajectory:
-    """Overlapping windows of one successful episode."""
+    """Read-only view of one demonstration's overlapping windows."""
 
     env_seed: int
     length: int
@@ -255,25 +292,67 @@ class DemoTrajectory:
         return self.obs.shape[0]
 
 
-@dataclass
 class DemoDataset:
-    trajectories: list[DemoTrajectory]
+    """Successful expert episodes, each executed action stored once.
+
+    Trajectory i is the episode from env seed ``env_seeds[i]``.  Its
+    ``lengths[i]`` actions are the rows of ``actions`` (sum of lengths,
+    D_A) from ``step0[i]``, and the observations at its
+    ``n_windows[i] = lengths[i] - T_P + 1`` window starts the rows of
+    ``obs`` (sum of n_windows, D_O) from ``win0[i]``.  Window w pairs
+    ``obs[win0[i] + w]`` with ``actions[step0[i] + w:][:T_P]``.
+    """
+
+    def __init__(self, env_seeds: Sequence[int], obs: Sequence[np.ndarray],
+                 actions: Sequence[np.ndarray]):
+        """Pack per-trajectory arrays: ``obs[i]`` (n, D_O) and
+        ``actions[i]`` (n + T_P - 1, D_A) of the episode from env seed
+        ``env_seeds[i]``.  ValueError, naming the trajectory and its env
+        seed, unless each has n >= 1 windows and these shapes."""
+        if not len(env_seeds) == len(obs) == len(actions):
+            raise ValueError("need one obs and one actions array per env seed")
+        if not len(env_seeds):
+            raise ValueError("dataset has no trajectories")
+        for i, (seed, o, a) in enumerate(zip(env_seeds, obs, actions)):
+            so, sa = np.shape(o), np.shape(a)
+            n = so[0] if so else 0
+            if n < 1 or so != (n, D_O) or sa != (n + T_P - 1, D_A):
+                raise ValueError(
+                    f"trajectory {i} (env seed {seed}): obs {so} and actions "
+                    f"{sa} must be (n, {D_O}) and (n + {T_P - 1}, {D_A}) "
+                    f"with n >= 1 windows")
+        self.env_seeds = np.array(env_seeds, dtype=np.int64)
+        self.lengths = np.array([len(a) for a in actions], dtype=np.int64)
+        self.n_windows = self.lengths - (T_P - 1)
+        self.step0 = np.cumsum(self.lengths) - self.lengths
+        self.win0 = np.cumsum(self.n_windows) - self.n_windows
+        self.obs = np.concatenate(obs, dtype=np.float64)
+        self.actions = np.concatenate(actions, dtype=np.float64)
 
     @property
     def n_traj(self) -> int:
-        return len(self.trajectories)
+        return self.env_seeds.size
+
+    def window_rows(self, idxs: np.ndarray,
+                    wis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where window wis[e] of trajectory idxs[e] lies, for every e:
+        its (B, T_P) rows of ``actions`` and (B,) rows of ``obs``."""
+        start = self.step0[idxs] + wis
+        return start[:, None] + _HORIZON, self.win0[idxs] + wis
 
     @property
-    def d_o(self) -> int:
-        return D_O
-
-    @property
-    def d_a(self) -> int:
-        return D_A
-
-    @property
-    def T_p(self) -> int:
-        return T_P
+    def trajectories(self) -> tuple[DemoTrajectory, ...]:
+        """Every trajectory's windows as read-only views of the packed
+        arrays, built anew on each access."""
+        obs = self.obs.view()
+        obs.flags.writeable = False
+        windows = sliding_window_view(self.actions, (T_P, D_A))[:, 0]
+        return tuple(
+            DemoTrajectory(env_seed=int(seed), length=int(length),
+                           obs=obs[w0:w0 + n], actions=windows[s0:s0 + n])
+            for seed, length, n, w0, s0 in zip(
+                self.env_seeds, self.lengths, self.n_windows, self.win0,
+                self.step0))
 
 
 def collect_episodes(seeds: range, noise_level: float,
@@ -288,7 +367,7 @@ def collect_episodes(seeds: range, noise_level: float,
     k = len(seeds)
     obs = np.empty((k, MAX_STEPS + 1, D_O))
     acts = np.empty((k, MAX_STEPS, D_A))
-    obs[:, 0] = [observe(reset_env(s)) for s in seeds]
+    obs[:, 0] = initial_observations(seeds)
     agent, block, target = obs[:, 0, 0:2], obs[:, 0, 2:4], obs[:, 0, 4:6]
     lengths = np.zeros(k, dtype=np.int64)
     success = np.zeros(k, dtype=bool)
@@ -314,15 +393,15 @@ def collect_episodes(seeds: range, noise_level: float,
 
 
 def generate_demos(n: int, seed: int, noise_level: float = 0.0) -> DemoDataset:
-    """Collect n successful expert episodes as overlapping windows.
+    """Collect n successful expert episodes.
 
     Seeds seed, seed + 1, ... are tried in rounds of at most
     LOCKSTEP_BATCH episodes (one episode per round with action noise,
     which keeps the generator's draw order); episodes that fail, or end
     before one full window fits, are skipped, so the result is the first
-    n successes in seed order, within 20 n attempts.  Each episode of
-    length L yields L - T_P + 1 windows pairing the observation at step
-    t with actions t..t+T_P-1.
+    n successes in seed order, within 20 n attempts.  An episode of
+    length L has L - T_P + 1 windows, pairing the observation at step t
+    with actions t..t+T_P-1.
     """
     if n < 1:
         raise ValueError("need at least one demonstration")
@@ -330,26 +409,23 @@ def generate_demos(n: int, seed: int, noise_level: float = 0.0) -> DemoDataset:
         raise ValueError("noise_level must be >= 0")
     rng = np.random.default_rng(seed)
     batch = 1 if noise_level > 0.0 else LOCKSTEP_BATCH
-    trajectories: list[DemoTrajectory] = []
+    env_seeds: list[int] = []
+    obs: list[np.ndarray] = []
+    actions: list[np.ndarray] = []
     next_seed, attempts_left = seed, 20 * n
-    while len(trajectories) < n:
-        k = min(n - len(trajectories), batch, attempts_left)
+    while len(env_seeds) < n:
+        k = min(n - len(env_seeds), batch, attempts_left)
         if k == 0:
             raise RuntimeError("expert failed too often; check noise_level")
         seeds = range(next_seed, next_seed + k)
         next_seed += k
         attempts_left -= k
-        lengths, success, obs, acts = collect_episodes(seeds, noise_level, rng)
-        for i, env_seed in enumerate(seeds):
-            length = int(lengths[i])
-            if not success[i] or length < T_P:
-                continue
-            windows = sliding_window_view(acts[i, :length], (T_P, D_A))
-            trajectories.append(DemoTrajectory(
-                env_seed=env_seed, length=length,
-                obs=obs[i, :length - T_P + 1].copy(),
-                actions=windows[:, 0].copy()))
-    return DemoDataset(trajectories)
+        lengths, success, ob, acts = collect_episodes(seeds, noise_level, rng)
+        for i in np.flatnonzero(success & (lengths >= T_P)):
+            env_seeds.append(seeds[i])
+            obs.append(ob[i, :lengths[i] - T_P + 1])
+            actions.append(acts[i, :lengths[i]])
+    return DemoDataset(env_seeds, obs, actions)
 
 
 def save_demos(path: str, ds: DemoDataset) -> None:
@@ -366,8 +442,9 @@ def save_demos(path: str, ds: DemoDataset) -> None:
 
 
 def load_demos(path: str) -> DemoDataset:
-    """Read a ``save_demos`` file.  A malformed header or size, or a
-    non-finite value, is a ``ValueError`` naming the path."""
+    """Read a ``save_demos`` file.  A malformed header or size, a
+    non-finite value, or overlapping windows that disagree is a
+    ``ValueError`` naming the path."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != DEMO_MAGIC:
@@ -381,7 +458,7 @@ def load_demos(path: str) -> DemoDataset:
                          f"{(D_O, D_A, T_P)}")
     if n_traj < 1:
         raise ValueError(f"{path}: {n_traj} trajectories")
-    trajectories = []
+    env_seeds, obs, actions = [], [], []
     for i in range(n_traj):
         if len(blob) < off + 3 * 8:
             raise ValueError(f"{path}: trajectory {i}: truncated header")
@@ -393,18 +470,22 @@ def load_demos(path: str) -> DemoDataset:
                              f">= 1)")
         if len(blob) < off + n_w * (d_o + t_p * d_a) * 8:
             raise ValueError(f"{path}: trajectory {i}: truncated payload")
-        obs = np.frombuffer(blob, dtype="<f8", count=n_w * d_o, offset=off)
+        ob = np.frombuffer(blob, dtype="<f8", count=n_w * d_o, offset=off)
         off += n_w * d_o * 8
-        acts = np.frombuffer(blob, dtype="<f8", count=n_w * t_p * d_a,
-                             offset=off)
+        windows = np.frombuffer(blob, dtype="<f8", count=n_w * t_p * d_a,
+                                offset=off).reshape(n_w, t_p, d_a)
         off += n_w * t_p * d_a * 8
-        for what, a in (("observation", obs), ("action", acts)):
+        for what, a in (("observation", ob), ("action", windows)):
             if not np.isfinite(a).all():
                 raise ValueError(f"{path}: trajectory {i}: non-finite {what}")
-        trajectories.append(DemoTrajectory(
-            env_seed=env_seed, length=length,
-            obs=obs.reshape(n_w, d_o).astype(np.float64),
-            actions=acts.reshape(n_w, t_p, d_a).astype(np.float64)))
+        # each window is the previous one moved on by a step, bit for bit
+        bits = windows.view("<i8")
+        if not np.array_equal(bits[1:, :-1], bits[:-1, 1:]):
+            raise ValueError(f"{path}: trajectory {i}: overlapping action "
+                             f"windows disagree")
+        env_seeds.append(env_seed)
+        obs.append(ob.reshape(n_w, d_o))
+        actions.append(np.concatenate([windows[:, 0], windows[-1, 1:]]))
     if off != len(blob):
         raise ValueError(f"{path}: payload size mismatch")
-    return DemoDataset(trajectories)
+    return DemoDataset(env_seeds, obs, actions)

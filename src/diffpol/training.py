@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diffusion import BETA_END, BETA_START, forward_noise
-from .env import DemoDataset, policy_features
+from .env import D_A, T_P, DemoDataset, policy_features
 from .nets import (
     AdamState,
     DenoiserParams,
@@ -138,11 +138,13 @@ def _policy_entropy_grad(ts: TimestepSampler, ks: np.ndarray,
                          rs: np.ndarray) -> np.ndarray:
     """d/d logits of  mean_e[-r_e log pi(k_e)] - entropy_coef * H(pi)."""
     p = sampler_distribution(ts)
-    dz = np.zeros(ts.T)
-    for k, r in zip(ks, rs):
-        dz += r * p
-        dz[k - 1] -= r
-    dz /= len(ks)
+    # draw e's two terms are rows 2e and 2e + 1, summed in draw order
+    B = len(ks)
+    terms = np.zeros((2 * B, ts.T))
+    terms[0::2] = rs[:, None] * p
+    terms[np.arange(1, 2 * B, 2), ks - 1] = -rs
+    dz = terms.sum(axis=0)
+    dz /= B
     logp = np.log(np.maximum(p, 1e-300))
     H = float(-np.sum(p * logp))
     dz += ts.entropy_coef * p * (logp + H)
@@ -328,22 +330,6 @@ def _wide_csv(path: str, snapshots: list[tuple[int, np.ndarray]],
             wr.writerow([s] + [f"{x:.17g}" for x in v])
 
 
-def _check_dataset(dataset: DemoDataset) -> None:
-    """ValueError, naming the trajectory, unless every trajectory holds
-    n >= 1 windows: obs (n, d_o) and actions (n, T_p, d_a)."""
-    if dataset.n_traj == 0:
-        raise ValueError("dataset has no trajectories")
-    for i, tr in enumerate(dataset.trajectories):
-        obs, acts = np.shape(tr.obs), np.shape(tr.actions)
-        n = obs[0] if obs else 0
-        if n < 1 or obs != (n, dataset.d_o) \
-                or acts != (n, dataset.T_p, dataset.d_a):
-            raise ValueError(
-                f"trajectory {i} (env seed {tr.env_seed}): obs {obs} and "
-                f"actions {acts} must be (n, {dataset.d_o}) and "
-                f"(n, {dataset.T_p}, {dataset.d_a}) with n >= 1 windows")
-
-
 def train(config: TrainConfig, dataset: DemoDataset, mode: str,
           eval_fn=None) -> tuple[DenoiserParams, TrainReport]:
     """Run the denoiser regression loop in "uniform" or "aln" mode.
@@ -357,14 +343,14 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     recorded in the report.  The returned parameters are float64.
     """
     config.check_mode(mode)
-    _check_dataset(dataset)
 
     rng = np.random.default_rng(config.seed)
-    # the denoiser conditions on the lifted observation, not the raw one
-    d_feat = policy_features(np.zeros(dataset.d_o)).size
-    params = init_params(config.seed, d_o=d_feat, T_p=dataset.T_p,
-                         d_a=dataset.d_a, hidden=config.hidden,
-                         embed_dim=config.embed_dim, T=config.T)
+    # the denoiser conditions on the lifted observation, not the raw one;
+    # every window start is lifted once per call, and batches gather rows
+    feats = policy_features(dataset.obs)
+    params = init_params(config.seed, d_o=feats.shape[1], T_p=T_P, d_a=D_A,
+                         hidden=config.hidden, embed_dim=config.embed_dim,
+                         T=config.T)
     params = replace(params, net=params.net.astype(config.dtype),
                      beta_start=config.beta_start, beta_end=config.beta_end)
     sched = params.noise_schedule()
@@ -394,7 +380,6 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     tw = make_traj_weights(dataset.n_traj)
     report = TrainReport(mode=mode)
     B = config.batch_size
-    n_windows = np.array([tr.n_windows for tr in dataset.trajectories])
     uniform_entropy = float(np.log(config.T))
 
     for step in range(config.total_steps):
@@ -403,13 +388,9 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
         else:
             idxs = rng.integers(0, dataset.n_traj, size=B)
         # one draw per row, consuming the generator like B scalar draws
-        wis = rng.integers(n_windows[idxs])
-        obs_b = np.empty((B, dataset.d_o))
-        a0_b = np.empty((B, dataset.T_p, dataset.d_a))
-        for e, (ti, wi) in enumerate(zip(idxs, wis)):
-            traj = dataset.trajectories[ti]
-            obs_b[e] = traj.obs[wi]
-            a0_b[e] = traj.actions[wi]
+        wis = rng.integers(dataset.n_windows[idxs])
+        steps, starts = dataset.window_rows(idxs, wis)
+        a0_b, feat_b = dataset.actions[steps], feats[starts]
         if adaptive:
             ks = sample_timestep(ts, rng, step, size=B)
         else:
@@ -417,8 +398,7 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
         eps_b = rng.standard_normal(a0_b.shape)
         ak_b = forward_noise(sched, a0_b, ks, eps_b)
 
-        losses, grads = denoiser_batch_grads(params, policy_features(obs_b),
-                                             ak_b, ks, eps_b)
+        losses, grads = denoiser_batch_grads(params, feat_b, ak_b, ks, eps_b)
         loss = float(losses.mean())
         if not np.isfinite(loss):
             raise ValueError(f"training loss became non-finite ({loss}) "

@@ -1,6 +1,7 @@
 """Shared test utilities: oracle denoisers built from the scripted
-expert, the sampler's per-sample objective for gradient checks, and the
-push task's stages as protocol templates."""
+expert, the sampler's per-sample objective for gradient checks and its
+gradient's per-draw loop, and the push task's stages as protocol
+templates."""
 
 import numpy as np
 
@@ -37,6 +38,22 @@ def sampler_objective(ts: TimestepSampler, k: int, r: float) -> float:
     logp = np.log(np.maximum(p, 1e-300))
     H = float(-np.sum(p * logp))
     return float(-r * logp[k - 1] - ts.entropy_coef * H)
+
+
+def policy_entropy_grad_loop(ts: TimestepSampler, ks: np.ndarray,
+                             rs: np.ndarray) -> np.ndarray:
+    """``training._policy_entropy_grad`` as one update per draw: the
+    reference its (2B, T) form must equal bit for bit."""
+    p = sampler_distribution(ts)
+    dz = np.zeros(ts.T)
+    for k, r in zip(ks, rs):
+        dz += r * p
+        dz[k - 1] -= r
+    dz /= len(ks)
+    logp = np.log(np.maximum(p, 1e-300))
+    H = float(-np.sum(p * logp))
+    dz += ts.entropy_coef * p * (logp + H)
+    return dz
 
 
 def expert_window(obs: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
 """The benchmark's span targets name functions that still exist, and
-its episodes call diffpol in forms that still work.
+its episodes and training set-up call diffpol in forms that still work.
 
 perfbench wraps diffpol functions by attribute name to split a run into
 layers; a renamed or deleted function would silently drop its span.
@@ -14,7 +14,7 @@ import pytest
 
 import diffpol.rollout
 from diffpol.diffusion import make_noise_schedule
-from diffpol.env import T_P, policy_features
+from diffpol.env import T_P, generate_demos, policy_features
 from diffpol.nets import init_params
 from diffpol.rollout import hvts_schedule_table
 
@@ -83,3 +83,17 @@ def test_every_bench_row_runs_one_episode(workloads, monkeypatch):
     assert windows == [nd for r in episodes for *_, nd in r.replans]
     forwards = [s for s in tracer.spans if s.name == "nets.denoiser_forward"]
     assert len(forwards) == nfe == sum(r.denoiser_calls for r in episodes)
+
+
+def test_training_setup_runs(workloads):
+    """The train-* set-up as the benchmark runs it: the demo digest it
+    compares across set-up repeats, then train() at its configuration in
+    both modes, on the dataset it digested."""
+    digests = [workloads._digest_demos(generate_demos(3, seed))
+               for seed in (0, 0, 1)]
+    assert digests[0] == digests[1] != digests[2]
+    demos = generate_demos(3, 0)
+    for mode in ("uniform", "aln"):
+        _, report = workloads.train(workloads.train_config(0, 2), demos, mode)
+        assert report.steps == [1, 2]
+        assert all(np.isfinite(report.losses))

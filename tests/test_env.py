@@ -64,6 +64,22 @@ def replay_episode(env_seed, actions):
     return False
 
 
+def reference_reset(seed):
+    """The seeded placement as three uniform draws per attempt, one
+    attempt at a time: the reference the batched rule must equal bit
+    for bit."""
+    rng = np.random.default_rng(seed)
+    for _ in range(1000):
+        target = rng.uniform(0.55, 0.92, size=2)
+        block = rng.uniform(0.15, 0.55, size=2)
+        agent = rng.uniform(0.05, 0.95, size=2)
+        if 0.25 <= _norm(block - target) <= 0.8 \
+                and _norm(agent - block) >= APPROACH_RADIUS + 0.03 \
+                and _norm(agent - target) >= 0.1:
+            return EnvState(agent=agent, block=block, target=target)
+    raise AssertionError(f"no placement for seed {seed}")
+
+
 def make_state(agent, block, target):
     return EnvState(agent=np.array(agent, dtype=float),
                     block=np.array(block, dtype=float),
@@ -83,6 +99,24 @@ class TestEnvBasics:
             assert np.linalg.norm(st.agent - st.block) >= APPROACH_RADIUS
             assert np.linalg.norm(st.block - st.target) >= 0.25
             assert STAGES[stage_index(st)] == "approach"
+
+    @pytest.mark.parametrize("block", [1, 2, 8])
+    def test_placement_matches_three_uniform_draws(self, monkeypatch, block):
+        """Each attempt's positions equal numpy's uniform draws of target,
+        block and agent, the first valid attempt wins, and blocks of
+        attempts continue one generator's stream."""
+        monkeypatch.setattr(env, "_PLACE_BLOCK", block)
+        seeds = range(300)
+        want = np.array([observe(reference_reset(s)) for s in seeds])
+        assert env.initial_observations(seeds).tobytes() == want.tobytes()
+        for s in (0, 17, 299):
+            assert observe(reset_env(s)).tobytes() == want[s].tobytes()
+
+    def test_placement_gives_up_after_a_thousand_attempts(self, monkeypatch):
+        monkeypatch.setattr(env, "_GAP_MIN", np.full(3, 2.0))  # unreachable
+        with pytest.raises(RuntimeError,
+                           match="no valid initial placement for seed 5"):
+            env.initial_observations([5, 6])
 
     def test_observation_layout(self):
         st = make_state([0.1, 0.2], [0.3, 0.4], [0.5, 0.6])
@@ -363,10 +397,15 @@ class TestDemos:
     def test_counts_and_shapes(self):
         ds = generate_demos(3, seed=0)
         assert ds.n_traj == 3
+        assert ds.actions.shape == (ds.lengths.sum(), D_A)
+        assert ds.obs.shape == (ds.n_windows.sum(), D_O)
         for tr in ds.trajectories:
             assert tr.n_windows == tr.length - T_P + 1
             assert tr.obs.shape == (tr.n_windows, D_O)
             assert tr.actions.shape == (tr.n_windows, T_P, D_A)
+            # views of the packed arrays, which windows overlap in
+            assert not tr.obs.flags.writeable
+            assert not tr.actions.flags.writeable
 
     def test_windows_overlap_consistently(self):
         ds = generate_demos(2, seed=1)
@@ -416,13 +455,13 @@ class TestDemos:
 
     def test_gives_up_after_twenty_attempts_per_demo(self, monkeypatch):
         seeds = []
-        real_reset = env.reset_env
+        real_place = env.initial_observations
 
-        def counting_reset(seed):
-            seeds.append(seed)
-            return real_reset(seed)
+        def counting_place(batch):
+            seeds.extend(batch)
+            return real_place(batch)
 
-        monkeypatch.setattr(env, "reset_env", counting_reset)
+        monkeypatch.setattr(env, "initial_observations", counting_place)
         with pytest.raises(RuntimeError, match="failed too often"):
             generate_demos(2, seed=3, noise_level=50.0)
         assert seeds == list(range(3, 3 + 40))
@@ -488,12 +527,33 @@ class TestDemos:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_load_rejects_non_finite_values(self, tmp_path, what, value):
         ds = generate_demos(2, seed=5)
-        tr = ds.trajectories[1]
-        (tr.obs if what == "observation" else tr.actions)[3].flat[1] = value
+        # window 3 of trajectory 1: its observation, or its first action
+        if what == "observation":
+            ds.obs[ds.win0[1] + 3, 1] = value
+        else:
+            ds.actions[ds.step0[1] + 3, 1] = value
         p = tmp_path / "d.bin"
         save_demos(str(p), ds)
         with pytest.raises(ValueError,
                            match=f"{p}: trajectory 1: non-finite {what}"):
+            load_demos(str(p))
+
+    def test_load_rejects_windows_that_disagree(self, tmp_path):
+        ds = generate_demos(2, seed=5)
+        p = tmp_path / "d.bin"
+        save_demos(str(p), ds)
+        # action 5 of window 3 of trajectory 1, which windows 0..2 and
+        # 4..8 also hold
+        n0, n1 = ds.n_windows
+        traj1 = 8 + 4 * 8 + 3 * 8 + n0 * (D_O + T_P * D_A) * 8 + 3 * 8
+        off = traj1 + n1 * D_O * 8 + ((3 * T_P + 5) * D_A) * 8
+        blob = bytearray(p.read_bytes())
+        old, = struct.unpack_from("<d", blob, off)
+        assert old == ds.actions[ds.step0[1] + 3 + 5, 0]
+        struct.pack_into("<d", blob, off, old + 0.25)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=f"{p}: trajectory 1: "
+                           "overlapping action windows disagree"):
             load_demos(str(p))
 
     def test_load_rejects_an_empty_dataset(self, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 import diffpol.training
-from diffpol.env import D_A, D_O, T_P, DemoDataset, DemoTrajectory, \
+from diffpol.env import D_A, D_O, T_P, DemoDataset, generate_demos, \
     policy_features
 from diffpol.nets import _embed_table, init_params, load_checkpoint, \
     mlp_backward, mlp_forward, save_checkpoint
@@ -31,18 +31,19 @@ from diffpol.training import (
     weighted_sample_index,
 )
 
-from helpers import sampler_objective
+from helpers import policy_entropy_grad_loop, sampler_objective
 
 
 def tiny_dataset(seed=0, n_traj=4, n_windows=6):
+    """Random demos whose windows are cut from per-step actions, as a
+    collector records them: n_windows observations and
+    n_windows + T_P - 1 actions per trajectory."""
     rng = np.random.default_rng(seed)
-    trajs = []
-    for s in range(n_traj):
-        obs = rng.uniform(0.0, 1.0, (n_windows, D_O))
-        acts = rng.uniform(-1.0, 1.0, (n_windows, T_P, D_A))
-        trajs.append(DemoTrajectory(env_seed=s, length=n_windows + T_P - 1,
-                                    obs=obs, actions=acts))
-    return DemoDataset(trajs)
+    obs, acts = [], []
+    for _ in range(n_traj):
+        obs.append(rng.uniform(0.0, 1.0, (n_windows, D_O)))
+        acts.append(rng.uniform(-1.0, 1.0, (n_windows + T_P - 1, D_A)))
+    return DemoDataset(range(n_traj), obs, acts)
 
 
 def tiny_config(**over):
@@ -51,6 +52,58 @@ def tiny_config(**over):
                 snapshot_every=20, eval_every=0)
     base.update(over)
     return TrainConfig(**base)
+
+
+class TestDemoDataset:
+    def test_batch_gather_matches_trajectory_views(self):
+        """A batch's rows of the packed arrays are the drawn windows,
+        bit for bit, and its rows of the lifted observations are each
+        window start's own lift."""
+        ds = generate_demos(6, seed=1)
+        feats = policy_features(ds.obs)
+        trajs = ds.trajectories
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            idxs = rng.integers(0, ds.n_traj, size=32)
+            wis = rng.integers(ds.n_windows[idxs])
+            steps, starts = ds.window_rows(idxs, wis)
+            acts, obs_feats = ds.actions[steps], feats[starts]
+            for e, (i, w) in enumerate(zip(idxs, wis)):
+                np.testing.assert_array_equal(acts[e], trajs[i].actions[w])
+                np.testing.assert_array_equal(
+                    obs_feats[e], policy_features(trajs[i].obs[w]))
+
+    def test_rejects_trajectory_without_windows(self):
+        obs = [np.zeros((3, D_O)), np.zeros((0, D_O))]
+        acts = [np.zeros((3 + T_P - 1, D_A)), np.zeros((T_P - 1, D_A))]
+        with pytest.raises(ValueError, match=r"trajectory 1 \(env seed 8\)"):
+            DemoDataset([7, 8], obs, acts)
+
+    def test_rejects_more_observations_than_actions(self):
+        obs = [np.zeros((3, D_O)), np.zeros((3, D_O))]
+        acts = [np.zeros((3 + T_P - 1, D_A)), np.zeros((3 + T_P - 2, D_A))]
+        with pytest.raises(ValueError, match=r"trajectory 1 \(env seed 1\)"):
+            DemoDataset([0, 1], obs, acts)
+
+    @pytest.mark.parametrize("obs_shape,acts_shape", [
+        ((4, D_O), (4 + T_P, D_A)),      # more actions than the windows use
+        ((4, D_O - 1), (4 + T_P - 1, D_A)),
+        ((4, D_O), (4 + T_P - 1, D_A + 1)),
+        ((4, D_O), (4, T_P, D_A)),       # windows, not per-step actions
+    ])
+    def test_rejects_obs_and_actions_that_do_not_match(self, obs_shape,
+                                                        acts_shape):
+        obs = [np.zeros((2, D_O)), np.zeros(obs_shape)]
+        acts = [np.zeros((2 + T_P - 1, D_A)), np.zeros(acts_shape)]
+        with pytest.raises(ValueError, match=r"trajectory 1 \(env seed 3\)"):
+            DemoDataset([2, 3], obs, acts)
+
+    def test_rejects_no_trajectories_and_unmatched_lists(self):
+        with pytest.raises(ValueError, match="no trajectories"):
+            DemoDataset([], [], [])
+        with pytest.raises(ValueError, match="one obs and one actions"):
+            DemoDataset([0, 1], [np.zeros((1, D_O))],
+                        [np.zeros((T_P, D_A))])
 
 
 class TestRewardShaping:
@@ -293,6 +346,19 @@ class TestTimestepSampler:
         want = -1.7 * np.log(p[3]) - 2.5 * H
         assert sampler_objective(ts, 4, 1.7) == pytest.approx(want, rel=1e-12)
 
+    def test_entropy_grad_matches_per_draw_loop(self):
+        """The (2B, T) form adds the draws' terms in the loop's order, so
+        it equals the loop bit for bit, repeated steps included."""
+        rng = np.random.default_rng(3)
+        ts = make_timestep_sampler(2, T=20, hidden=32, embed_dim=16,
+                                   entropy_coef=0.7)
+        for B in [1, 2, 5] + [64] * 30:
+            ks = rng.integers(1, 21, size=B)
+            ks[B // 2:] = ks[0]  # the first draw's step again
+            rs = normalize_rewards(rng.standard_normal(B))
+            np.testing.assert_array_equal(_policy_entropy_grad(ts, ks, rs),
+                                          policy_entropy_grad_loop(ts, ks, rs))
+
     def test_batch_update_matches_mean_of_singles(self):
         ks = np.array([2, 7, 7])
         rs = np.array([1.0, -0.5, 0.3])
@@ -482,22 +548,9 @@ class TestTrainLoop:
 
     def test_non_finite_loss_stops_with_the_step(self):
         ds = tiny_dataset()
-        ds.trajectories[2].actions[4, 7, 1] = np.nan
+        ds.actions[ds.step0[2] + 4 + 7, 1] = np.nan  # window 4, action 7
         with pytest.raises(ValueError, match=r"non-finite.*at step \d+"):
             train(tiny_config(), ds, "uniform")
-
-    def test_rejects_trajectory_without_windows(self):
-        ds = tiny_dataset()
-        tr = ds.trajectories[2]
-        tr.obs, tr.actions = tr.obs[:0], tr.actions[:0]
-        with pytest.raises(ValueError, match=r"trajectory 2 \(env seed 2\)"):
-            train(tiny_config(total_steps=1), ds, "uniform")
-
-    def test_rejects_more_observations_than_actions(self):
-        ds = tiny_dataset()
-        ds.trajectories[1].actions = ds.trajectories[1].actions[:-1]
-        with pytest.raises(ValueError, match=r"trajectory 1 \(env seed 1\)"):
-            train(tiny_config(total_steps=1), ds, "uniform")
 
     def test_rejects_bad_mode_and_config(self):
         with pytest.raises(ValueError):
