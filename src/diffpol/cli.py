@@ -273,11 +273,14 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 
 def _parse_ranges(text: str) -> ScheduleRanges:
-    parts = str(text).split(",")
-    if len(parts) != 4:
-        raise ValueError(
-            f"bad --ranges {text!r}; want a_min,a_max,i_min,i_max")
-    return ScheduleRanges(*(int(p) for p in parts))
+    try:
+        bounds = [int(p) for p in str(text).split(",")]
+        if len(bounds) == 4:
+            return ScheduleRanges(*bounds)
+    except ValueError:
+        pass
+    raise ValueError(f"bad --ranges {text!r}; want a_min,a_max,i_min,i_max, "
+                     "positive, each min at most its max")
 
 
 def _parse_schedule_arg(text: str):

@@ -402,15 +402,22 @@ def load_checkpoint(path: str) -> DenoiserParams:
         struct.unpack_from(_HEADER, blob, 8)
     if min(d_o, T_p, d_a, embed_dim, hidden, T) < 1 or n_hidden < 0:
         raise ValueError(f"{path}: bad dims in header")
+    try:
+        check_embed_dim(embed_dim)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     if not 0.0 < beta_start <= beta_end < 1.0:  # False for NaN too
         raise ValueError(f"{path}: bad noise schedule in header: beta_start "
                          f"{beta_start!r}, beta_end {beta_end!r}")
-    sizes = [d_o + T_p * d_a + embed_dim] + [hidden] * n_hidden + [T_p * d_a]
-    shapes = [((fan_in, fan_out), (fan_out,))
-              for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
-    n = sum(fan_in * fan_out + fan_out for (fan_in, fan_out), _ in shapes)
+    d_in, d_out = d_o + T_p * d_a + embed_dim, T_p * d_a
+    # count weights and biases before building any per-layer list
+    n = ((d_in + 1) * hidden + (n_hidden - 1) * (hidden + 1) * hidden
+         + (hidden + 1) * d_out) if n_hidden else (d_in + 1) * d_out
     if len(blob) != HEADER_BYTES + 8 * n:
         raise ValueError(f"{path}: payload size mismatch")
+    sizes = [d_in] + [hidden] * n_hidden + [d_out]
+    shapes = [((fan_in, fan_out), (fan_out,))
+              for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
     flat = np.frombuffer(blob, dtype="<f8", offset=HEADER_BYTES).astype(
         np.float64)
     if not np.isfinite(flat).all():

@@ -1,14 +1,17 @@
 """Stage protocol: templates, prompt construction, response parsing.
 
 A long task is decomposed into named stages, and each stage is assigned
-a compute budget (action horizon, denoising step count).  Both
-exchanges are plain text with a remote model, so every parser here is
-defensive: a response's array is the first [ at which the standard JSON
-decoder succeeds once trailing commas are dropped, values are clamped
-into range, and a missing "hardest stage" designation is repaired by a
-deterministic fallback.  Schedule files, which this program writes,
-load as written.  At run time a classifier reports a ranked belief over
-the stages, and select_stage picks the active one.
+a compute budget (action horizon, denoising step count).  A schedule
+table is just those named budgets.  Both exchanges are plain text with
+a remote model, so every parser here is defensive: a response's array
+is the first [ at which the standard JSON decoder succeeds once
+trailing commas are dropped, and every entry must be an object with a
+text name that is unique once normalised.  The schedule prompt's rules
+bind its replies only: values are clamped into its ranges, and a
+missing "hardest stage" designation is repaired by a deterministic
+fallback.  Schedule files, which this program writes, load as written.
+At run time a classifier reports a ranked belief over the stages, and
+select_stage picks the active one.
 """
 
 from __future__ import annotations
@@ -69,11 +72,6 @@ class ScheduleRanges:
         if self.a_min > self.a_max or self.i_min > self.i_max:
             raise ValueError("range bounds out of order")
 
-    @property
-    def degenerate(self) -> bool:
-        """Single admissible pair, so entries cannot differ."""
-        return self.a_min == self.a_max and self.i_min == self.i_max
-
 
 @dataclass(frozen=True)
 class ScheduleEntry:
@@ -82,6 +80,8 @@ class ScheduleEntry:
     num_inference_steps: int
 
     def __post_init__(self):
+        if not self.name:
+            raise ValueError("stage name must be nonempty")
         for v in (self.n_action_steps, self.num_inference_steps):
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError("schedule values must be positive integers")
@@ -93,8 +93,9 @@ class ScheduleEntry:
 
 @dataclass(frozen=True)
 class ScheduleTable:
+    """Named (N_a, N_d) budgets, one per stage, in stage order."""
+
     entries: tuple[ScheduleEntry, ...]
-    ranges: ScheduleRanges = ScheduleRanges()
 
     def __post_init__(self):
         if not self.entries:
@@ -102,19 +103,6 @@ class ScheduleTable:
         names = [e.name for e in self.entries]
         if len(set(names)) != len(names):
             raise ValueError("duplicate stage names in schedule table")
-        r = self.ranges
-        for e in self.entries:
-            if not (r.a_min <= e.n_action_steps <= r.a_max):
-                raise ValueError(f"{e.name}: horizon outside range")
-            if not (r.i_min <= e.num_inference_steps <= r.i_max):
-                raise ValueError(f"{e.name}: step count outside range")
-        hardest = (r.a_min, r.i_max)
-        if not any(e.pair == hardest for e in self.entries):
-            raise ValueError("no entry carries the precision budget "
-                             f"{hardest}")
-        if len(self.entries) > 1 and not r.degenerate \
-                and len({e.pair for e in self.entries}) == 1:
-            raise ValueError("all schedule entries are identical")
 
 
 @dataclass(frozen=True)
@@ -200,14 +188,15 @@ def build_decomposition_prompt(task_desc: str, num_images: int,
                                           num_stages=num_stages)
 
 
-def build_schedule_prompt(stages, ranges: ScheduleRanges | None = None) -> str:
+def build_schedule_prompt(stages,
+                          ranges: ScheduleRanges = ScheduleRanges()) -> str:
     if not stages:
         raise ValueError("need at least one stage")
-    r = ranges if ranges is not None else ScheduleRanges()
     return _SCHEDULE_TEMPLATE.format(
         num_stages=len(stages),
         stage_definitions=format_stage_definitions(stages),
-        a_min=r.a_min, a_max=r.a_max, i_min=r.i_min, i_max=r.i_max)
+        a_min=ranges.a_min, a_max=ranges.a_max,
+        i_min=ranges.i_min, i_max=ranges.i_max)
 
 
 # -- response sanitation ------------------------------------------------------
@@ -255,27 +244,45 @@ def _first_array(raw: str) -> tuple[list, str]:
 
 # -- response parsing ---------------------------------------------------------
 
+_SCHEDULE_KEYS = ("name", "n_action_steps", "num_inference_steps")
+
+
+def _entries(text: str, keys: tuple[str, ...]) -> list[tuple]:
+    """Each entry of the text's array as its values under keys, the
+    first a stage name, normalised.  Every entry must be an object that
+    holds the keys, with a text name that is nonblank and unique once
+    normalised."""
+    out = []
+    seen: set[str] = set()
+    for item in _load_array(text):
+        if not isinstance(item, dict):
+            raise StageParseError(f"entry is not an object: {item!r}")
+        missing = [k for k in keys if k not in item]
+        if missing:
+            raise StageParseError(f"entry missing {missing}: {item!r}")
+        raw = item[keys[0]]
+        name = normalize_name(raw) if isinstance(raw, str) else ""
+        if not name:
+            raise StageParseError(f"stage name must be nonblank text, "
+                                  f"got {raw!r}")
+        if name in seen:
+            raise StageParseError(f"duplicate stage name {name!r}")
+        seen.add(name)
+        out.append((name, *(item[k] for k in keys[1:])))
+    return out
+
 
 def parse_stage_templates(text: str, expected_n: int) -> list[StageTemplate]:
     """Parse a decomposition response into exactly expected_n templates.
 
     Names are whitespace-normalized to underscores; a description missing
     its standard prefix gets it prepended rather than rejected."""
-    data = _load_array(text)
     out: list[StageTemplate] = []
-    seen: set[str] = set()
-    for item in data:
-        if not isinstance(item, dict):
-            raise StageParseError(f"stage entry is not an object: {item!r}")
-        if "name" not in item or "description" not in item:
-            raise StageParseError(f"stage entry missing fields: {item!r}")
-        name = normalize_name(item["name"])
-        if not name:
-            raise StageParseError("empty stage name")
-        if name in seen:
-            raise StageParseError(f"duplicate stage name {name!r}")
-        seen.add(name)
-        desc = str(item["description"]).strip()
+    for name, desc in _entries(text, ("name", "description")):
+        if not isinstance(desc, str):
+            raise StageParseError(f"{name}: description is not text: "
+                                  f"{desc!r}")
+        desc = desc.strip()
         if not desc.startswith(DESCRIPTION_PREFIX):
             desc = f"{DESCRIPTION_PREFIX} {desc}"
         out.append(StageTemplate(name=name, description=desc))
@@ -300,40 +307,26 @@ def _as_int(value) -> int:
     raise StageParseError(f"unparseable integer value: {value!r}")
 
 
-def _schedule_items(text: str) -> list[tuple[str, object, object]]:
-    """(normalized name, raw horizon, raw step count) of each entry."""
-    items = []
-    for item in _load_array(text):
-        if not isinstance(item, dict):
-            raise StageParseError(f"schedule entry is not an object: {item!r}")
-        for key in ("name", "n_action_steps", "num_inference_steps"):
-            if key not in item:
-                raise StageParseError(f"schedule entry missing {key!r}")
-        items.append((normalize_name(item["name"]), item["n_action_steps"],
-                      item["num_inference_steps"]))
-    return items
-
-
 def parse_schedule(text: str, stages,
-                   ranges: ScheduleRanges | None = None) -> ScheduleTable:
-    """Parse a schedule response into a validated table, template order.
+                   ranges: ScheduleRanges = ScheduleRanges()) -> ScheduleTable:
+    """Parse a schedule response into a table in template order, under
+    the prompt's rules.
 
-    Values are clamped into the configured ranges.  If no stage carries
-    the precision budget (a_min, i_max), the entry with the largest step
+    Values are clamped into the ranges.  If no stage carries the
+    precision budget (a_min, i_max), the entry with the largest step
     count (ties: smallest horizon, then earliest stage) is promoted to
     it.  If that leaves every entry identical, the earliest stage is
-    demoted to (a_max, i_min) so the table still differentiates stages.
+    demoted to (a_max, i_min) so the table still differentiates stages
+    (a no-op when the ranges admit that one pair only).
     """
-    r = ranges if ranges is not None else ScheduleRanges()
+    r = ranges
     names = _stage_names(stages)
     if not names:
         raise StageParseError("no stages given")
     got: dict[str, tuple[int, int]] = {}
-    for name, na, nd in _schedule_items(text):
+    for name, na, nd in _entries(text, _SCHEDULE_KEYS):
         if name not in names:
             raise StageParseError(f"unknown stage {name!r}")
-        if name in got:
-            raise StageParseError(f"duplicate schedule entry {name!r}")
         got[name] = (min(max(_as_int(na), r.a_min), r.a_max),
                      min(max(_as_int(nd), r.i_min), r.i_max))
     missing = [n for n in names if n not in got]
@@ -345,12 +338,10 @@ def parse_schedule(text: str, stages,
         best = max(range(len(pairs)),
                    key=lambda i: (pairs[i][1], -pairs[i][0], -i))
         pairs[best] = hardest
-    if len(pairs) > 1 and not r.degenerate and len(set(pairs)) == 1:
+    if len(pairs) > 1 and len(set(pairs)) == 1:
         pairs[0] = (r.a_max, r.i_min)
-    entries = tuple(ScheduleEntry(name=n, n_action_steps=a,
-                                  num_inference_steps=d)
-                    for n, (a, d) in zip(names, pairs))
-    return ScheduleTable(entries=entries, ranges=r)
+    return ScheduleTable(tuple(ScheduleEntry(n, a, d)
+                               for n, (a, d) in zip(names, pairs)))
 
 
 def select_stage(belief: StageBelief, gap: float,
@@ -394,13 +385,10 @@ def schedule_to_json(table: ScheduleTable) -> str:
 
 
 def schedule_from_json(text: str) -> ScheduleTable:
-    """Load a schedule file as written: its entries in file order, under
-    the tightest ranges that hold them.  Nothing is clamped or repaired;
-    a file that no valid table can hold (a non-integer value, no entry
-    with the least horizon and the most steps, ...) raises ValueError."""
-    entries = tuple(ScheduleEntry(*item) for item in _schedule_items(text))
-    if not entries:
-        raise StageParseError("no stages in schedule file")
-    na, nd = zip(*(e.pair for e in entries))
-    return ScheduleTable(entries=entries, ranges=ScheduleRanges(
-        min(na), max(na), min(nd), max(nd)))
+    """Load a schedule file as written: any uniquely named positive
+    integer (N_a, N_d) pairs, in file order.  Nothing is clamped or
+    repaired, and the schedule prompt's ranges do not apply; a value
+    that is not a positive integer, a blank or repeated name, or an
+    empty file raises ValueError."""
+    return ScheduleTable(tuple(ScheduleEntry(*item)
+                               for item in _entries(text, _SCHEDULE_KEYS)))

@@ -337,7 +337,7 @@ def test_08_response_protocol_is_robust():
         except StageParseError:
             continue
         parsed += 1
-        r = table.ranges
+        r = ScheduleRanges()  # the ranges it parsed under
         hardest = (r.a_min, r.i_max)
         assert any(e.pair == hardest for e in table.entries), \
             f"no precision-budget entry in {table.entries}"

@@ -213,6 +213,16 @@ class TestResolve:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("ranges", ["8,16,x,40", "8,16,20", "",
+                                        "16,8,20,40", "0,16,20,40"])
+    def test_bad_ranges_name_the_flag(self, tmp_path, ranges, capsys):
+        assert main(["decompose", "--ranges", ranges,
+                     "--out", str(tmp_path / "run"), "--mock",
+                     str(FIXTURES / "decompose_response.txt"),
+                     str(FIXTURES / "schedule_response.txt")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: bad --ranges {ranges!r}; want a_min,a_max,i_min,i_max")
+
     def test_bad_cli_strings_exit_nonzero(self, tmp_path, checkpoint):
         base = ["eval", "--policy", checkpoint, "--out", str(tmp_path)]
         assert main(base + ["--schedule", "fixed:16"]) == 1

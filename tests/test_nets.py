@@ -561,6 +561,14 @@ class TestCheckpoint:
                         + blob[64:])
         with pytest.raises(ValueError, match="dims"):
             load_checkpoint(str(bad))
+        # embed_dim 7, the payload one first-layer row (8 weights) shorter
+        bad.write_bytes(blob[:32] + struct.pack("<q", 7) + blob[40:-64])
+        with pytest.raises(ValueError, match="bad.bin: embedding dim"):
+            load_checkpoint(str(bad))
+        # refused by arithmetic, before any per-layer list is built
+        bad.write_bytes(blob[:48] + struct.pack("<q", 2 ** 40) + blob[56:])
+        with pytest.raises(ValueError, match="bad.bin: payload size"):
+            load_checkpoint(str(bad))
 
     def test_rejects_v1_files(self, tmp_path):
         """A file from before the schedule header has no betas to read;

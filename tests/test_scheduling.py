@@ -25,8 +25,8 @@ from diffpol.scheduling import (
     complete_text,
     scheduler_tick,
 )
-from diffpol.stages import ScheduleEntry, ScheduleRanges, ScheduleTable, \
-    StageBelief
+from diffpol.stages import ScheduleEntry, ScheduleTable, StageBelief, \
+    schedule_from_json, schedule_to_json
 
 SCHED = make_noise_schedule(100)
 
@@ -42,12 +42,10 @@ def push_table(pairs=None):
 
 
 def horizon_table(na):
-    """Every stage at horizon na; reach carries the (na, 40) precision
-    budget, the rest (na, 20)."""
+    """Every stage at horizon na; reach takes 40 steps, the rest 20."""
     entries = tuple(ScheduleEntry(n, na, 40 if n == "reach" else 20)
                     for n in STAGES)
-    return ScheduleTable(entries=entries,
-                         ranges=ScheduleRanges(na, na, 20, 40))
+    return ScheduleTable(entries=entries)
 
 
 class CountingOracle:
@@ -154,7 +152,7 @@ class TestSchedulerTick:
         entries = tuple(ScheduleEntry(n, 8 if n == "reach" else 20,
                                       40 if n == "reach" else 20)
                         for n in STAGES)
-        table = ScheduleTable(entries, ScheduleRanges(8, 20, 20, 40))
+        table = ScheduleTable(entries)
         clf = ScriptedClassifier([0, 3])
         r = scheduled_rollout(SchedulerState(table, clf))
         assert r.replans[:3] == ((0, 0, 20, 20), (16, 3, 8, 40),
@@ -225,6 +223,30 @@ class TestSchedulerTick:
         bad = ScriptedClassifier([7])  # outside the 5-entry table
         with pytest.raises(ValueError):
             scheduler_tick(SchedulerState(table, bad), None)
+
+    @pytest.mark.parametrize("pairs", [
+        {"approach": (8, 5), "align": (2, 5), "push": (2, 5),
+         "reach": (2, 10), "complete": (2, 5)},
+        {n: (8, 12) for n in STAGES},
+    ], ids=["searched", "uniform"])
+    def test_tables_outside_the_prompt_ranges_run(self, pairs):
+        """Tables no schedule reply could yield (no (8, 40) entry, steps
+        below 20, horizons below 8, all entries equal) round-trip as
+        files, and every replan takes its stage's entry."""
+        table = ScheduleTable(tuple(ScheduleEntry(n, *pairs[n])
+                                    for n in STAGES))
+        text = schedule_to_json(table)
+        assert schedule_from_json(text) == table
+        assert schedule_to_json(schedule_from_json(text)) == text
+        scripted = ScriptedClassifier(range(len(STAGES)))
+        for st in (SchedulerState(table), SchedulerState(table, scripted)):
+            r = scheduled_rollout(st)
+            starts = window_starts(r) + [r.steps]
+            for (step, stage, na, nd), end in zip(r.replans, starts[1:]):
+                assert (na, nd) == table.entries[stage].pair
+                assert end - step == min(na, T_P, r.steps - step)
+        # the scripted run, last, visits every stage and so every entry
+        assert {stage for _, stage, _, _ in r.replans} == set(range(5))
 
 
 def completion(content) -> bytes:

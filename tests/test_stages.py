@@ -201,6 +201,18 @@ class TestParseStageTemplates:
         with pytest.raises(StageParseError):
             parse_stage_templates('["not an object"]', 1)
 
+    @pytest.mark.parametrize("entry", [
+        '{"name": null, "description": null}',
+        '{"name": 7, "description": "Action features: x"}',
+        '{"name": " \\t ", "description": "Action features: x"}',
+        '{"name": "a", "description": null}',
+        '{"name": "a", "description": ["Action features: x"]}',
+    ], ids=["null", "number-name", "blank-name", "null-description",
+            "list-description"])
+    def test_rejects_non_text_fields(self, entry):
+        with pytest.raises(StageParseError):
+            parse_stage_templates(f"[{entry}]", 1)
+
     def test_template_validation(self):
         with pytest.raises(ValueError):
             StageTemplate(name="has space", description="Action features: x")
@@ -302,46 +314,46 @@ class TestParseSchedule:
         with pytest.raises(ValueError):
             ScheduleTable(entries=(ok, ok))  # duplicate names
         with pytest.raises(ValueError):
-            ScheduleTable(entries=(ScheduleEntry("a", 16, 20),))  # no hardest
-        with pytest.raises(ValueError):
-            ScheduleTable(entries=(ScheduleEntry("a", 17, 40),))  # range
-        with pytest.raises(ValueError):
-            ScheduleTable(entries=(ScheduleEntry("a", 8, 40),
-                                   ScheduleEntry("b", 8, 40)))  # identical
+            ScheduleEntry("", 8, 40)  # empty name
 
     def test_degenerate_ranges_allowed(self):
         r = ScheduleRanges(8, 8, 30, 30)
-        table = ScheduleTable(entries=(ScheduleEntry("a", 8, 30),
-                                       ScheduleEntry("b", 8, 30)), ranges=r)
-        assert table.entries[0].pair == (8, 30)
         parsed = parse_schedule(schedule_text([(8, 30), (8, 30)])
                                 .replace("approach", "a")
                                 .replace("align", "b"), ["a", "b"], r)
         assert [e.pair for e in parsed.entries] == [(8, 30), (8, 30)]
 
+    @pytest.mark.parametrize("name, coerced", [
+        ("7", "7"), ("null", "None"), ("[]", "[]"), ('"  "', "")])
+    def test_rejects_non_text_names(self, name, coerced):
+        """A reply name is never coerced into the stage it would match."""
+        reply = schedule_text([(8, 40)]).replace('"approach"', name)
+        with pytest.raises(StageParseError):
+            parse_schedule(reply, [coerced])
+
 
 class TestScheduleFile:
-    """A schedule file loads as written, under its own tightest ranges."""
+    """A schedule file loads as written: any uniquely named positive
+    integer pairs, whatever the schedule prompt's ranges."""
 
     def test_loads_as_written(self):
-        pairs = [(16, 20), (4, 90), (16, 90), (12, 35), (16, 20)]
-        table = schedule_from_json(schedule_text(pairs))
-        assert [e.pair for e in table.entries] == pairs
-        assert [e.name for e in table.entries] == NAMES
-        assert table.ranges == ScheduleRanges(4, 16, 20, 90)
+        for pairs in ([(16, 20), (4, 90), (16, 90), (12, 35), (16, 20)],
+                      [(16, 20), (8, 30), (12, 40), (16, 20), (16, 20)]):
+            table = schedule_from_json(schedule_text(pairs))
+            assert [e.pair for e in table.entries] == pairs
+            assert [e.name for e in table.entries] == NAMES
 
     def test_fixture_keeps_its_precision_stage(self):
         table = schedule_from_json(read_fixture("schedule_expected.json"))
         pairs = {e.name: e.pair for e in table.entries}
         assert pairs["robot_arm_releases_can_into_compartment"] == (8, 60)
-        assert table.ranges == ScheduleRanges(8, 16, 20, 60)
 
     @pytest.mark.parametrize("pairs", [
         [(16, 20), (8, 40.0), (16, 20), (16, 20), (16, 20)],  # float
         [(16, 20), (8, "40"), (16, 20), (16, 20), (16, 20)],  # string
         [(16, 20), (8, True), (16, 20), (16, 20), (16, 20)],  # bool
         [(16, 20), (8, 0), (16, 20), (16, 20), (16, 20)],     # not positive
-        [(16, 20), (8, 30), (12, 40), (16, 20), (16, 20)],    # no (8, 40)
+        [(16, 20), (-8, 40), (16, 20), (16, 20), (16, 20)],   # negative
         [],                                                   # empty
     ])
     def test_rejects_files_no_table_can_hold(self, pairs):
@@ -356,6 +368,10 @@ class TestScheduleFile:
         with pytest.raises(ValueError, match="duplicate"):
             schedule_from_json(schedule_text([(8, 40)] * 2).replace(
                 "align", "approach"))
+        for name in ("null", '"  "', "7"):  # never loaded as "None", "", "7"
+            with pytest.raises(StageParseError, match="stage name"):
+                schedule_from_json(schedule_text([(8, 40)]).replace(
+                    '"approach"', name))
 
 
 class TestStageBelief:
