@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 from .env import TASK_DESCRIPTION, generate_demos, load_demos, save_demos
 from .nets import load_checkpoint, save_checkpoint
-from .rollout import compare_speedup, evaluate, hvts_schedule_table
+from .rollout import compare_speedup, evaluate, fixed_schedule_table, \
+    hvts_schedule_table
 from .scheduling import ENDPOINT_ENV_VAR, ClassifierError, complete_text
 from .stages import (
     ScheduleRanges,
@@ -284,18 +285,19 @@ def _parse_ranges(text: str) -> ScheduleRanges:
 
 
 def _parse_schedule_arg(text: str):
-    """Decode --schedule into what evaluate() consumes: a fixed pair, or
-    a ScheduleTable for the oracle-classified scheduler."""
+    """Decode --schedule into the ScheduleTable evaluate() runs under
+    the oracle-classified scheduler; fixed:<Na>,<Nd> is that pair for
+    every stage."""
     if text == "oracle-hvts":
         return hvts_schedule_table()
     kind, sep, rest = text.partition(":")
     if sep and kind == "fixed":
-        parts = rest.split(",")
-        if len(parts) == 2:
-            try:
-                return int(parts[0]), int(parts[1])
-            except ValueError:
-                pass
+        try:
+            na, nd = (int(v) for v in rest.split(","))
+        except ValueError:
+            pass
+        else:
+            return fixed_schedule_table(na, nd)
     elif sep and kind == "table":
         _require_file(rest, "schedule table")
         with open(rest) as f:

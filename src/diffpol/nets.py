@@ -106,6 +106,8 @@ def init_mlp(rng: np.random.Generator, sizes: list[int]) -> MlpParams:
     of each pre-activation on unit-variance inputs."""
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
+    if min(sizes) < 1:
+        raise ValueError(f"layer sizes must be >= 1, got {sizes}")
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = np.sqrt(3.0 / fan_in)
@@ -296,32 +298,20 @@ def denoiser_obs_part(p: DenoiserParams, obs: np.ndarray) -> np.ndarray:
     return obs @ p.net.weights[0][:p.d_o] + p.net.biases[0]
 
 
-def denoiser_context(p: DenoiserParams, obs: np.ndarray,
-                     ks: np.ndarray) -> np.ndarray:
-    """The first layer's step-invariant part for one observation and
-    steps ``ks``: row i is ``denoiser_step_part(p, ks)[i] +
-    denoiser_obs_part(p, obs)``, shape (len(ks), hidden), in the net's
-    dtype.  A reverse chain adds the two once per window."""
-    obs_part = denoiser_obs_part(p, obs)
-    ctx = denoiser_step_part(p, ks)
-    ctx += obs_part
-    return ctx
-
-
 # First layer split: obs and step terms per window, the action term per step.
 def denoiser_forward(p: DenoiserParams, obs: np.ndarray, ak: np.ndarray,
                      k: int, context: np.ndarray | None = None) -> np.ndarray:
     """Noise estimate for one noisy window at step k; returns (T_p, d_a)
     in the net's dtype, to which the inputs are cast.
 
-    ``context`` is k's row of ``denoiser_context(p, obs, ks)`` when the
-    caller built one for a whole window (obs is then not read); without
-    it the row is built here, a window of one.  k must be an integer in
-    1..T, else ValueError.
+    ``context`` is k's first-layer row, ``denoiser_step_part`` plus
+    ``denoiser_obs_part``, when the caller built the parts for a whole
+    window (obs is then not read); without it the row is built here, a
+    window of one.  k must be an integer in 1..T, else ValueError.
     """
     dtype = p.net.flat.dtype
     if context is None:
-        context = denoiser_context(p, obs, [k])[0]
+        context = denoiser_step_part(p, [k])[0] + denoiser_obs_part(p, obs)
     elif isinstance(k, bool) or not isinstance(k, (int, np.integer)) \
             or not 1 <= k <= p.T:
         raise ValueError(f"step must be an integer in [1, {p.T}], got {k!r}")

@@ -1,9 +1,10 @@
 """Receding-horizon rollout, evaluation metrics, and speedup comparison.
 
-A rollout runs window by window: each replan takes a horizon N_a and a
-step count N_d, fixed or from the stage scheduler, denoises one action
-window with N_d denoiser calls, records (step, stage, N_a, N_d), and
-runs the window's first N_a actions open loop.  Denoiser calls, the
+A rollout runs window by window: each replan ticks the stage scheduler
+for the current stage's horizon N_a and step count N_d, denoises one
+action window with N_d denoiser calls, records (step, stage, N_a, N_d),
+and runs the window's first N_a actions open loop.  A fixed budget is
+the schedule table with one pair for every stage.  Denoiser calls, the
 hardware-independent cost metric, are summed over the replans; wall
 time is excluded from equality so seeded rollouts stay bit-reproducible.
 """
@@ -39,6 +40,12 @@ def hvts_schedule_table() -> ScheduleTable:
                       num_inference_steps=40 if n == "push" else 20)
         for n in STAGES)
     return ScheduleTable(entries=entries)
+
+
+def fixed_schedule_table(na: int, nd: int) -> ScheduleTable:
+    """A fixed receding-horizon budget: the pair (na, nd) for every stage
+    of the push task, under ScheduleEntry's checks."""
+    return ScheduleTable(tuple(ScheduleEntry(n, na, nd) for n in STAGES))
 
 
 def denoise_action_window(params: DenoiserParams, sched: NoiseSchedule,
@@ -100,14 +107,6 @@ def denoise_action_window(params: DenoiserParams, sched: NoiseSchedule,
     return np.clip(a, -1.0, 1.0)
 
 
-def _fixed_pair(schedule) -> tuple[int, int]:
-    """A fixed ``(N_a, N_d)`` schedule as ints; N_a must be at least 1."""
-    na, nd = (int(v) for v in schedule)
-    if na < 1:
-        raise ValueError(f"fixed schedule horizon {na} must be >= 1")
-    return na, nd
-
-
 @dataclass(frozen=True)
 class EpisodeResult:
     success: bool
@@ -126,22 +125,16 @@ class EpisodeResult:
 
 
 def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
-            schedule, sampler_kind: str = "ddpm", seed: int = 0,
-            forward_fn=None) -> EpisodeResult:
-    """Run one episode under a fixed or scheduled compute budget.
+            schedule: SchedulerState, sampler_kind: str = "ddpm",
+            seed: int = 0, forward_fn=None) -> EpisodeResult:
+    """Run one episode under a staged compute budget.
 
-    ``schedule`` is either a fixed ``(N_a, N_d)`` pair or a
-    SchedulerState, which is ticked once per replan to size the next
-    action window from the current state; a replan's record holds its
-    first step and stage (-1 for fixed runs).  A window runs until the
-    block reaches the target or the episode reaches MAX_STEPS.  A fixed
-    horizon below 1 raises ValueError before the first window.  ``seed``
+    ``schedule`` is ticked once per replan to size the next action
+    window from the current state; a replan's record holds its first
+    step and the stage the tick chose.  A window runs until the block
+    reaches the target or the episode reaches MAX_STEPS.  ``seed``
     drives only the denoising noise; ``env_seed``, the initial condition.
     """
-    scheduler = schedule if isinstance(schedule, SchedulerState) else None
-    if scheduler is None:
-        na, nd = _fixed_pair(schedule)
-    stage = -1
     step_parts: dict[int, np.ndarray] = {}  # per N_d, for every window
     rng = np.random.default_rng(seed)
     env = reset_env(env_seed)
@@ -149,13 +142,11 @@ def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
     step, reached = 0, False
     t0 = time.perf_counter()
     while not reached and step < MAX_STEPS:
-        if scheduler is not None:
-            na, nd, scheduler = scheduler_tick(scheduler, env)
-            stage = scheduler.active
+        na, nd, schedule = scheduler_tick(schedule, env)
         window = denoise_action_window(params, sched, observe(env), nd,
                                        sampler_kind, rng, forward_fn,
                                        step_parts)
-        replans.append((step, stage, na, nd))
+        replans.append((step, schedule.active, na, nd))
         for action in window[:min(na, MAX_STEPS - step)]:
             env, reached = env_step(env, action)
             step += 1
@@ -189,15 +180,16 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
              forward_fn=None) -> Metrics:
     """Aggregate rollouts over n_episodes per evaluation seed.
 
-    ``schedule`` is a fixed ``(N_a, N_d)`` pair, or a ScheduleTable to
-    run the oracle-classified scheduler.  Episode initial conditions
-    depend only on (seed, episode index), so two evaluations with the
-    same seeds see identical environments.  The oracle indexes a table
-    by stage position, so a table needs an entry for each of the task's
+    ``schedule`` is a ScheduleTable, or a fixed ``(N_a, N_d)`` pair that
+    runs as fixed_schedule_table's; either way every episode ticks its
+    own oracle-classified scheduler.  Episode initial conditions depend
+    only on (seed, episode index), so two evaluations with the same
+    seeds see identical environments.  The oracle indexes a table by
+    stage position, so a table needs an entry for each of the task's
     stages, and an entry named after one of them must sit at its
-    position.  Every step count the schedule can ask for must lie in
-    [1, sched.T], and a fixed horizon must be at least 1.  Each fault
-    raises ValueError before any episode runs.
+    position.  Every entry's step count must lie in [1, sched.T].  Each
+    fault, and a pair that is not two positive integers, raises
+    ValueError before any episode runs.
     The denoiser runs in float32, the dtype training computes in, on a
     copy of the net; the caller's params are left as they are.
     """
@@ -206,21 +198,20 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
         raise ValueError("n_episodes must be >= 1")
     if not seeds:
         raise ValueError("need at least one evaluation seed")
-    use_table = isinstance(schedule, ScheduleTable)
-    if use_table and len(schedule.entries) < len(STAGES):
+    if not isinstance(schedule, ScheduleTable):
+        na, nd = schedule
+        schedule = fixed_schedule_table(na, nd)
+    if len(schedule.entries) < len(STAGES):
         raise ValueError(f"schedule table has {len(schedule.entries)} "
                          f"stages; the task has {len(STAGES)}")
-    for i, e in enumerate(schedule.entries if use_table else ()):
+    for i, e in enumerate(schedule.entries):
         if e.name in STAGES and STAGES.index(e.name) != i:
             raise ValueError(f"schedule table has stage {e.name!r} at "
                              f"position {i}; the task has it at "
                              f"{STAGES.index(e.name)}")
-    budgets = ([(e.name, e.num_inference_steps) for e in schedule.entries]
-               if use_table else [("fixed", _fixed_pair(schedule)[1])])
-    for name, n_steps in budgets:
-        if not 1 <= n_steps <= sched.T:
-            raise ValueError(f"stage {name!r}: {n_steps} denoising steps "
-                             f"outside [1, {sched.T}]")
+        if not 1 <= e.num_inference_steps <= sched.T:
+            raise ValueError(f"stage {e.name!r}: {e.num_inference_steps} "
+                             f"denoising steps outside [1, {sched.T}]")
     # float32 weights fit the batch-1 calls' working set in a per-core L2
     params = replace(params, net=params.net.astype(np.float32))
     results: list[EpisodeResult] = []
@@ -228,9 +219,8 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
     for s in seeds:
         seed_results = []
         for env_seed in episode_seeds(s, n_episodes):
-            sub = (SchedulerState(schedule, gap=gap,
-                                  rng=np.random.default_rng(env_seed))
-                   if use_table else schedule)
+            sub = SchedulerState(schedule, gap=gap,
+                                 rng=np.random.default_rng(env_seed))
             seed_results.append(rollout(params, sched, env_seed, sub,
                                         sampler_kind, seed=env_seed + 1,
                                         forward_fn=forward_fn))

@@ -82,9 +82,11 @@ class ScheduleEntry:
     def __post_init__(self):
         if not self.name:
             raise ValueError("stage name must be nonempty")
-        for v in (self.n_action_steps, self.num_inference_steps):
+        for key in ("n_action_steps", "num_inference_steps"):
+            v = getattr(self, key)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError("schedule values must be positive integers")
+                raise ValueError(f"{key} must be a positive integer, "
+                                 f"got {v!r}")
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -217,11 +219,6 @@ def sanitize_json(raw: str) -> str:
     return _first_array(raw)[1]
 
 
-def _load_array(raw: str) -> list:
-    """The array sanitize_json recovers, decoded once."""
-    return _first_array(raw)[0]
-
-
 def _first_array(raw: str) -> tuple[list, str]:
     """(decoded value, text) of the array sanitize_json describes."""
     text, start = raw, raw.find("[")
@@ -254,7 +251,7 @@ def _entries(text: str, keys: tuple[str, ...]) -> list[tuple]:
     normalised."""
     out = []
     seen: set[str] = set()
-    for item in _load_array(text):
+    for item in _first_array(text)[0]:
         if not isinstance(item, dict):
             raise StageParseError(f"entry is not an object: {item!r}")
         missing = [k for k in keys if k not in item]
@@ -277,6 +274,15 @@ def parse_stage_templates(text: str, expected_n: int) -> list[StageTemplate]:
 
     Names are whitespace-normalized to underscores; a description missing
     its standard prefix gets it prepended rather than rejected."""
+    out = _templates(text)
+    if len(out) != expected_n:
+        raise StageParseError(
+            f"expected {expected_n} stages, got {len(out)}")
+    return out
+
+
+def _templates(text: str) -> list[StageTemplate]:
+    """Every template in the text's array, from one decode."""
     out: list[StageTemplate] = []
     for name, desc in _entries(text, ("name", "description")):
         if not isinstance(desc, str):
@@ -286,9 +292,6 @@ def parse_stage_templates(text: str, expected_n: int) -> list[StageTemplate]:
         if not desc.startswith(DESCRIPTION_PREFIX):
             desc = f"{DESCRIPTION_PREFIX} {desc}"
         out.append(StageTemplate(name=name, description=desc))
-    if len(out) != expected_n:
-        raise StageParseError(
-            f"expected {expected_n} stages, got {len(out)}")
     return out
 
 
@@ -371,10 +374,10 @@ def templates_to_json(stages: list[StageTemplate]) -> str:
 
 
 def templates_from_json(text: str) -> list[StageTemplate]:
-    data = _load_array(text)
-    if not data:
+    out = _templates(text)
+    if not out:
         raise StageParseError("no stages in file")
-    return parse_stage_templates(text, expected_n=len(data))
+    return out
 
 
 def schedule_to_json(table: ScheduleTable) -> str:

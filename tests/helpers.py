@@ -1,13 +1,15 @@
 """Shared test utilities: oracle denoisers built from the scripted
-expert, the sampler's per-sample objective for gradient checks and its
-gradient's per-draw loop, and the push task's stages as protocol
-templates."""
+expert, a rollout under a fixed budget, the sampler's per-sample
+objective for gradient checks and its gradient's per-draw loop, and the
+push task's stages as protocol templates."""
 
 import numpy as np
 
 from diffpol.env import D_A, STAGES, T_P, EnvState, env_step, \
     scripted_expert
 from diffpol.diffusion import NoiseSchedule
+from diffpol.rollout import fixed_schedule_table, rollout
+from diffpol.scheduling import SchedulerState
 from diffpol.stages import StageTemplate
 from diffpol.training import TimestepSampler, sampler_distribution
 
@@ -54,6 +56,17 @@ def policy_entropy_grad_loop(ts: TimestepSampler, ks: np.ndarray,
     H = float(-np.sum(p * logp))
     dz += ts.entropy_coef * p * (logp + H)
     return dz
+
+
+def fixed_rollout(params, sched: NoiseSchedule, env_seed: int, pair,
+                  *args, **kwargs):
+    """rollout() under a fixed ``(N_a, N_d)`` budget: the scheduler over
+    fixed_schedule_table's one pair for every stage, as evaluate()
+    builds it for a pair."""
+    na, nd = pair
+    return rollout(params, sched, env_seed,
+                   SchedulerState(fixed_schedule_table(na, nd)),
+                   *args, **kwargs)
 
 
 def expert_window(obs: np.ndarray) -> np.ndarray:

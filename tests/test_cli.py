@@ -170,6 +170,20 @@ class TestResolve:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    def test_empty_sampler_layer_exits_1(self, tmp_path, demo_file, capsys):
+        # a zero-width sampler net used to die in init with a
+        # ZeroDivisionError traceback
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sampler_hidden": 0}))
+        rc = main(["train", "--mode", "aln", "--steps", "2", "--warmup", "1",
+                   "--config", str(cfg), "--data", demo_file,
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: layer sizes must be >= 1, "
+                                       "got [")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("bad", [
         {"lr": -1e-3}, {"lr": 0.0}, {"lr": float("nan")},
         {"lr": float("inf")}, {"eval_every": -5}, {"snapshot_every": -1},
@@ -571,7 +585,7 @@ class TestBench:
         assert main(["bench", "--policy", str(ckpt), "--episodes", "1",
                      "--seeds", "0", "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == \
-            "error: stage 'fixed': 100 denoising steps outside [1, 50]\n"
+            "error: stage 'approach': 100 denoising steps outside [1, 50]\n"
 
     def test_replay_from_manifest_is_bit_identical(self, tmp_path,
                                                    checkpoint):

@@ -15,7 +15,6 @@ from diffpol.nets import (
     AdamState,
     MlpParams,
     denoiser_batch_grads,
-    denoiser_context,
     denoiser_forward,
     denoiser_obs_part,
     denoiser_step_part,
@@ -34,6 +33,12 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
+
+
+def context(p, obs, ks):
+    """The first layer's step-invariant rows for one observation and
+    steps ks, as a rollout adds them once per window."""
+    return denoiser_step_part(p, ks) + denoiser_obs_part(p, obs)
 
 
 def one_sample_grads(p, obs, ak, k, eps):
@@ -114,6 +119,15 @@ class TestInit:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             init_params(0, d_o=0, T_p=16, d_a=2)
+
+    def test_init_mlp_rejects_empty_layers(self):
+        # a zero fan-in used to divide by zero in the init scale
+        rng = np.random.default_rng(0)
+        for sizes in ([4, 0, 0, 0, 1], [0, 8, 1], [4, 8, -2]):
+            with pytest.raises(ValueError, match="layer sizes must be >= 1"):
+                init_mlp(rng, sizes)
+        with pytest.raises(ValueError, match="layer sizes must be >= 1"):
+            make_timestep_sampler(0, T=10, hidden=0, embed_dim=4)
 
 
 class TestGradients:
@@ -218,7 +232,7 @@ class TestGradients:
         p = init_params(0, d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
         rng = np.random.default_rng(6)
         obs, ak = rng.normal(size=3), rng.normal(size=(4, 2))
-        row = denoiser_context(p, obs, [5])[0]
+        row = context(p, obs, [5])[0]
         for bad_k in (0, -1, 11, 5.0, np.float64(5), True, None):
             with pytest.raises(ValueError):
                 denoiser_forward(p, obs, ak, bad_k)
@@ -226,30 +240,32 @@ class TestGradients:
                 denoiser_forward(p, obs, ak, bad_k, row)
         for bad_ks in ([0, 3], [3, 11], [3.0], [[3]], [True]):
             with pytest.raises(ValueError):
-                denoiser_context(p, obs, bad_ks)
-            with pytest.raises(ValueError):
                 denoiser_step_part(p, bad_ks)
         with pytest.raises(ValueError):
-            denoiser_context(p, obs[:2], [3])
-        with pytest.raises(ValueError):
             denoiser_obs_part(p, obs[:2])
+        with pytest.raises(ValueError):
+            denoiser_forward(p, obs[:2], ak, 3)
         for k in (1, np.int64(10)):  # the valid edges
             denoiser_forward(p, obs, ak, k)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_context_is_step_part_plus_obs_part(self, dtype):
-        """The context is the sum of its two parts, bit for bit, so a
+        """A forward without a context row builds the sum of the two
+        parts itself and matches one given that row bit for bit, so a
         rollout may build the step part once and add each window's
         observation part to it."""
         p = init_params(0, d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
         p = replace(p, net=p.net.astype(dtype))
-        obs = np.random.default_rng(11).normal(size=3)
+        rng = np.random.default_rng(11)
+        obs, ak = rng.normal(size=3), rng.normal(size=(4, 2))
         ks = np.array([7, 2, 10])
         step, obs_part = denoiser_step_part(p, ks), denoiser_obs_part(p, obs)
         assert step.dtype == obs_part.dtype == dtype
         assert step.shape == (3, 8) and obs_part.shape == (8,)
-        assert denoiser_context(p, obs, ks).tobytes() \
-            == (step + obs_part).tobytes()
+        for k in ks:
+            row = denoiser_step_part(p, [k])[0] + obs_part
+            assert denoiser_forward(p, obs, ak, int(k)).tobytes() \
+                == denoiser_forward(p, obs, ak, int(k), row).tobytes()
 
     @pytest.mark.parametrize("dims", [
         dict(d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10),
@@ -267,7 +283,7 @@ class TestGradients:
         x = np.concatenate([np.tile(obs, (T, 1)), ak_b.reshape(T, -1),
                             _embed_table(dims["embed_dim"], T)], axis=1)
         want, _ = mlp_forward(p.net, x)
-        ctx = denoiser_context(p, obs, ks[::-1])[::-1]  # any step order
+        ctx = context(p, obs, ks[::-1])[::-1]  # any step order
         for k in ks:
             ref = want[k - 1].reshape(ak_b.shape[1:])
             np.testing.assert_allclose(
@@ -291,8 +307,8 @@ class TestGradients:
         obs = rng.uniform(-1.0, 1.0, dims["d_o"])
         ak_b = rng.standard_normal((T, dims["T_p"], dims["d_a"]))
         ks = np.arange(1, T + 1)
-        ctx = denoiser_context(p, obs, ks)
-        ctx32 = denoiser_context(p32, obs, ks)
+        ctx = context(p, obs, ks)
+        ctx32 = context(p32, obs, ks)
         assert ctx32.dtype == np.float32
         np.testing.assert_allclose(ctx32, ctx, rtol=1e-4,
                                    atol=1e-4 * np.abs(ctx).max())
@@ -316,9 +332,10 @@ class TestGradients:
         limit = p.d_o * p.hidden * 8
         rng = np.random.default_rng(10)
         obs, ak = rng.uniform(-1.0, 1.0, 17), rng.standard_normal((16, 2))
-        row64 = denoiser_context(p, obs, [50])[0]
-        row32 = denoiser_context(p32, obs, [50])[0]
-        calls = [lambda: denoiser_context(p32, obs, [50]),
+        row64 = context(p, obs, [50])[0]
+        row32 = context(p32, obs, [50])[0]
+        calls = [lambda: denoiser_step_part(p32, [50]),
+                 lambda: denoiser_obs_part(p32, obs),
                  lambda: denoiser_forward(p32, obs, ak, 50),
                  lambda: denoiser_forward(p32, obs, ak, 50, row64),
                  lambda: denoiser_forward(p32, obs, ak, 50, row32)]

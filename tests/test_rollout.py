@@ -4,14 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import expert_forward_fn, expert_window, zero_forward_fn
+from helpers import expert_forward_fn, expert_window, fixed_rollout, \
+    zero_forward_fn
 
 import diffpol.rollout
 from diffpol.diffusion import ddim_reverse_step, ddpm_reverse_step, \
     make_noise_schedule, respaced_schedule
 from diffpol.env import MAX_STEPS, T_P, observe, policy_features, reset_env
-from diffpol.nets import _embed_table, denoiser_context, denoiser_forward, \
-    init_params, mlp_forward
+from diffpol.nets import _embed_table, denoiser_forward, denoiser_obs_part, \
+    denoiser_step_part, init_params, mlp_forward
 from diffpol.rollout import (
     EpisodeResult,
     Metrics,
@@ -19,6 +20,7 @@ from diffpol.rollout import (
     denoise_action_window,
     episode_seeds,
     evaluate,
+    fixed_schedule_table,
     hvts_schedule_table,
     rollout,
 )
@@ -40,7 +42,7 @@ def per_step_draw_window(p, sched, obs, n_steps, kind, rng):
     obs = policy_features(obs)
     a = rng.standard_normal((p.T_p, p.d_a))
     derived, idx = respaced_schedule(sched, n_steps)
-    ctx = denoiser_context(p, obs, idx)
+    ctx = denoiser_step_part(p, idx) + denoiser_obs_part(p, obs)
     for j in range(n_steps, 0, -1):
         k = int(idx[j - 1])
         eps_hat = denoiser_forward(p, obs, a, k, ctx[j - 1])
@@ -137,22 +139,22 @@ class TestDenoiseWindow:
 
 class TestRollout:
     def test_expert_policy_succeeds_ddim(self):
-        r = rollout(tiny_params(), SCHED, env_seed=0, schedule=(8, 25),
-                    sampler_kind="ddim", seed=1,
-                    forward_fn=expert_forward_fn(SCHED))
+        r = fixed_rollout(tiny_params(), SCHED, env_seed=0, pair=(8, 25),
+                          sampler_kind="ddim", seed=1,
+                          forward_fn=expert_forward_fn(SCHED))
         assert r.success and r.steps < MAX_STEPS
 
     def test_expert_policy_succeeds_ddpm(self):
         for env_seed in range(5):
-            r = rollout(tiny_params(), SCHED, env_seed=env_seed,
-                        schedule=(8, 50), sampler_kind="ddpm", seed=1,
-                        forward_fn=expert_forward_fn(SCHED))
+            r = fixed_rollout(tiny_params(), SCHED, env_seed=env_seed,
+                              pair=(8, 50), sampler_kind="ddpm", seed=1,
+                              forward_fn=expert_forward_fn(SCHED))
             assert r.success, f"env seed {env_seed}"
 
     def test_zero_policy_fails(self):
-        r = rollout(tiny_params(), SCHED, env_seed=0, schedule=(8, 10),
-                    sampler_kind="ddim", seed=1,
-                    forward_fn=zero_forward_fn(SCHED))
+        r = fixed_rollout(tiny_params(), SCHED, env_seed=0, pair=(8, 10),
+                          sampler_kind="ddim", seed=1,
+                          forward_fn=zero_forward_fn(SCHED))
         assert not r.success
         assert r.steps == MAX_STEPS
 
@@ -164,8 +166,8 @@ class TestRollout:
             calls["n"] += 1
             return inner(params, obs, ak, k)
 
-        r = rollout(tiny_params(), SCHED, env_seed=0, schedule=(8, 100),
-                    sampler_kind="ddpm", seed=0, forward_fn=counting)
+        r = fixed_rollout(tiny_params(), SCHED, env_seed=0, pair=(8, 100),
+                          sampler_kind="ddpm", seed=0, forward_fn=counting)
         assert r.steps == MAX_STEPS
         replans = int(np.ceil(r.steps / 8))
         assert r.denoiser_calls == replans * 100
@@ -189,8 +191,8 @@ class TestRollout:
                         schedule=SchedulerState(hvts_schedule_table()),
                         sampler_kind="ddpm", seed=2)
         else:
-            r = rollout(tiny_params(), SCHED, env_seed=1, schedule=(8, 10),
-                        sampler_kind="ddim", seed=2)
+            r = fixed_rollout(tiny_params(), SCHED, env_seed=1,
+                              pair=(8, 10), sampler_kind="ddim", seed=2)
         assert r.denoiser_calls > 0
         assert calls["n"] == r.denoiser_calls
 
@@ -220,12 +222,12 @@ class TestRollout:
 
     def test_replans_cover_every_step(self):
         # one record per 8-step window, the last one cut at the success
-        r = rollout(tiny_params(), SCHED, env_seed=0, schedule=(8, 5),
-                    sampler_kind="ddim", seed=0,
-                    forward_fn=expert_forward_fn(SCHED))
+        r = fixed_rollout(tiny_params(), SCHED, env_seed=0, pair=(8, 5),
+                          sampler_kind="ddim", seed=0,
+                          forward_fn=expert_forward_fn(SCHED))
         assert r.success and r.steps % 8 != 0
         assert [t[0] for t in r.replans] == list(range(0, r.steps, 8))
-        assert all(t[1:] == (-1, 8, 5) for t in r.replans)
+        assert all(t[2:] == (8, 5) for t in r.replans)
         assert r.denoiser_calls == 5 * len(r.replans)
 
     def test_step_limit_cuts_the_last_window(self, monkeypatch):
@@ -239,9 +241,9 @@ class TestRollout:
             return inner(st, action)
 
         monkeypatch.setattr(diffpol.rollout, "env_step", counting)
-        r = rollout(tiny_params(), SCHED, env_seed=0, schedule=(16, 10),
-                    sampler_kind="ddim", seed=0,
-                    forward_fn=zero_forward_fn(SCHED))
+        r = fixed_rollout(tiny_params(), SCHED, env_seed=0, pair=(16, 10),
+                          sampler_kind="ddim", seed=0,
+                          forward_fn=zero_forward_fn(SCHED))
         assert not r.success
         assert r.steps == calls["n"] == MAX_STEPS
         assert [t[0] for t in r.replans] == list(range(0, MAX_STEPS, 16))
@@ -249,8 +251,8 @@ class TestRollout:
 
     def test_seeded_rollout_bit_identical(self):
         p = tiny_params()
-        a = rollout(p, SCHED, 4, (8, 10), "ddpm", seed=9)
-        b = rollout(p, SCHED, 4, (8, 10), "ddpm", seed=9)
+        a = fixed_rollout(p, SCHED, 4, (8, 10), "ddpm", seed=9)
+        b = fixed_rollout(p, SCHED, 4, (8, 10), "ddpm", seed=9)
         assert a == b  # wall_time excluded from comparison
 
     def test_scheduled_rollout_stays_in_table(self):
@@ -267,8 +269,8 @@ class TestRollout:
     def test_scheduled_cheaper_than_fixed_heavy(self):
         table = hvts_schedule_table()
         fwd = expert_forward_fn(SCHED)
-        fixed = rollout(tiny_params(), SCHED, 5, (16, 100), "ddpm", seed=0,
-                        forward_fn=fwd)
+        fixed = fixed_rollout(tiny_params(), SCHED, 5, (16, 100), "ddpm",
+                              seed=0, forward_fn=fwd)
         hvts = rollout(tiny_params(), SCHED, 5, SchedulerState(table),
                        "ddpm", seed=0, forward_fn=fwd)
         assert hvts.denoiser_calls / hvts.steps \
@@ -276,10 +278,10 @@ class TestRollout:
 
     def test_rejects_bad_schedule_config(self):
         with pytest.raises(ValueError):
-            rollout(tiny_params(), SCHED, 0, (8,), "ddpm")
+            fixed_rollout(tiny_params(), SCHED, 0, (8,), "ddpm")
         with pytest.raises(ValueError):
-            rollout(tiny_params(), SCHED, 0, (8, 500), "ddpm",
-                    forward_fn=zero_forward_fn(SCHED))
+            fixed_rollout(tiny_params(), SCHED, 0, (8, 500), "ddpm",
+                          forward_fn=zero_forward_fn(SCHED))
 
 
     @pytest.mark.parametrize("horizon", [0, -3])
@@ -289,8 +291,9 @@ class TestRollout:
 
         monkeypatch.setattr(diffpol.rollout, "denoise_action_window",
                             no_window)
-        with pytest.raises(ValueError, match="horizon"):
-            rollout(tiny_params(), SCHED, 0, (horizon, 10))
+        with pytest.raises(ValueError, match="n_action_steps must be a "
+                                             "positive integer, got "):
+            fixed_rollout(tiny_params(), SCHED, 0, (horizon, 10))
 
 
 class TestEvaluate:
@@ -344,8 +347,45 @@ class TestEvaluate:
             raise AssertionError("an episode ran")
 
         monkeypatch.setattr(diffpol.rollout, "rollout", no_rollout)
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(ValueError, match="n_action_steps must be a "
+                                             "positive integer, got "):
             evaluate(tiny_params(), SCHED, 1, (horizon, 10))
+
+    @pytest.mark.parametrize("pair", [(8.7, 3), (True, 3), (4, 2.5),
+                                      ("4", "3"), (8,), (8, 3, 1)])
+    def test_rejects_pairs_that_are_not_two_positive_integers(
+            self, pair, monkeypatch):
+        """A pair meets a table entry's rule: no value is truncated or
+        converted, so a float, a bool or a string never runs."""
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(diffpol.rollout, "rollout", no_rollout)
+        with pytest.raises(ValueError):
+            evaluate(tiny_params(), SCHED, 1, pair, "ddim", seeds=(0,))
+
+    @pytest.mark.parametrize("pair,kind", [((8, 5), "ddim"),
+                                           ((16, 10), "ddpm")])
+    def test_pair_runs_as_its_uniform_table(self, pair, kind, monkeypatch):
+        """A pair and fixed_schedule_table's table for it give the same
+        metrics and the same episodes, replan records included."""
+        episodes = []
+        inner = diffpol.rollout.rollout
+
+        def recording(*args, **kwargs):
+            episodes.append(inner(*args, **kwargs))
+            return episodes[-1]
+
+        monkeypatch.setattr(diffpol.rollout, "rollout", recording)
+        runs = []
+        for schedule in (pair, fixed_schedule_table(*pair)):
+            episodes.clear()
+            m = evaluate(tiny_params(), SCHED, 2, schedule, kind,
+                         seeds=(0, 1), forward_fn=expert_forward_fn(SCHED))
+            runs.append((m, list(episodes)))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 4
+        assert {t[2:] for r in runs[0][1] for t in r.replans} == {pair}
 
     def test_denoiser_runs_on_a_float32_copy(self, monkeypatch):
         """evaluate computes on a float32 copy of the net: a float64 net

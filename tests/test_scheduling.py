@@ -8,13 +8,14 @@ import urllib.error
 
 import numpy as np
 import pytest
-from helpers import zero_forward_fn
+from helpers import expert_forward_fn, zero_forward_fn
 
 import diffpol.rollout
 from diffpol.diffusion import make_noise_schedule
 from diffpol.env import STAGES, T_P, policy_features, reset_env, stage_index
 from diffpol.nets import init_params
-from diffpol.rollout import hvts_schedule_table, rollout
+from diffpol.rollout import fixed_schedule_table, hvts_schedule_table, \
+    rollout
 from diffpol.scheduling import (
     ClassifierError,
     OracleStageClassifier,
@@ -49,13 +50,18 @@ def horizon_table(na):
 
 
 class CountingOracle:
+    """The oracle, counting its calls and recording each stage."""
+
     def __init__(self):
         self.calls = 0
+        self.stages = []
         self.inner = OracleStageClassifier()
 
     def classify(self, state):
         self.calls += 1
-        return self.inner.classify(state)
+        belief = self.inner.classify(state)
+        self.stages.append(belief.entries[0][0])
+        return belief
 
 
 class ScriptedClassifier:
@@ -74,13 +80,14 @@ class ScriptedClassifier:
         return StageBelief(((item, 1.0),))
 
 
-def scheduled_rollout(st: SchedulerState, env_seed=0):
-    """One cheap episode under st; every replan is counted."""
+def scheduled_rollout(st: SchedulerState, env_seed=0, forward_fn=None):
+    """One cheap episode under st, by default with the zero denoiser;
+    every replan is counted."""
     d_feat = policy_features(np.zeros(6)).size
     params = init_params(0, d_o=d_feat, T_p=T_P, d_a=2, hidden=8,
                          embed_dim=4, T=SCHED.T)
     return rollout(params, SCHED, env_seed, st, "ddim", seed=0,
-                   forward_fn=zero_forward_fn(SCHED))
+                   forward_fn=forward_fn or zero_forward_fn(SCHED))
 
 
 def window_starts(r) -> list[int]:
@@ -138,6 +145,18 @@ class TestSchedulerTick:
         r = scheduled_rollout(SchedulerState(hvts_schedule_table(), oracle))
         assert replans["n"] > 1
         assert oracle.calls == replans["n"] == len(window_starts(r))
+
+    def test_fixed_budget_records_the_oracle_stage(self):
+        """A fixed budget is its uniform table: each replan records the
+        stage the oracle classified at it and runs the one pair."""
+        oracle = CountingOracle()
+        r = scheduled_rollout(SchedulerState(fixed_schedule_table(8, 5),
+                                             oracle),
+                              forward_fn=expert_forward_fn(SCHED))
+        assert r.success
+        assert [stage for _, stage, _, _ in r.replans] == oracle.stages
+        assert len(set(oracle.stages)) > 2
+        assert {(na, nd) for _, _, na, nd in r.replans} == {(8, 5)}
 
     def test_dynamic_period_tracks_active_horizon(self):
         # stage 0 has horizon 16, stage 3 has horizon 8

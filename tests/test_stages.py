@@ -181,6 +181,20 @@ class TestParseStageTemplates:
         assert templates_to_json(out) == expected
         assert templates_to_json(templates_from_json(expected)) == expected
 
+    def test_stages_file_decoded_once(self, monkeypatch):
+        calls = {"n": 0}
+        inner = diffpol.stages._DECODER
+
+        class Counting:
+            def raw_decode(self, *args):
+                calls["n"] += 1
+                return inner.raw_decode(*args)
+
+        monkeypatch.setattr(diffpol.stages, "_DECODER", Counting())
+        expected = read_fixture("stages_expected.json")
+        assert templates_to_json(templates_from_json(expected)) == expected
+        assert calls["n"] == 1
+
     def test_spaces_become_underscores(self):
         text = '[{"name": "pick  up can", "description": "Action features: x"}]'
         assert parse_stage_templates(text, 1)[0].name == "pick_up_can"
