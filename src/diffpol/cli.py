@@ -341,7 +341,6 @@ def cmd_train(args: dict) -> int:
     if tc.eval_every > 0 and n_ep < 1:
         raise ValueError("eval_episodes must be >= 1 when eval_every > 0")
     ds = load_demos(args["data"])
-    out = _ensure_out(args["out"])
     eval_fn = None
     if tc.eval_every > 0:
         # Offset keeps evaluation env seeds clear of the demo seeds.
@@ -353,6 +352,8 @@ def cmd_train(args: dict) -> int:
             return m.success_rate
 
     params, report = train(tc, ds, args["mode"], eval_fn)
+    # only now, so that an error raised in train() leaves no run directory
+    out = _ensure_out(args["out"])
     save_checkpoint(os.path.join(out, "checkpoint.bin"), params)
     report.to_csv(os.path.join(out, "report.csv"))
     report.snapshots_to_csv(os.path.join(out, "snapshots.csv"))

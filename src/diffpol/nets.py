@@ -327,7 +327,7 @@ def denoiser_forward(p: DenoiserParams, obs: np.ndarray, ak: np.ndarray,
 
 
 def denoiser_batch_grads(p: DenoiserParams, obs_b: np.ndarray, ak_b: np.ndarray,
-                         ks: np.ndarray, eps_b: np.ndarray
+                         ks: np.ndarray, eps_b: np.ndarray, on_losses=None
                          ) -> tuple[np.ndarray, MlpParams]:
     """Per-sample losses and the exact gradient of their mean, in one pass.
 
@@ -335,6 +335,12 @@ def denoiser_batch_grads(p: DenoiserParams, obs_b: np.ndarray, ak_b: np.ndarray,
     integer steps in 1..T, else ValueError.  Each loss is the entry-mean
     squared error of the noise estimate; the analytic backward pass gives
     the gradient, so a batch of one gives one sample's exact gradient.
+
+    ``on_losses(losses)``, when given, is called between the forward and
+    the backward pass, on this thread; whatever it raises propagates and
+    no backward pass runs.  The backward pass does not read ``losses``,
+    so the hook may hand them to another thread (``train`` starts the
+    sampler's update there) as long as nobody writes to them.
     """
     obs_b, ak_b, ks, eps_b = (np.asarray(a) for a in (obs_b, ak_b, ks, eps_b))
     if obs_b.ndim != 2 or obs_b.shape[1] != p.d_o:
@@ -354,6 +360,8 @@ def denoiser_batch_grads(p: DenoiserParams, obs_b: np.ndarray, ak_b: np.ndarray,
     y, cache = mlp_forward(p.net, x)
     diff = y - eps_b.reshape(B, -1).astype(dtype, copy=False)
     losses = np.mean(diff * diff, axis=1)
+    if on_losses is not None:
+        on_losses(losses)
     dy = (2.0 / diff.shape[1]) * diff / B  # gradient of the batch-mean loss
     return losses, mlp_backward(p.net, cache, dy)
 

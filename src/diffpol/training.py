@@ -13,6 +13,16 @@ batch-normalized loss signals:
 
 ``mode="uniform"`` disables both and gives the plain baseline.
 
+An adaptive step has two sides that share no array until the next
+step's draws: the denoiser's backward pass and Adam, and the sampler
+side (the sampler net's update, the replay weights' update and the
+sampler's next forward pass).  ``train`` runs the denoiser side on the
+calling thread and the sampler side on one worker thread, started as
+soon as the forward pass has given the batch losses; the two join
+before the step is reported.  Each side's arithmetic is unchanged and
+every random draw stays on the calling thread, in the same order, so
+the results are bit-identical to running the sides one after the other.
+
 The loop computes in ``TrainConfig.dtype`` (float32 by default): both
 nets' weights, gradients, Adam moments and batch arrays.  Random draws,
 rewards and the draw distribution stay float64, and the returned
@@ -21,8 +31,11 @@ parameters are float64, like every artifact.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -341,6 +354,22 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     ``eval_fn(params)``, when given, is called every ``config.eval_every``
     steps with a float64 copy of the parameters, and its return value
     recorded in the report.  The returned parameters are float64.
+
+    Threads: an aln call owns one worker thread, which exists only
+    inside the call, whether it returns or raises; uniform mode starts
+    none.  At each adaptive step, ``denoiser_batch_grads`` hands the
+    batch losses to the worker between its forward and backward pass,
+    once the mean loss has been checked.  The worker runs
+    ``normalize_rewards``, ``sampler_update_batch``, ``anneal_alpha``,
+    ``update_traj_weights_batch`` and ``sampler_entropy``, in a copy of
+    this thread's context (so numpy's error state carries over), while
+    this thread runs the denoiser's backward pass and
+    ``optimizer_step``.  The step then waits for the worker, whose
+    error, if any, is raised here unchanged, before it reports and
+    before the next step's draws read the sampler and the weights.
+    Neither side reads what the other writes while both run, and the
+    draws all stay on this thread, so the bits are those of the two
+    sides run in turn.
     """
     config.check_mode(mode)
 
@@ -382,46 +411,68 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     B = config.batch_size
     uniform_entropy = float(np.log(config.T))
 
-    for step in range(config.total_steps):
-        if adaptive:
-            idxs = weighted_sample_index(tw, rng, size=B)
-        else:
-            idxs = rng.integers(0, dataset.n_traj, size=B)
-        # one draw per row, consuming the generator like B scalar draws
-        wis = rng.integers(dataset.n_windows[idxs])
-        steps, starts = dataset.window_rows(idxs, wis)
-        a0_b, feat_b = dataset.actions[steps], feats[starts]
-        if adaptive:
-            ks = sample_timestep(ts, rng, step, size=B)
-        else:
-            ks = rng.integers(1, config.T + 1, size=B)
-        eps_b = rng.standard_normal(a0_b.shape)
-        ak_b = forward_noise(sched, a0_b, ks, eps_b)
+    def sampler_side(step, ks, idxs, losses, tw):
+        """An adaptive step's sampler and replay-weight updates, then the
+        next forward pass of the sampler net (for the step's entropy);
+        returns the new weights and that entropy."""
+        rs = normalize_rewards(losses)
+        sampler_update_batch(ts, ks, rs)
+        alpha = anneal_alpha(step, config.total_steps)
+        return (update_traj_weights_batch(tw, idxs, rs, alpha),
+                sampler_entropy(ts))
 
-        losses, grads = denoiser_batch_grads(params, feat_b, ak_b, ks, eps_b)
+    def start_sampler_side(losses):
+        """Called between the forward and the backward pass: checks the
+        loss, then hands a learned step's sampler side to the worker."""
+        nonlocal loss, pending
         loss = float(losses.mean())
         if not np.isfinite(loss):
             raise ValueError(f"training loss became non-finite ({loss}) "
                              f"at step {step + 1}")
-        optimizer_step(params.net, grads, adam)
+        if learned(step):
+            # in a copy of this thread's context, so that the caller's
+            # numpy error state holds on the worker too
+            pending = pool.submit(contextvars.copy_context().run,
+                                  sampler_side, step, ks, idxs, losses, tw)
 
-        if adaptive and step >= config.warmup:
-            rs = normalize_rewards(losses)
-            sampler_update_batch(ts, ks, rs)
-            alpha = anneal_alpha(step, config.total_steps)
-            tw = update_traj_weights_batch(tw, idxs, rs, alpha)
+    # aln's worker thread; it ends with the block, whether the loop
+    # returns or raises
+    pool = ThreadPoolExecutor(max_workers=1) if adaptive else nullcontext()
+    with pool:
+        for step in range(config.total_steps):
+            if adaptive:
+                idxs = weighted_sample_index(tw, rng, size=B)
+            else:
+                idxs = rng.integers(0, dataset.n_traj, size=B)
+            # one draw per row, consuming the generator like B scalar draws
+            wis = rng.integers(dataset.n_windows[idxs])
+            steps, starts = dataset.window_rows(idxs, wis)
+            a0_b, feat_b = dataset.actions[steps], feats[starts]
+            if adaptive:
+                ks = sample_timestep(ts, rng, step, size=B)
+            else:
+                ks = rng.integers(1, config.T + 1, size=B)
+            eps_b = rng.standard_normal(a0_b.shape)
+            ak_b = forward_noise(sched, a0_b, ks, eps_b)
 
-        report.steps.append(step + 1)
-        report.losses.append(loss)
-        report.entropies.append(sampler_entropy(ts) if learned(step)
-                                else uniform_entropy)
-        if config.snapshot_every > 0 and (step + 1) % config.snapshot_every == 0:
-            report.sampler_snapshots.append((step + 1, draw_probs(step)))
-            report.weight_snapshots.append((step + 1, tw.w.copy()))
-        if eval_fn is not None and config.eval_every > 0 \
-                and (step + 1) % config.eval_every == 0:
-            report.eval_steps.append(step + 1)
-            report.eval_success.append(float(eval_fn(float64_params())))
+            loss, pending, entropy = None, None, uniform_entropy
+            _, grads = denoiser_batch_grads(params, feat_b, ak_b, ks, eps_b,
+                                            start_sampler_side)
+            optimizer_step(params.net, grads, adam)
+            if pending is not None:  # the two sides join here
+                tw, entropy = pending.result()
+
+            report.steps.append(step + 1)
+            report.losses.append(loss)
+            report.entropies.append(entropy)
+            if config.snapshot_every > 0 \
+                    and (step + 1) % config.snapshot_every == 0:
+                report.sampler_snapshots.append((step + 1, draw_probs(step)))
+                report.weight_snapshots.append((step + 1, tw.w.copy()))
+            if eval_fn is not None and config.eval_every > 0 \
+                    and (step + 1) % config.eval_every == 0:
+                report.eval_steps.append(step + 1)
+                report.eval_success.append(float(eval_fn(float64_params())))
 
     report.final_sampler_probs = draw_probs(config.total_steps - 1)
     report.final_traj_weights = tw.w.copy()

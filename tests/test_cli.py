@@ -172,17 +172,21 @@ class TestResolve:
 
     def test_empty_sampler_layer_exits_1(self, tmp_path, demo_file, capsys):
         # a zero-width sampler net used to die in init with a
-        # ZeroDivisionError traceback
+        # ZeroDivisionError traceback; TrainConfig accepts it and train()
+        # refuses it, so this is also an error raised inside train(),
+        # which must leave no run directory
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"sampler_hidden": 0}))
+        out = tmp_path / "run"
         rc = main(["train", "--mode", "aln", "--steps", "2", "--warmup", "1",
                    "--config", str(cfg), "--data", demo_file,
-                   "--out", str(tmp_path / "run")])
+                   "--out", str(out)])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: layer sizes must be >= 1, "
                                        "got [")
         assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", [
         {"lr": -1e-3}, {"lr": 0.0}, {"lr": float("nan")},

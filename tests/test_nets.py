@@ -533,6 +533,20 @@ class TestGoldenLosses:
             assert [x.hex() for x in report.losses] == want, mode
 
 
+class TestGoldenLossesFloat32:
+    def test_default_dtype_reproduces_recorded_losses(self):
+        """The same tiny runs in the default float32 arithmetic, recorded
+        before aln's sampler side moved to a worker thread."""
+        doc = json.loads((FIXTURES / "golden_losses.json").read_text())
+        demos = generate_demos(doc["demos"]["n"], seed=doc["demos"]["seed"])
+        cfg = TrainConfig(**doc["config"])
+        assert cfg.dtype == "float32"
+        assert set(doc["losses_float32"]) == {"uniform", "aln"}
+        for mode, want in doc["losses_float32"].items():
+            _, report = train(cfg, demos, mode)
+            assert [x.hex() for x in report.losses] == want, mode
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         p = replace(init_params(11, d_o=6, T_p=16, d_a=2, hidden=32,

@@ -2,6 +2,8 @@
 weights, and the training loop."""
 
 import csv
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -616,3 +618,179 @@ class TestTrainLoop:
         for row, (step, w) in zip(rows[1:], rep.weight_snapshots, strict=True):
             assert int(row[0]) == step
             np.testing.assert_array_equal([float(x) for x in row[1:]], w)
+
+
+class SamplerSideError(RuntimeError):
+    pass
+
+
+class TestSamplerThread:
+    """aln's sampler side runs on one worker thread per train() call,
+    beside the denoiser's backward pass and Adam; uniform mode has none."""
+
+    def threads_seen_by_optimizer(self, monkeypatch):
+        """Patch optimizer_step to record, on each main-thread call (the
+        denoiser's Adam, which overlaps the sampler side), the threads
+        alive; returns the list it fills."""
+        seen = []
+        step = diffpol.training.optimizer_step
+
+        def recording(*args):
+            if threading.current_thread() is threading.main_thread():
+                seen.append(frozenset(threading.enumerate()))
+            return step(*args)
+
+        monkeypatch.setattr(diffpol.training, "optimizer_step", recording)
+        return seen
+
+    def test_uniform_mode_starts_no_thread(self, monkeypatch):
+        before = frozenset(threading.enumerate())
+        seen = self.threads_seen_by_optimizer(monkeypatch)
+        train(tiny_config(total_steps=20), tiny_dataset(), "uniform")
+        assert len(seen) == 20 and set(seen) == {before}
+
+    def test_aln_worker_ends_with_the_call(self, monkeypatch):
+        before = frozenset(threading.enumerate())
+        seen = self.threads_seen_by_optimizer(monkeypatch)
+        cfg = tiny_config(total_steps=20, warmup=5)
+        _, rep = train(cfg, tiny_dataset(), "aln")
+        # no worker during the warmup, one beside every adaptive step
+        assert set(seen[:cfg.warmup]) == {before}
+        assert all(len(s - before) == 1 for s in seen[cfg.warmup:])
+        assert frozenset(threading.enumerate()) == before
+        monkeypatch.undo()
+        _, again = train(cfg, tiny_dataset(), "aln")
+        assert rep.losses == again.losses
+        assert rep.entropies == again.entropies
+
+    def test_sampler_side_runs_off_the_main_thread(self, monkeypatch):
+        threads = []
+        update = diffpol.training.sampler_update_batch
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return update(*args)
+
+        monkeypatch.setattr(diffpol.training, "sampler_update_batch",
+                            recording)
+        train(tiny_config(total_steps=10, warmup=5), tiny_dataset(), "aln")
+        assert len(threads) == 5
+        assert threading.main_thread() not in threads
+
+    def test_sampler_side_keeps_the_callers_numpy_error_state(
+            self, monkeypatch):
+        states = []
+        update = diffpol.training.sampler_update_batch
+
+        def recording(*args):
+            states.append(np.geterr())
+            return update(*args)
+
+        monkeypatch.setattr(diffpol.training, "sampler_update_batch",
+                            recording)
+        with np.errstate(all="raise"):
+            train(tiny_config(total_steps=8, warmup=5), tiny_dataset(),
+                  "aln")
+        assert len(states) == 3
+        assert all(set(s.values()) == {"raise"} for s in states)
+
+    def test_sampler_side_error_reaches_the_caller(self, monkeypatch):
+        before = frozenset(threading.enumerate())
+        calls = []
+        update = diffpol.training.sampler_update_batch
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise SamplerSideError("sampler update 3 failed")
+            return update(*args)
+
+        monkeypatch.setattr(diffpol.training, "sampler_update_batch", failing)
+        with pytest.raises(SamplerSideError,
+                           match="^sampler update 3 failed$"):
+            train(tiny_config(total_steps=20, warmup=5), tiny_dataset(),
+                  "aln")
+        assert len(calls) == 3
+        assert frozenset(threading.enumerate()) == before
+
+    def test_main_side_error_waits_for_the_worker(self, monkeypatch):
+        """An error on the main thread while the sampler side runs still
+        ends the worker before train() raises."""
+        before = frozenset(threading.enumerate())
+        calls = []
+        step = diffpol.training.optimizer_step
+
+        def failing(*args):
+            if threading.current_thread() is threading.main_thread():
+                calls.append(1)
+                if len(calls) == 8:
+                    raise SamplerSideError("denoiser step 8 failed")
+            return step(*args)
+
+        monkeypatch.setattr(diffpol.training, "optimizer_step", failing)
+        with pytest.raises(SamplerSideError, match="denoiser step 8 failed"):
+            train(tiny_config(total_steps=20, warmup=5), tiny_dataset(),
+                  "aln")
+        assert frozenset(threading.enumerate()) == before
+
+    def test_non_finite_loss_stops_before_that_steps_sampler_work(
+            self, monkeypatch):
+        """The loss is checked between the forward and the backward pass,
+        before the step's sampler side starts: with the loss of step 9
+        non-finite and warmup 5, only steps 6, 7 and 8 update the
+        sampler."""
+        before = frozenset(threading.enumerate())
+        updates, noised = [], []
+        update = diffpol.training.sampler_update_batch
+        noise = diffpol.training.forward_noise
+
+        def counting(*args):
+            updates.append(1)
+            return update(*args)
+
+        def poisoned(*args):
+            noised.append(1)
+            ak = noise(*args)
+            return ak * np.nan if len(noised) == 9 else ak
+
+        monkeypatch.setattr(diffpol.training, "sampler_update_batch",
+                            counting)
+        monkeypatch.setattr(diffpol.training, "forward_noise", poisoned)
+        with pytest.raises(ValueError, match=r"non-finite.*at step 9$"):
+            train(tiny_config(total_steps=20, warmup=5), tiny_dataset(),
+                  "aln")
+        assert len(updates) == 3
+        assert frozenset(threading.enumerate()) == before
+
+    def test_concurrent_runs_at_a_short_switch_interval_keep_the_bits(self):
+        """Three aln runs at once (six threads on the machine's cores),
+        switching threads every microsecond: a read of the sampler or
+        the weights while the worker writes them would move the bits."""
+        cfg = tiny_config(total_steps=40, warmup=5)
+        want_params, want = train(cfg, tiny_dataset(), "aln")
+        results = [None] * 3
+
+        def run(i):
+            results[i] = train(cfg, tiny_dataset(), "aln")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for params, rep in results:
+            assert rep.losses == want.losses
+            assert rep.entropies == want.entropies
+            np.testing.assert_array_equal(rep.final_sampler_probs,
+                                          want.final_sampler_probs)
+            np.testing.assert_array_equal(rep.final_traj_weights,
+                                          want.final_traj_weights)
+            np.testing.assert_array_equal(params.net.flat,
+                                          want_params.net.flat)
