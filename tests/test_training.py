@@ -620,7 +620,7 @@ class TestTrainLoop:
             np.testing.assert_array_equal([float(x) for x in row[1:]], w)
 
 
-class SamplerSideError(RuntimeError):
+class InjectedError(RuntimeError):
     pass
 
 
@@ -702,11 +702,11 @@ class TestSamplerThread:
         def failing(*args):
             calls.append(1)
             if len(calls) == 3:
-                raise SamplerSideError("sampler update 3 failed")
+                raise InjectedError("sampler update 3 failed")
             return update(*args)
 
         monkeypatch.setattr(diffpol.training, "sampler_update_batch", failing)
-        with pytest.raises(SamplerSideError,
+        with pytest.raises(InjectedError,
                            match="^sampler update 3 failed$"):
             train(tiny_config(total_steps=20, warmup=5), tiny_dataset(),
                   "aln")
@@ -724,11 +724,11 @@ class TestSamplerThread:
             if threading.current_thread() is threading.main_thread():
                 calls.append(1)
                 if len(calls) == 8:
-                    raise SamplerSideError("denoiser step 8 failed")
+                    raise InjectedError("denoiser step 8 failed")
             return step(*args)
 
         monkeypatch.setattr(diffpol.training, "optimizer_step", failing)
-        with pytest.raises(SamplerSideError, match="denoiser step 8 failed"):
+        with pytest.raises(InjectedError, match="denoiser step 8 failed"):
             train(tiny_config(total_steps=20, warmup=5), tiny_dataset(),
                   "aln")
         assert frozenset(threading.enumerate()) == before
