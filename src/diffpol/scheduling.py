@@ -5,9 +5,10 @@ uses.
 A rollout owns one SchedulerState, which carries the schedule table and
 the classifier, and calls scheduler_tick once per replan: the current
 environment state is classified and the stage's budget sizes the next
-action window.  Classifier failures never stall control: the cached
-stage is kept and the state is flagged degraded until the next
-successful classification.
+action window.  A classifier's classify(state) returns the current
+stage's index into the schedule table, or raises ClassifierError.
+Classifier failures never stall control: the cached stage is kept and
+the state is flagged degraded until the next successful classification.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import json
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
-
-import numpy as np
+from numbers import Integral
 
 from .env import EnvState, stage_index
-from .stages import ScheduleTable, StageBelief, select_stage
+from .stages import ScheduleTable
 
 ENDPOINT_ENV_VAR = "VADF_VLM_ENDPOINT"
 
@@ -87,12 +87,12 @@ def complete_text(endpoint: str, content: list[dict], timeout: float,
 
 class OracleStageClassifier:
     """Ground-truth stand-in: reads the stage straight off the current
-    environment state and returns a one-hot belief."""
+    environment state and returns its index."""
 
-    def classify(self, state) -> StageBelief:
+    def classify(self, state) -> int:
         if not isinstance(state, EnvState):
             raise ClassifierError("oracle needs an environment state")
-        return StageBelief(((stage_index(state), 1.0),))
+        return stage_index(state)
 
 
 # -- the scheduler ------------------------------------------------------------
@@ -102,11 +102,8 @@ class OracleStageClassifier:
 class SchedulerState:
     table: ScheduleTable
     classifier: object = field(default_factory=OracleStageClassifier)
-    gap: float = 0.2
     active: int = 0
     degraded: bool = False
-    rng: np.random.Generator = field(default_factory=np.random.default_rng,
-                                     repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.active < len(self.table.entries):
@@ -119,17 +116,21 @@ def scheduler_tick(st: SchedulerState,
 
     Returns (action horizon, denoising steps, state).  On classifier
     failure the cached stage is kept and the state is flagged degraded,
-    so a failing classifier is retried once per replan.
+    so a failing classifier is retried once per replan.  A returned
+    index that is not integral (a bool is not; an argmax result is) or
+    lies outside the table raises ValueError and leaves the state as it
+    was.
     """
     try:
-        belief = st.classifier.classify(state)
+        active = st.classifier.classify(state)
     except ClassifierError:
         st.degraded = True
     else:
-        active = select_stage(belief, st.gap, st.rng)
-        if active >= len(st.table.entries):
-            raise ValueError("classifier returned a stage outside "
-                             "the schedule table")
-        st.active, st.degraded = active, False
+        n = len(st.table.entries)
+        if isinstance(active, bool) or not isinstance(active, Integral) \
+                or not 0 <= active < n:
+            raise ValueError(f"classifier returned {active!r}, not a stage "
+                             f"index in [0, {n})")
+        st.active, st.degraded = int(active), False
     entry = st.table.entries[st.active]
     return entry.n_action_steps, entry.num_inference_steps, st

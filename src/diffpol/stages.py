@@ -10,8 +10,6 @@ text name that is unique once normalised.  The schedule prompt's rules
 bind its replies only: values are clamped into its ranges, and a
 missing "hardest stage" designation is repaired by a deterministic
 fallback.  Schedule files, which this program writes, load as written.
-At run time a classifier reports a ranked belief over the stages, and
-select_stage picks the active one.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class StageParseError(ValueError):
@@ -105,27 +101,6 @@ class ScheduleTable:
         names = [e.name for e in self.entries]
         if len(set(names)) != len(names):
             raise ValueError("duplicate stage names in schedule table")
-
-
-@dataclass(frozen=True)
-class StageBelief:
-    """Ranked (stage index, probability) pairs, highest first."""
-
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("belief is empty")
-        probs = [p for _, p in self.entries]
-        idxs = [i for i, _ in self.entries]
-        if len(set(idxs)) != len(idxs) or min(idxs) < 0:
-            raise ValueError("stage indices must be unique and nonnegative")
-        if any(p < 0.0 or p > 1.0 for p in probs):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if any(a < b for a, b in zip(probs, probs[1:])):
-            raise ValueError("probabilities must be nonincreasing")
-        if sum(probs) > 1.0 + 1e-6:
-            raise ValueError("probabilities sum above one")
 
 
 # -- prompt construction ------------------------------------------------------
@@ -345,24 +320,6 @@ def parse_schedule(text: str, stages,
         pairs[0] = (r.a_max, r.i_min)
     return ScheduleTable(tuple(ScheduleEntry(n, a, d)
                                for n, (a, d) in zip(names, pairs)))
-
-
-def select_stage(belief: StageBelief, gap: float,
-                 rng: np.random.Generator) -> int:
-    """Most probable stage when it leads by at least the gap, otherwise
-    a draw among the ranked candidates proportional to probability."""
-    entries = belief.entries
-    if len(entries) == 1:
-        return entries[0][0]
-    if entries[0][1] - entries[1][1] >= gap:
-        return entries[0][0]
-    probs = np.array([p for _, p in entries], dtype=np.float64)
-    total = probs.sum()
-    if total <= 0.0:
-        probs = np.full(len(entries), 1.0 / len(entries))
-    else:
-        probs = probs / total
-    return entries[int(rng.choice(len(entries), p=probs))][0]
 
 
 # -- file formats -------------------------------------------------------------

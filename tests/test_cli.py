@@ -26,7 +26,7 @@ from diffpol.env import generate_demos, load_demos, policy_features, save_demos
 from diffpol.nets import init_params, load_checkpoint, save_checkpoint
 from diffpol.rollout import evaluate, hvts_schedule_table
 from diffpol.scheduling import ENDPOINT_ENV_VAR
-from diffpol.stages import StageBelief, schedule_to_json
+from diffpol.stages import schedule_to_json
 from diffpol.training import TrainConfig
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -462,8 +462,7 @@ class TestEval:
         # every classification lands on the precision stage
         monkeypatch.setattr(diffpol.scheduling.OracleStageClassifier,
                             "classify",
-                            lambda self, state:
-                            StageBelief(((precision[0], 1.0),)))
+                            lambda self, state: precision[0])
         out = tmp_path / "eval"
         assert main(["eval", "--policy", checkpoint, "--episodes", "1",
                      "--sampler", "ddim", "--seeds", "0",
@@ -615,8 +614,9 @@ class TestManifest:
     def test_manifest_with_schedule_keys_is_refused(self, tmp_path,
                                                     checkpoint, capsys):
         """eval no longer takes beta_start/beta_end (the checkpoint
-        carries them) or gap (the oracle's one-hot belief never reads
-        it), so a manifest that still holds them cannot replay."""
+        carries them) or gap (a classifier returns the stage itself, so
+        nothing reads it), so a manifest that still holds them cannot
+        replay."""
         run = tmp_path / "run"
         assert main(["eval", "--policy", checkpoint, "--episodes", "1",
                      "--schedule", "fixed:16,2", "--seeds", "0",

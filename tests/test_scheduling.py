@@ -26,7 +26,7 @@ from diffpol.scheduling import (
     complete_text,
     scheduler_tick,
 )
-from diffpol.stages import ScheduleEntry, ScheduleTable, StageBelief, \
+from diffpol.stages import ScheduleEntry, ScheduleTable, \
     schedule_from_json, schedule_to_json
 
 SCHED = make_noise_schedule(100)
@@ -59,13 +59,13 @@ class CountingOracle:
 
     def classify(self, state):
         self.calls += 1
-        belief = self.inner.classify(state)
-        self.stages.append(belief.entries[0][0])
-        return belief
+        stage = self.inner.classify(state)
+        self.stages.append(stage)
+        return stage
 
 
 class ScriptedClassifier:
-    """Replays a fixed sequence of one-hot beliefs."""
+    """Replays a fixed sequence of stage indices."""
 
     def __init__(self, stage_sequence):
         self.seq = list(stage_sequence)
@@ -77,7 +77,7 @@ class ScriptedClassifier:
         item = self.seq[i]
         if isinstance(item, BaseException):
             raise item
-        return StageBelief(((item, 1.0),))
+        return item
 
 
 def scheduled_rollout(st: SchedulerState, env_seed=0, forward_fn=None):
@@ -97,9 +97,9 @@ def window_starts(r) -> list[int]:
 
 class TestOracleClassifier:
     def test_one_hot_on_true_stage(self):
+        """The oracle returns the true stage's index."""
         st = reset_env(3)
-        b = OracleStageClassifier().classify(st)
-        assert b.entries == ((stage_index(st), 1.0),)
+        assert OracleStageClassifier().classify(st) == stage_index(st)
 
     def test_rejects_non_states(self):
         with pytest.raises(ClassifierError):
@@ -178,20 +178,16 @@ class TestSchedulerTick:
                                  (24, 3, 8, 40))
 
     def test_one_hot_zero_gap_is_deterministic(self):
+        """Each tick runs the entry of the stage the classifier
+        returned."""
         script = [0, 0, 1, 2, 2, 3, 4]
         table = horizon_table(8)
-        runs = []
-        for seed in (0, 99):
-            clf = ScriptedClassifier(script)
-            st = SchedulerState(table, clf, gap=0.0,
-                                rng=np.random.default_rng(seed))
-            out = []
-            for _ in range(len(script)):
-                na, nd, st = scheduler_tick(st, None)
-                out.append((na, nd))
-            runs.append(out)
-        assert runs[0] == runs[1]
-        assert runs[0] == [table.entries[s].pair for s in script]
+        st = SchedulerState(table, ScriptedClassifier(script))
+        out = []
+        for _ in range(len(script)):
+            na, nd, st = scheduler_tick(st, None)
+            out.append((na, nd))
+        assert out == [table.entries[s].pair for s in script]
 
     def test_degraded_keeps_cached_stage(self):
         clf = ScriptedClassifier([2, ClassifierError("down"), 3])
@@ -218,21 +214,6 @@ class TestSchedulerTick:
         assert (na, nd) == table.entries[0].pair
         assert st.degraded
 
-    def test_close_race_explores_candidates(self):
-        belief = StageBelief(((0, 0.4), (1, 0.35), (2, 0.25)))
-
-        class Static:
-            def classify(self, state):
-                return belief
-
-        st = SchedulerState(horizon_table(8), Static(), gap=0.2,
-                            rng=np.random.default_rng(7))
-        seen = set()
-        for _ in range(200):
-            na, nd, st = scheduler_tick(st, None)
-            seen.add(st.active)
-        assert seen == {0, 1, 2}
-
     def test_rejects_invalid_states(self):
         table = push_table()
         with pytest.raises(ValueError):
@@ -242,6 +223,24 @@ class TestSchedulerTick:
         bad = ScriptedClassifier([7])  # outside the 5-entry table
         with pytest.raises(ValueError):
             scheduler_tick(SchedulerState(table, bad), None)
+
+    @pytest.mark.parametrize("bad", [-1, True, 2.0, len(STAGES)],
+                             ids=["negative", "bool", "float", "past-end"])
+    def test_rejects_non_index_and_keeps_state(self, bad):
+        """A returned value that is not an integer index into the table
+        raises, naming the value, and leaves the state as it was."""
+        st = SchedulerState(push_table(), ScriptedClassifier([bad]),
+                            active=2, degraded=True)
+        with pytest.raises(ValueError, match=repr(bad)):
+            scheduler_tick(st, None)
+        assert (st.active, st.degraded) == (2, True)
+
+    def test_numpy_integer_is_an_index(self):
+        """An argmax result is an index; the state records it as an int."""
+        clf = ScriptedClassifier([np.argmax([0.1, 0.2, 0.6, 0.1])])
+        st = SchedulerState(push_table(), clf)
+        scheduler_tick(st, None)
+        assert st.active == 2 and type(st.active) is int
 
     @pytest.mark.parametrize("pairs", [
         {"approach": (8, 5), "align": (2, 5), "push": (2, 5),

@@ -1,9 +1,8 @@
-"""Prompt construction, response sanitation and parsing, stage selection."""
+"""Prompt construction, response sanitation and parsing, file formats."""
 
 import json
 import pathlib
 
-import numpy as np
 import pytest
 
 import diffpol.stages
@@ -12,7 +11,6 @@ from diffpol.stages import (
     ScheduleEntry,
     ScheduleRanges,
     ScheduleTable,
-    StageBelief,
     StageParseError,
     StageTemplate,
     build_decomposition_prompt,
@@ -23,7 +21,6 @@ from diffpol.stages import (
     sanitize_json,
     schedule_from_json,
     schedule_to_json,
-    select_stage,
     templates_from_json,
     templates_to_json,
 )
@@ -386,51 +383,6 @@ class TestScheduleFile:
             with pytest.raises(StageParseError, match="stage name"):
                 schedule_from_json(schedule_text([(8, 40)]).replace(
                     '"approach"', name))
-
-
-class TestStageBelief:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StageBelief(())
-        with pytest.raises(ValueError):
-            StageBelief(((0, 0.2), (1, 0.5)))  # increasing
-        with pytest.raises(ValueError):
-            StageBelief(((0, 0.9), (1, 0.9)))  # sum above one
-        with pytest.raises(ValueError):
-            StageBelief(((0, 0.5), (0, 0.4)))  # duplicate index
-
-
-class TestSelectStage:
-    def test_clear_leader_is_deterministic(self):
-        b = StageBelief(((3, 0.9), (1, 0.05), (0, 0.05)))
-        rng = np.random.default_rng(0)
-        assert all(select_stage(b, 0.2, rng) == 3 for _ in range(100))
-
-    def test_gap_boundary_counts_as_clear(self):
-        # dyadic values so the gap comparison is exact
-        b = StageBelief(((2, 0.5), (1, 0.25)))
-        rng = np.random.default_rng(0)
-        assert select_stage(b, 0.25, rng) == 2
-
-    def test_close_race_samples_proportionally(self):
-        b = StageBelief(((0, 0.4), (1, 0.35), (2, 0.25)))
-        rng = np.random.default_rng(5)
-        n = 100_000
-        counts = np.zeros(3)
-        for _ in range(n):
-            counts[select_stage(b, 0.2, rng)] += 1
-        freq = counts / n
-        np.testing.assert_allclose(freq, [0.4, 0.35, 0.25], atol=0.01)
-
-    def test_single_entry(self):
-        b = StageBelief(((4, 0.3),))
-        assert select_stage(b, 0.2, np.random.default_rng(0)) == 4
-
-    def test_zero_mass_falls_back_to_uniform(self):
-        b = StageBelief(((0, 0.0), (1, 0.0)))
-        rng = np.random.default_rng(7)
-        picks = {select_stage(b, 0.5, rng) for _ in range(50)}
-        assert picks == {0, 1}
 
 
 def test_normalize_name():
