@@ -103,17 +103,28 @@ class MlpParams:
 
 def init_mlp(rng: np.random.Generator, sizes: list[int]) -> MlpParams:
     """Fan-in scaled uniform init: W ~ U(+-sqrt(3/fan_in)), unit variance
-    of each pre-activation on unit-variance inputs."""
+    of each pre-activation on unit-variance inputs.
+
+    One ``rng.random`` fills the flat vector, whose W0 b0 W1 b1 ... order
+    is the order of per-layer ``rng.uniform(-limit, limit)`` draws; each
+    layer's segment is then scaled in place as ``uniform`` computes it,
+    low + (high - low) * u, so the bits are those draws'."""
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
     if min(sizes) < 1:
         raise ValueError(f"layer sizes must be >= 1, got {sizes}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    layers = list(zip(sizes[:-1], sizes[1:]))
+    flat = rng.random(sum((fan_in + 1) * fan_out
+                          for fan_in, fan_out in layers))
+    off = 0
+    for fan_in, fan_out in layers:
         limit = np.sqrt(3.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(rng.uniform(-limit, limit, size=fan_out))
-    return MlpParams(weights, biases)
+        u = flat[off:off + (fan_in + 1) * fan_out]
+        u *= limit - -limit
+        u += -limit
+        off += u.size
+    return MlpParams.from_flat(flat, [((fan_in, fan_out), (fan_out,))
+                                      for fan_in, fan_out in layers])
 
 
 def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

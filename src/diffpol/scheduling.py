@@ -9,14 +9,14 @@ action window.  A classifier's classify(state) returns the current
 stage's index into the schedule table, or raises ClassifierError.
 Classifier failures never stall control: the cached stage is kept and
 the state is flagged degraded until the next successful classification.
+
+The client imports Python's HTTP modules (and with them e-mail and TLS)
+on its first call, so a process that never decomposes never loads them.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -44,6 +44,8 @@ class ResponseParseError(ClassifierError):
 
 def http_post(url: str, body: bytes, timeout: float) -> bytes:
     """Default transport: POST a JSON body, return the raw reply."""
+    import urllib.request  # loaded on first use: only decompose posts
+
     req = urllib.request.Request(
         url, data=body, headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(req, timeout=timeout) as resp:
@@ -59,6 +61,8 @@ def complete_text(endpoint: str, content: list[dict], timeout: float,
     Failures surface as RemoteTimeout, RemoteTransportError or, for a
     reply without a text completion, ResponseParseError.
     """
+    import http.client  # loaded on first use, with http_post's modules
+
     body = json.dumps({
         "messages": [{"role": "user", "content": content}],
         "temperature": 0.1,

@@ -180,38 +180,80 @@ def build_schedule_prompt(stages,
 
 
 _DECODER = json.JSONDecoder()
-# a comma with nothing but whitespace before the next ] or }
-_TRAILING_COMMA = re.compile(r",[ \t\n\r]*[\]}]")
+# what the decoder reading from a [ sees outside strings: a JSON string
+# (one left open runs to the end of the text, so a reply full of quotes
+# costs one pass), a [, or a trailing comma, which has only whitespace
+# and commas between it and the ] or } of group 1
+_TOKEN = re.compile(
+    r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)|\[|,(?=[ \t\n\r,]*([\]}]))',
+    re.DOTALL)
 
 
 def sanitize_json(raw: str) -> str:
     """Recover the JSON array from a chatty response: the standard decoder
     is tried at each [ in turn, which skips code fences and prose, and
-    the text of the first array it decodes is returned.  A trailing
-    comma (only whitespace between it and a ] or }) that stops the
-    decoder is dropped and the decode retried.  Raises StageParseError
-    when no [ starts an array, or when the array nests too deeply."""
+    the text of the first array it decodes is returned.  When a trailing
+    comma (only whitespace and commas between it and a ] or }) stops the
+    decoder, every trailing comma outside a string is dropped and the
+    decode retried.  Raises StageParseError when no [ starts an array,
+    or when the array nests too deeply."""
     return _first_array(raw)[1]
 
 
 def _first_array(raw: str) -> tuple[list, str]:
-    """(decoded value, text) of the array sanitize_json describes."""
-    text, start = raw, raw.find("[")
+    """(decoded value, text) of the array sanitize_json describes.
+
+    Each [ costs at most two decodes.  A sweep from one [ serves every
+    later [ it reads outside a string, as the decoder reading from that
+    [ sees the same tokens; only a [ inside a string of every earlier
+    sweep sweeps afresh."""
+    swept_at: dict[int, tuple[str, int]] = {}
+    start = raw.find("[")
     while start != -1:
         try:
-            value, end = _DECODER.raw_decode(text, start)
-            return value, text[start:end]
+            value, end = _decode_at(raw, start)
+            return value, raw[start:end]
         except json.JSONDecodeError as e:
             # reported at the closer (at the comma from Python 3.13 on)
-            comma = text.rfind(",", start, e.pos + 1)
-            trailing = comma != -1 and _TRAILING_COMMA.match(text, comma)
-            if trailing and trailing.end() > e.pos:
-                text = text[:comma] + text[comma + 1:]
-            else:
-                text, start = raw, raw.find("[", start + 1)
-        except RecursionError as e:
-            raise StageParseError("response nests too deeply") from e
+            comma = raw.rfind(",", start, e.pos + 1)
+            trailing = comma != -1 and _TOKEN.match(raw, comma)
+            if trailing and trailing.end(1) > e.pos:
+                if start not in swept_at:
+                    swept_at.update(_sweep(raw, start))
+                text, i = swept_at[start]
+                try:
+                    value, end = _decode_at(text, i)
+                    return value, text[i:end]
+                except json.JSONDecodeError:
+                    pass
+        start = raw.find("[", start + 1)
     raise StageParseError("no JSON array found in response")
+
+
+def _sweep(raw: str, start: int) -> dict[int, tuple[str, int]]:
+    """For each [ outside a string from ``start`` on, keyed by its index
+    in raw: raw from ``start`` on with every trailing comma outside a
+    string dropped, and the ['s index in that text."""
+    pieces, at, pos, dropped = [], [], start, 0
+    for m in _TOKEN.finditer(raw, start):
+        if m[0] == "[":
+            at.append((m.start(), m.start() - start - dropped))
+        elif m[0] == ",":
+            pieces.append(raw[pos:m.start()])
+            pos = m.end()
+            dropped += 1
+    pieces.append(raw[pos:])
+    text = "".join(pieces)
+    return {k: (text, i) for k, i in at}
+
+
+def _decode_at(text: str, start: int) -> tuple[object, int]:
+    """The decoder's raw_decode at ``start``; nesting too deep for it
+    raises StageParseError."""
+    try:
+        return _DECODER.raw_decode(text, start)
+    except RecursionError as e:
+        raise StageParseError("response nests too deeply") from e
 
 
 # -- response parsing ---------------------------------------------------------

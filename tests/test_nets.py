@@ -120,6 +120,38 @@ class TestInit:
         with pytest.raises(ValueError):
             init_params(0, d_o=0, T_p=16, d_a=2)
 
+    @pytest.mark.parametrize("seed, sizes", [
+        (0, [1, 1]),
+        (3, [7, 1, 9]),
+        (5, [3, 5, 2]),
+        (11, [13, 17, 1, 19, 3]),
+        # the test_07 denoiser, 376,352 parameters: d_in = 17 + 16*2 + 128
+        (0, [177, 384, 384, 384, 32]),
+    ])
+    def test_init_mlp_matches_per_layer_uniform_draws(self, seed, sizes):
+        """Each array's bits are a per-layer rng.uniform draw's, in
+        W0 b0 W1 b1 ... order, and the generator ends where those draws
+        leave it."""
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        p = init_mlp(rng, sizes)
+        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            limit = np.sqrt(3.0 / fan_in)
+            w = ref.uniform(-limit, limit, size=(fan_in, fan_out))
+            b = ref.uniform(-limit, limit, size=fan_out)
+            assert p.weights[i].shape == w.shape
+            assert p.weights[i].tobytes() == w.tobytes()
+            assert p.biases[i].shape == b.shape
+            assert p.biases[i].tobytes() == b.tobytes()
+        assert p.flat.dtype == np.float64
+        assert rng.random() == ref.random()
+
+    def test_init_params_allocates_about_one_flat_vector(self):
+        """The init draws straight into the flat vector: no per-layer
+        arrays and no second copy."""
+        p, peak = traced_peak(lambda: init_params(
+            0, d_o=17, T_p=16, d_a=2, hidden=384, embed_dim=128))
+        assert peak < 1.25 * p.net.flat.nbytes
+
     def test_init_mlp_rejects_empty_layers(self):
         # a zero fan-in used to divide by zero in the init scale
         rng = np.random.default_rng(0)

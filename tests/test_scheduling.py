@@ -3,7 +3,10 @@ chat-completion client."""
 
 import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
 import urllib.error
 
 import numpy as np
@@ -338,3 +341,17 @@ class TestCompleteText:
     def test_all_remote_errors_are_classifier_errors(self):
         for err in (RemoteTimeout, RemoteTransportError, ResponseParseError):
             assert issubclass(err, ClassifierError)
+
+
+def test_rollout_training_and_cli_load_no_network_modules():
+    """Only a chat-completion call imports the HTTP, e-mail and TLS
+    modules; a fresh process that imports the rollout, training and CLI
+    modules has none of them."""
+    src = os.path.dirname(os.path.dirname(diffpol.rollout.__file__))
+    code = ("import sys, diffpol.rollout, diffpol.training, diffpol.cli\n"
+            "print(sorted({'ssl', 'http.client', 'urllib.request'}"
+            " & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -120,6 +121,63 @@ class TestSanitizeJson:
     def test_unmatched_quote_in_prose_before_the_array(self):
         raw = 'He said "here it is: ["keep, ]", 2, ]'
         assert json.loads(sanitize_json(raw)) == ["keep, ]", 2]
+
+    def test_runs_of_trailing_commas_are_dropped(self):
+        assert sanitize_json("[1,, ]") == "[1 ]"
+        assert sanitize_json("[1,,,]") == "[1]"
+        assert sanitize_json("[,,]") == "[]"
+        assert sanitize_json('x [{"a": [2,],,}] y') == '[{"a": [2]}]'
+        with pytest.raises(StageParseError):
+            sanitize_json("[1,,2]")
+
+    def test_many_trailing_commas_cost_two_decodes(self, monkeypatch):
+        """A 4 KB reply with 800 trailing commas is decoded at most
+        twice, not once per comma."""
+        decodes = []
+        raw_decode = diffpol.stages._DECODER.raw_decode
+
+        def counting(text, idx=0):
+            decodes.append(idx)
+            return raw_decode(text, idx)
+
+        monkeypatch.setattr(diffpol.stages._DECODER, "raw_decode", counting)
+        raw = "[" + ",".join(["[1,]"] * 800) + "]"
+        assert len(raw) > 4000
+        assert sanitize_json(raw) == "[" + ",".join(["[1]"] * 800) + "]"
+        assert len(decodes) <= 2
+
+    def test_open_string_after_the_array_costs_one_pass(self):
+        """A reply that ends in an unclosed string of escaped quotes is
+        swept in one pass: the string runs to the end of the text, so no
+        escaped quote starts another scan to the end."""
+        for tail in ('"' + '\\"' * 50000, '"' + '\\"' * 50000 + "\\"):
+            assert diffpol.stages._TOKEN.match(tail).end() == len(tail)
+            t0 = time.perf_counter()
+            assert sanitize_json("[1,] " + tail) == "[1]"
+            assert time.perf_counter() - t0 < 1.0
+
+    def test_one_sweep_serves_every_later_bracket(self, monkeypatch):
+        """300 candidates that fail past a trailing comma, then the
+        array: one sweep, and at most two decodes per candidate."""
+        sweeps, decodes = [], []
+        sweep, raw_decode = diffpol.stages._sweep, \
+            diffpol.stages._DECODER.raw_decode
+
+        def counting_sweep(raw, start):
+            sweeps.append(start)
+            return sweep(raw, start)
+
+        def counting_decode(text, idx=0):
+            decodes.append(idx)
+            return raw_decode(text, idx)
+
+        monkeypatch.setattr(diffpol.stages, "_sweep", counting_sweep)
+        monkeypatch.setattr(diffpol.stages._DECODER, "raw_decode",
+                            counting_decode)
+        raw = '[{"a": 1,} x ' * 300 + "[1, 2,]"
+        assert sanitize_json(raw) == "[1, 2]"
+        assert len(sweeps) == 1
+        assert len(decodes) <= 2 * raw.count("[")
 
     def test_deep_nesting_is_a_parse_error(self):
         raw = "[" * 2000 + "]" * 2000
