@@ -386,7 +386,7 @@ def cmd_eval(args: dict) -> int:
     return 0
 
 
-def cmd_decompose(args: dict, transport=None) -> int:
+def cmd_decompose(args: dict) -> int:
     """Produce stages.json and schedule.json, from canned response files
     in --mock mode or from the completion endpoint otherwise."""
     mock = args["mock"]
@@ -404,7 +404,7 @@ def cmd_decompose(args: dict, transport=None) -> int:
             with open(mock[i]) as f:
                 return f.read()
         return complete_text(endpoint, [{"type": "text", "text": prompt}],
-                             args["timeout"], transport)
+                             args["timeout"])
 
     stage_templates = parse_stage_templates(
         respond(0, build_decomposition_prompt(args["task"],

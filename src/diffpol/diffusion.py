@@ -54,6 +54,9 @@ def schedule_from_betas(beta: np.ndarray) -> NoiseSchedule:
 # Linear schedule of Ho et al., "Denoising Diffusion Probabilistic Models"
 BETA_START = 1e-4
 BETA_END = 0.02
+# the longest schedule a training config or checkpoint header may name;
+# T sizes every per-step table, and a header's T is not in its payload
+MAX_T = 10_000
 
 
 def make_noise_schedule(T: int, beta_start: float = BETA_START,

@@ -270,11 +270,6 @@ def expert_actions(agent: np.ndarray, block: np.ndarray,
     return np.where(d_bt <= TARGET_TOL, 0.0, act)
 
 
-def scripted_expert(st: EnvState) -> np.ndarray:
-    """The expert's action for one state: a batch of one."""
-    return expert_actions(st.agent[None], st.block[None], st.target[None])[0]
-
-
 # -- demonstrations ----------------------------------------------------------
 
 

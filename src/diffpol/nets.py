@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diffusion import BETA_END, BETA_START, NoiseSchedule, make_noise_schedule
+from .diffusion import BETA_END, BETA_START, MAX_T, NoiseSchedule, \
+    make_noise_schedule
 
 CHECKPOINT_MAGIC = b"DIFFPOL2"
 
@@ -65,16 +66,9 @@ class MlpParams:
     another dtype, and forward and backward passes compute in it.
     """
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
-        if len(weights) != len(biases):
-            raise ValueError("need one bias per weight matrix")
-        shapes = [(np.shape(w), np.shape(b)) for w, b in zip(weights, biases)]
-        n = sum(math.prod(ws) + math.prod(bs) for ws, bs in shapes)
-        self._bind(np.empty(n), shapes)
-        for dst, src in zip(self.weights + self.biases, weights + biases):
-            dst[...] = src
-
-    def _bind(self, flat: np.ndarray, shapes) -> None:
+    def __init__(self, flat: np.ndarray, shapes):
+        """Views into ``flat`` (not copied); shapes lists each layer's
+        (weight shape, bias shape)."""
         self.flat = flat
         self.shapes = tuple(shapes)
         self.weights, self.biases = [], []
@@ -85,20 +79,9 @@ class MlpParams:
                 out.append(flat[off:off + size].reshape(shape))
                 off += size
 
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, shapes) -> "MlpParams":
-        """Views into ``flat`` (not copied); shapes lists each layer's
-        (weight shape, bias shape)."""
-        p = cls.__new__(cls)
-        p._bind(flat, shapes)
-        return p
-
-    def copy(self) -> "MlpParams":
-        return MlpParams.from_flat(self.flat.copy(), self.shapes)
-
     def astype(self, dtype) -> "MlpParams":
         """A copy whose vector has ``dtype`` (values rounded to it)."""
-        return MlpParams.from_flat(self.flat.astype(dtype), self.shapes)
+        return MlpParams(self.flat.astype(dtype), self.shapes)
 
 
 def init_mlp(rng: np.random.Generator, sizes: list[int]) -> MlpParams:
@@ -123,8 +106,8 @@ def init_mlp(rng: np.random.Generator, sizes: list[int]) -> MlpParams:
         u *= limit - -limit
         u += -limit
         off += u.size
-    return MlpParams.from_flat(flat, [((fan_in, fan_out), (fan_out,))
-                                      for fan_in, fan_out in layers])
+    return MlpParams(flat, [((fan_in, fan_out), (fan_out,))
+                            for fan_in, fan_out in layers])
 
 
 def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -156,7 +139,7 @@ def mlp_backward(p: MlpParams, cache: list[np.ndarray],
                  dy: np.ndarray) -> MlpParams:
     """Gradients of a scalar loss wrt every weight, given dL/dy; written
     straight into a fresh vector laid out like ``p.flat``, in its dtype."""
-    grads = MlpParams.from_flat(np.empty_like(p.flat), p.shapes)
+    grads = MlpParams(np.empty_like(p.flat), p.shapes)
     g = np.asarray(dy, dtype=p.flat.dtype)
     for i in range(len(p.weights) - 1, -1, -1):
         if i < len(p.weights) - 1:
@@ -411,6 +394,8 @@ def load_checkpoint(path: str) -> DenoiserParams:
         struct.unpack_from(_HEADER, blob, 8)
     if min(d_o, T_p, d_a, embed_dim, hidden, T) < 1 or n_hidden < 0:
         raise ValueError(f"{path}: bad dims in header")
+    if T > MAX_T:
+        raise ValueError(f"{path}: header T {T} exceeds {MAX_T}")
     try:
         check_embed_dim(embed_dim)
     except ValueError as e:
@@ -433,5 +418,5 @@ def load_checkpoint(path: str) -> DenoiserParams:
         raise ValueError(f"{path}: non-finite weight")
     return DenoiserParams(d_o=d_o, T_p=T_p, d_a=d_a, embed_dim=embed_dim,
                           hidden=hidden, T=T,
-                          net=MlpParams.from_flat(flat, shapes),
+                          net=MlpParams(flat, shapes),
                           beta_start=beta_start, beta_end=beta_end)

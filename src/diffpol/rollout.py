@@ -26,6 +26,7 @@ from .scheduling import SchedulerState, scheduler_tick
 from .stages import ScheduleEntry, ScheduleTable
 
 EARLY_FRACTION = 0.6  # success this early in the budget counts as "early"
+EPISODES_PER_SEED = 10_000  # each evaluation seed's block of env seeds
 
 SAMPLER_KINDS = ("ddpm", "ddim")
 
@@ -170,8 +171,9 @@ class Metrics:
 
 
 def episode_seeds(seed: int, n_episodes: int) -> list[int]:
-    """Environment seeds for one evaluation seed, disjoint across seeds."""
-    return [10_000 * seed + i for i in range(n_episodes)]
+    """Environment seeds for one evaluation seed, disjoint across seeds
+    while n_episodes <= EPISODES_PER_SEED."""
+    return [EPISODES_PER_SEED * seed + i for i in range(n_episodes)]
 
 
 def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
@@ -187,9 +189,10 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
     seeds see identical environments.  The oracle indexes a table by
     stage position, so a table needs an entry for each of the task's
     stages, and an entry named after one of them must sit at its
-    position.  Every entry's step count must lie in [1, sched.T].  Each
-    fault, and a pair that is not two positive integers, raises
-    ValueError before any episode runs.
+    position.  Every entry's step count must lie in [1, sched.T].  The
+    seeds must be distinct and n_episodes at most EPISODES_PER_SEED, so
+    that no episode runs twice.  Each fault, and a pair that is not two
+    positive integers, raises ValueError before any episode runs.
     The denoiser runs in float32, the dtype training computes in, on a
     copy of the net; the caller's params are left as they are.
     ``gap`` is accepted and ignored, as a classifier returns the stage
@@ -199,8 +202,13 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
     seeds = tuple(seeds)
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
+    if n_episodes > EPISODES_PER_SEED:
+        raise ValueError(f"n_episodes {n_episodes} exceeds "
+                         f"{EPISODES_PER_SEED}, the episodes of one seed")
     if not seeds:
         raise ValueError("need at least one evaluation seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"evaluation seeds repeat: {seeds}")
     if not isinstance(schedule, ScheduleTable):
         na, nd = schedule
         schedule = fixed_schedule_table(na, nd)

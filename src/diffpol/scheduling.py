@@ -43,7 +43,8 @@ class ResponseParseError(ClassifierError):
 
 
 def http_post(url: str, body: bytes, timeout: float) -> bytes:
-    """Default transport: POST a JSON body, return the raw reply."""
+    """The client's transport, looked up at each call: POST a JSON body,
+    return the raw reply."""
     import urllib.request  # loaded on first use: only decompose posts
 
     req = urllib.request.Request(
@@ -52,12 +53,10 @@ def http_post(url: str, body: bytes, timeout: float) -> bytes:
         return resp.read()
 
 
-def complete_text(endpoint: str, content: list[dict], timeout: float,
-                  transport=None) -> str:
+def complete_text(endpoint: str, content: list[dict], timeout: float) -> str:
     """One chat-completion exchange: post a single user message made of
-    ``content`` parts and return the reply text.
+    ``content`` parts through http_post and return the reply text.
 
-    ``transport(url, body, timeout) -> bytes`` defaults to http_post.
     Failures surface as RemoteTimeout, RemoteTransportError or, for a
     reply without a text completion, ResponseParseError.
     """
@@ -69,9 +68,8 @@ def complete_text(endpoint: str, content: list[dict], timeout: float,
         "top_p": 0.7,
         "max_new_tokens": 1024,
     }).encode("utf-8")
-    post = transport if transport is not None else http_post
     try:
-        raw = post(endpoint, body, timeout)
+        raw = http_post(endpoint, body, timeout)
     except (OSError, http.client.HTTPException) as e:
         cause = getattr(e, "reason", e)  # URLError wraps the socket error
         if isinstance(cause, TimeoutError):

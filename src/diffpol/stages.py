@@ -15,6 +15,7 @@ fallback.  Schedule files, which this program writes, load as written.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -312,19 +313,28 @@ def _templates(text: str) -> list[StageTemplate]:
     return out
 
 
-def _as_int(value) -> int:
+def _as_int(value, stage: str) -> int:
+    """A reply's count for ``stage``: an int, or a finite number or
+    numeric string rounded to the nearest int; anything else, NaN and
+    infinities included, is a StageParseError naming stage and value."""
     if isinstance(value, bool):
-        raise StageParseError(f"boolean is not a count: {value!r}")
+        raise StageParseError(f"stage {stage!r}: boolean is not a count: "
+                              f"{value!r}")
     if isinstance(value, int):
         return value
-    if isinstance(value, float):
-        return int(round(value))
+    x = value
     if isinstance(value, str):
         try:
-            return int(round(float(value.strip())))
+            x = float(value.strip())
         except ValueError:
             pass
-    raise StageParseError(f"unparseable integer value: {value!r}")
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return int(round(x))
+        raise StageParseError(f"stage {stage!r}: count is not finite: "
+                              f"{value!r}")
+    raise StageParseError(f"stage {stage!r}: unparseable integer value: "
+                          f"{value!r}")
 
 
 def parse_schedule(text: str, stages,
@@ -347,8 +357,8 @@ def parse_schedule(text: str, stages,
     for name, na, nd in _entries(text, _SCHEDULE_KEYS):
         if name not in names:
             raise StageParseError(f"unknown stage {name!r}")
-        got[name] = (min(max(_as_int(na), r.a_min), r.a_max),
-                     min(max(_as_int(nd), r.i_min), r.i_max))
+        got[name] = (min(max(_as_int(na, name), r.a_min), r.a_max),
+                     min(max(_as_int(nd, name), r.i_min), r.i_max))
     missing = [n for n in names if n not in got]
     if missing:
         raise StageParseError(f"missing schedule entries: {missing}")

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffusion import BETA_END, BETA_START, forward_noise
+from .diffusion import BETA_END, BETA_START, MAX_T, forward_noise
 from .env import D_A, T_P, DemoDataset, policy_features
 from .nets import (
     AdamState,
@@ -135,16 +135,12 @@ def sampler_entropy(ts: TimestepSampler) -> float:
 
 
 def sample_timestep(ts: TimestepSampler, rng: np.random.Generator,
-                    step_count: int, size: int | None = None):
-    """Draw a step index in 1..T: uniform while step_count < warmup, from
-    the learned distribution afterwards.  Like numpy's ``size``: None
-    gives an int, an int n an array of n draws, consuming ``rng`` exactly
-    as n single draws would."""
+                    step_count: int, size: int) -> np.ndarray:
+    """Draw ``size`` step indices in 1..T: uniform while step_count <
+    warmup, from the learned distribution afterwards."""
     if step_count < ts.warmup:
-        ks = rng.integers(1, ts.T + 1, size=size)
-    else:
-        ks = rng.choice(ts.T, size=size, p=sampler_distribution(ts)) + 1
-    return int(ks) if size is None else ks
+        return rng.integers(1, ts.T + 1, size=size)
+    return rng.choice(ts.T, size=size, p=sampler_distribution(ts)) + 1
 
 
 def _policy_entropy_grad(ts: TimestepSampler, ks: np.ndarray,
@@ -181,22 +177,7 @@ def sampler_update_batch(ts: TimestepSampler, ks: np.ndarray,
     return ts
 
 
-# -- per-trajectory replay weights -------------------------------------------
-
-
-@dataclass
-class TrajectoryWeights:
-    w: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.w.size
-
-
-def make_traj_weights(n: int) -> TrajectoryWeights:
-    if n < 1:
-        raise ValueError("need at least one trajectory")
-    return TrajectoryWeights(np.ones(n))
+# -- per-trajectory replay weights: a float64 array, one entry per demo ------
 
 
 def _renormalize(w: np.ndarray, floor: float = WEIGHT_FLOOR) -> np.ndarray:
@@ -222,33 +203,32 @@ def _renormalize(w: np.ndarray, floor: float = WEIGHT_FLOOR) -> np.ndarray:
     return w
 
 
-def update_traj_weights_batch(tw: TrajectoryWeights, idxs: np.ndarray,
-                              rs: np.ndarray,
-                              alpha: float) -> TrajectoryWeights:
-    """EMA updates for every drawn trajectory, in draw order, each blending
-    its weight toward reward + 1: w = (1 - alpha) * w + alpha * (r + 1);
-    then one floor + renorm.  idxs and rs must be matching 1-d arrays,
-    else ValueError; an index outside [0, n) is an IndexError and alpha
-    outside (0, 1] a ValueError."""
+def update_traj_weights_batch(w: np.ndarray, idxs: np.ndarray,
+                              rs: np.ndarray, alpha: float) -> np.ndarray:
+    """New weights after EMA updates for every drawn trajectory, in draw
+    order, each blending its weight toward reward + 1:
+    w = (1 - alpha) * w + alpha * (r + 1); then one floor + renorm.  The
+    given array is left as it is.  idxs and rs must be matching 1-d
+    arrays, else ValueError; an index outside [0, n) is an IndexError
+    and alpha outside (0, 1] a ValueError."""
     idxs, rs = np.asarray(idxs), np.asarray(rs)
     if idxs.shape != rs.shape or idxs.ndim != 1:
         raise ValueError("idxs and rs must be matching 1-d arrays")
-    if np.any((idxs < 0) | (idxs >= tw.n)):
-        raise IndexError(f"trajectory index outside [0, {tw.n})")
+    if np.any((idxs < 0) | (idxs >= w.size)):
+        raise IndexError(f"trajectory index outside [0, {w.size})")
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    w = tw.w.copy()
+    w = w.copy()
     for i, r in zip(idxs, rs):
         w[i] = (1.0 - alpha) * w[i] + alpha * (float(r) + 1.0)
-    return TrajectoryWeights(_renormalize(w))
+    return _renormalize(w)
 
 
-def weighted_sample_index(tw: TrajectoryWeights, rng: np.random.Generator,
-                          size: int | None = None):
-    """Draw a trajectory index with probability proportional to weight;
-    ``size`` as in sample_timestep."""
-    idxs = rng.choice(tw.n, size=size, p=tw.w / tw.w.sum())
-    return int(idxs) if size is None else idxs
+def weighted_sample_index(w: np.ndarray, rng: np.random.Generator,
+                          size: int) -> np.ndarray:
+    """Draw ``size`` trajectory indices, each with probability
+    proportional to its weight."""
+    return rng.choice(w.size, size=size, p=w / w.sum())
 
 
 # -- training loop -----------------------------------------------------------
@@ -277,6 +257,8 @@ class TrainConfig:
             raise ValueError("total_steps must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 1 <= self.T <= MAX_T:
+            raise ValueError(f"T must be in [1, {MAX_T}], got {self.T}")
         for name in ("warmup", "eval_every", "snapshot_every"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -406,7 +388,7 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     def float64_params() -> DenoiserParams:
         return replace(params, net=params.net.astype(np.float64))
 
-    tw = make_traj_weights(dataset.n_traj)
+    tw = np.ones(dataset.n_traj)  # the replay weights
     report = TrainReport(mode=mode)
     B = config.batch_size
     uniform_entropy = float(np.log(config.T))
@@ -468,12 +450,12 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
             if config.snapshot_every > 0 \
                     and (step + 1) % config.snapshot_every == 0:
                 report.sampler_snapshots.append((step + 1, draw_probs(step)))
-                report.weight_snapshots.append((step + 1, tw.w.copy()))
+                report.weight_snapshots.append((step + 1, tw.copy()))
             if eval_fn is not None and config.eval_every > 0 \
                     and (step + 1) % config.eval_every == 0:
                 report.eval_steps.append(step + 1)
                 report.eval_success.append(float(eval_fn(float64_params())))
 
     report.final_sampler_probs = draw_probs(config.total_steps - 1)
-    report.final_traj_weights = tw.w.copy()
+    report.final_traj_weights = tw.copy()
     return float64_params(), report

@@ -6,7 +6,7 @@ push task's stages as protocol templates."""
 import numpy as np
 
 from diffpol.env import D_A, STAGES, T_P, EnvState, env_step, \
-    scripted_expert
+    expert_actions
 from diffpol.diffusion import NoiseSchedule
 from diffpol.rollout import fixed_schedule_table, rollout
 from diffpol.scheduling import SchedulerState
@@ -69,13 +69,18 @@ def fixed_rollout(params, sched: NoiseSchedule, env_seed: int, pair,
                    *args, **kwargs)
 
 
+def expert_action(st: EnvState) -> np.ndarray:
+    """The expert's action for one state: expert_actions on its row."""
+    return expert_actions(st.agent[None], st.block[None], st.target[None])[0]
+
+
 def expert_window(obs: np.ndarray) -> np.ndarray:
     """The next T_P expert actions from the state encoded in obs."""
     st = EnvState(agent=obs[0:2].copy(), block=obs[2:4].copy(),
                   target=obs[4:6].copy())
     acts = np.empty((T_P, D_A))
     for i in range(T_P):
-        a = scripted_expert(st)
+        a = expert_action(st)
         acts[i] = a
         st, _ = env_step(st, a)
     return acts

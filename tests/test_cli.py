@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import pathlib
+import struct
 import urllib.error
 
 import numpy as np
@@ -345,6 +346,24 @@ class TestEval:
         assert (a / "report.csv").read_bytes() == \
             (b / "report.csv").read_bytes()
 
+    def test_repeated_seeds_exit_1(self, tmp_path, checkpoint, capsys):
+        out = tmp_path / "run"
+        assert main(["eval", "--policy", checkpoint, "--episodes", "1",
+                     "--seeds", "0,0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: evaluation seeds repeat: (0, 0)\n"
+        assert not out.exists()
+
+    def test_checkpoint_T_above_the_bound_exits_1(self, tmp_path, checkpoint,
+                                                  capsys):
+        blob = pathlib.Path(checkpoint).read_bytes()
+        big = tmp_path / "big_T.bin"  # header T sits at bytes 56..64
+        big.write_bytes(blob[:56] + struct.pack("<q", 10_001) + blob[64:])
+        assert main(["eval", "--policy", str(big), "--episodes", "1",
+                     "--seeds", "0", "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {big}: header T 10001 exceeds 10000\n"
+
     def test_table_steps_beyond_T_exit_1_before_any_episode(
             self, tmp_path, checkpoint, monkeypatch, capsys):
         """A table stage asking for 300 denoising steps of a T=100
@@ -491,15 +510,17 @@ class TestDecompose:
         assert (out / "schedule.json").read_bytes() == \
             (FIXTURES / "schedule_expected.json").read_bytes()
 
-    def test_mock_mode_never_touches_the_network(self, tmp_path):
+    def test_mock_mode_never_touches_the_network(self, tmp_path,
+                                                 monkeypatch):
         def boom(url, body, timeout):
-            raise AssertionError("transport used in mock mode")
+            raise AssertionError("http_post used in mock mode")
 
+        monkeypatch.setattr(diffpol.scheduling, "http_post", boom)
         args = resolved(["decompose", *self.MOCK,
                          "--out", str(tmp_path / "run")])
-        assert cmd_decompose(args, transport=boom) == 0
+        assert cmd_decompose(args) == 0
 
-    def test_live_path_posts_both_prompts(self, tmp_path):
+    def test_live_path_posts_both_prompts(self, tmp_path, monkeypatch):
         replies = [_completion(
             (FIXTURES / "decompose_response.txt").read_text()),
             _completion((FIXTURES / "schedule_response.txt").read_text())]
@@ -509,11 +530,12 @@ class TestDecompose:
             calls.append((url, json.loads(body)))
             return replies[len(calls) - 1]
 
+        monkeypatch.setattr(diffpol.scheduling, "http_post", fake)
         out = tmp_path / "run"
         args = resolved(["decompose", "--ranges", "8,16,20,60",
                          "--endpoint", "http://unit.test/v1",
                          "--out", str(out)])
-        assert cmd_decompose(args, transport=fake) == 0
+        assert cmd_decompose(args) == 0
         assert len(calls) == 2
         first = calls[0][1]["messages"][0]["content"][0]["text"]
         second = calls[1][1]["messages"][0]["content"][0]["text"]
@@ -551,11 +573,24 @@ class TestDecompose:
             urls.append(url)
             return _completion(replies[len(urls) - 1])
 
+        monkeypatch.setattr(diffpol.scheduling, "http_post", fake)
         args = resolved(["decompose", "--ranges", "8,16,20,60",
                          "--out", str(tmp_path / "run")])
         assert args["endpoint"] is None
-        assert cmd_decompose(args, transport=fake) == 0
+        assert cmd_decompose(args) == 0
         assert urls == ["http://from.env/chat"] * 2
+
+    def test_non_finite_count_prints_one_error_line(self, tmp_path, capsys):
+        reply = tmp_path / "schedule.txt"
+        reply.write_text((FIXTURES / "schedule_response.txt").read_text()
+                         .replace('"num_inference_steps": 60',
+                                  '"num_inference_steps": Infinity'))
+        rc = main(["decompose", "--mock", self.MOCK[1], str(reply),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: stage 'robot_arm_releases_can_into_compartment': "
+            "count is not finite: inf\n")
 
     def test_no_endpoint_and_no_mock_fails(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)

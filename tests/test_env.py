@@ -30,10 +30,11 @@ from diffpol.env import (
     observe,
     reset_env,
     save_demos,
-    scripted_expert,
     stage_index,
     step_batch,
 )
+
+from helpers import expert_action
 
 
 # sha256 of save_demos(generate_demos(20, seed=0, noise_level=0.1)),
@@ -217,7 +218,7 @@ class TestStages:
 class TestScriptedExpert:
     def test_pure_function(self):
         st = reset_env(7)
-        np.testing.assert_array_equal(scripted_expert(st), scripted_expert(st))
+        np.testing.assert_array_equal(expert_action(st), expert_action(st))
 
     def test_bounded_actions(self):
         rng = np.random.default_rng(0)
@@ -239,7 +240,7 @@ class TestScriptedExpert:
             st = reset_env(seed)
             hit.add(stage_index(st))
             for _ in range(MAX_STEPS):
-                st, reached = env_step(st, scripted_expert(st))
+                st, reached = env_step(st, expert_action(st))
                 hit.add(stage_index(st))
                 if reached:
                     break
@@ -247,7 +248,7 @@ class TestScriptedExpert:
 
     def test_zero_action_when_complete(self):
         st = make_state([0.1, 0.1], [0.88, 0.5], [0.9, 0.5])
-        np.testing.assert_array_equal(scripted_expert(st), np.zeros(2))
+        np.testing.assert_array_equal(expert_action(st), np.zeros(2))
 
 
 class TestBatchedForms:
@@ -327,7 +328,7 @@ class TestBatchedForms:
             st = EnvState(agent=s[0:2], block=s[2:4], target=s[4:6])
             branch, want = reference_expert(st)
             assert a.tobytes() == want.tobytes(), (branch, s)
-            assert a.tobytes() == scripted_expert(st).tobytes(), s
+            assert a.tobytes() == expert_action(st).tobytes(), s
             branches.add(branch)
         assert branches == {"complete", "on block", "push", "orbit",
                             "orbit flipped", "stage"}
@@ -354,7 +355,7 @@ def step_expert(seed, noise=0.0, rng=None):
     st = reset_env(seed)
     obs, acts, reached = [observe(st)], [], False
     while not reached and len(acts) < env.MAX_STEPS:
-        a = scripted_expert(st)
+        a = expert_action(st)
         if noise:
             a = _clip(a + noise * rng.standard_normal(D_A), -1.0, 1.0)
         st, reached = env_step(st, a)

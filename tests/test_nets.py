@@ -205,7 +205,7 @@ class TestGradients:
             if acc is None:
                 acc = g_i
             else:
-                acc = MlpParams(
+                acc = mlp(
                     [a + b for a, b in zip(acc.weights, g_i.weights)],
                     [a + b for a, b in zip(acc.biases, g_i.biases)])
         for a, b in zip(acc.weights, grads.weights):
@@ -398,13 +398,21 @@ def in_layer_order(p):
     return [a for pair in zip(p.weights, p.biases) for a in pair]
 
 
+def mlp(weights, biases):
+    """A float64 net holding copies of the given layer arrays."""
+    flat = np.concatenate([np.ravel(a) for pair in zip(weights, biases)
+                           for a in pair], dtype=np.float64)
+    return MlpParams(flat, [(np.shape(w), np.shape(b))
+                            for w, b in zip(weights, biases)])
+
+
 class TestAdam:
     def test_zero_grad_noop(self):
         rng = np.random.default_rng(5)
         p = init_mlp(rng, [3, 4, 2])
-        before = p.copy()
-        zero = MlpParams([np.zeros_like(w) for w in p.weights],
-                         [np.zeros_like(b) for b in p.biases])
+        before = p.astype(np.float64)
+        zero = mlp([np.zeros_like(w) for w in p.weights],
+                   [np.zeros_like(b) for b in p.biases])
         st = AdamState()
         assert optimizer_step(p, zero, st) is None
         assert st.t == 1
@@ -413,8 +421,8 @@ class TestAdam:
 
     def test_first_step_magnitude(self):
         # bias correction makes step one move by ~lr * sign(g)
-        p = MlpParams([np.array([[1.0]])], [np.array([0.0])])
-        g = MlpParams([np.array([[3.0]])], [np.array([0.0])])
+        p = mlp([np.array([[1.0]])], [np.array([0.0])])
+        g = mlp([np.array([[3.0]])], [np.array([0.0])])
         optimizer_step(p, g, AdamState(lr=0.1))
         expected = 1.0 - 0.1 * 3.0 / (3.0 + 1e-8)
         assert abs(p.weights[0][0, 0] - expected) < 1e-9
@@ -422,10 +430,10 @@ class TestAdam:
     def test_params_change_in_place_grads_untouched(self):
         rng = np.random.default_rng(6)
         p = init_mlp(rng, [2, 3, 1])
-        views, flat, before = in_layer_order(p), p.flat, p.copy()
-        g = MlpParams([np.ones_like(w) for w in p.weights],
-                      [np.ones_like(b) for b in p.biases])
-        g_before = g.copy()
+        views, flat, before = in_layer_order(p), p.flat, p.astype(np.float64)
+        g = mlp([np.ones_like(w) for w in p.weights],
+                [np.ones_like(b) for b in p.biases])
+        g_before = g.flat.copy()
         st = AdamState()
         optimizer_step(p, g, st)
         assert p.flat is flat
@@ -433,7 +441,7 @@ class TestAdam:
         assert np.all(p.flat != before.flat)
         for a, b in zip(in_layer_order(before), views):
             assert np.all(a != b)  # every view moved with the vector
-        np.testing.assert_array_equal(g.flat, g_before.flat)
+        np.testing.assert_array_equal(g.flat, g_before)
         assert st.m.shape == st.v.shape == p.flat.shape
 
     def test_blocked_update_matches_functional_reference(self):
@@ -489,10 +497,10 @@ class TestAdam:
             optimizer_step(p, g, AdamState())
 
     def test_descends_quadratic(self):
-        p = MlpParams([np.array([[4.0]])], [np.array([0.0])])
+        p = mlp([np.array([[4.0]])], [np.array([0.0])])
         st = AdamState(lr=0.05)
         for _ in range(300):
-            g = MlpParams([2.0 * p.weights[0]], [np.zeros(1)])
+            g = mlp([2.0 * p.weights[0]], [np.zeros(1)])
             optimizer_step(p, g, st)
         assert abs(p.weights[0][0, 0]) < 0.1
 
@@ -544,15 +552,9 @@ class TestFlatLayout:
         r = q.astype(np.float64)
         assert r.flat.dtype == np.float64
         np.testing.assert_array_equal(r.flat, q.flat)
-
-    def test_copy_shares_no_memory(self):
-        p = init_mlp(np.random.default_rng(10), [3, 5, 2])
-        q = p.copy()
-        self.assert_views_of_flat(q)
-        np.testing.assert_array_equal(p.flat, q.flat)
-        for a in [q.flat] + in_layer_order(q):
-            for b in [p.flat] + in_layer_order(p):
-                assert not np.shares_memory(a, b)
+        same = p.astype(p.flat.dtype)  # the same dtype copies too
+        assert not np.shares_memory(same.flat, p.flat)
+        np.testing.assert_array_equal(same.flat, p.flat)
 
 
 class TestGoldenLosses:
@@ -632,6 +634,22 @@ class TestCheckpoint:
         bad.write_bytes(blob[:48] + struct.pack("<q", 2 ** 40) + blob[56:])
         with pytest.raises(ValueError, match="bad.bin: payload size"):
             load_checkpoint(str(bad))
+
+    def test_rejects_header_T_above_the_bound(self, tmp_path):
+        """T sizes the noise schedule's tables, not the payload, so the
+        size check cannot catch a huge one; MAX_T bounds it instead."""
+        p = init_params(0, d_o=2, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
+        path = tmp_path / "c.bin"
+        save_checkpoint(str(path), p)
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.bin"
+        for T in (10_001, 2 ** 40):
+            bad.write_bytes(blob[:56] + struct.pack("<q", T) + blob[64:])
+            with pytest.raises(ValueError,
+                               match=f"bad.bin: header T {T} exceeds 10000"):
+                load_checkpoint(str(bad))
+        bad.write_bytes(blob[:56] + struct.pack("<q", 10_000) + blob[64:])
+        assert load_checkpoint(str(bad)).T == 10_000
 
     def test_rejects_v1_files(self, tmp_path):
         """A file from before the schedule header has no betas to read;

@@ -351,6 +351,23 @@ class TestEvaluate:
                                              "positive integer, got "):
             evaluate(tiny_params(), SCHED, 1, (horizon, 10))
 
+    @pytest.mark.parametrize("n_episodes,seeds,match", [
+        (1, (0, 0), "seeds repeat"), (2, (3, 1, 3), "seeds repeat"),
+        (10_001, (0, 1), "exceeds 10000"), (10_001, (5,), "exceeds 10000")])
+    def test_rejects_episodes_that_would_run_twice(self, n_episodes, seeds,
+                                                   match, monkeypatch):
+        """A repeated seed, or more episodes than a seed's block of 10,000
+        env seeds, would run some episode twice and count it twice in
+        every rate; neither runs any episode."""
+        assert episode_seeds(0, 10_001)[-1] == episode_seeds(1, 1)[0]
+
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(diffpol.rollout, "rollout", no_rollout)
+        with pytest.raises(ValueError, match=match):
+            evaluate(tiny_params(), SCHED, n_episodes, (8, 5), seeds=seeds)
+
     @pytest.mark.parametrize("pair", [(8.7, 3), (True, 3), (4, 2.5),
                                       ("4", "3"), (8,), (8, 3, 1)])
     def test_rejects_pairs_that_are_not_two_positive_integers(

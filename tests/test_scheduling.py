@@ -14,6 +14,7 @@ import pytest
 from helpers import expert_forward_fn, zero_forward_fn
 
 import diffpol.rollout
+import diffpol.scheduling
 from diffpol.diffusion import make_noise_schedule
 from diffpol.env import STAGES, T_P, policy_features, reset_env, stage_index
 from diffpol.nets import init_params
@@ -278,20 +279,27 @@ def completion(content) -> bytes:
 class TestCompleteText:
     URL = "http://unit.test/v1/chat"
 
-    def call(self, transport, timeout=10.0):
-        return complete_text(self.URL, [{"type": "text", "text": "hi"}],
-                             timeout, transport)
+    @pytest.fixture
+    def call(self, monkeypatch):
+        """complete_text on a one-part message, posted through ``post``
+        in place of http_post."""
+        def call(post, timeout=10.0):
+            monkeypatch.setattr(diffpol.scheduling, "http_post", post)
+            return complete_text(self.URL, [{"type": "text", "text": "hi"}],
+                                 timeout)
+        return call
 
-    def test_request_body_and_reply(self):
+    def test_request_body_and_reply(self, monkeypatch):
         captured = {}
 
-        def transport(url, body, timeout):
+        def post(url, body, timeout):
             captured.update(url=url, body=json.loads(body), timeout=timeout)
             return completion("the reply")
 
+        monkeypatch.setattr(diffpol.scheduling, "http_post", post)
         content = [{"type": "text", "text": "first"},
                    {"type": "text", "text": "second"}]
-        assert complete_text(self.URL, content, 4.0, transport) == "the reply"
+        assert complete_text(self.URL, content, 4.0) == "the reply"
         assert captured["url"] == self.URL
         assert captured["timeout"] == 4.0
         assert captured["body"] == {
@@ -301,41 +309,41 @@ class TestCompleteText:
             "max_new_tokens": 1024,
         }
 
-    def test_timeout_surfaces_as_timeout(self):
+    def test_timeout_surfaces_as_timeout(self, call):
         def slow(url, body, timeout):
             raise socket.timeout("too slow")
 
         with pytest.raises(RemoteTimeout):
-            self.call(slow)
+            call(slow)
 
         def slow_urllib(url, body, timeout):
             raise urllib.error.URLError(socket.timeout("too slow"))
 
         with pytest.raises(RemoteTimeout):
-            self.call(slow_urllib)
+            call(slow_urllib)
 
-    def test_network_failure_is_transport_error(self):
+    def test_network_failure_is_transport_error(self, call):
         def dead(url, body, timeout):
             raise urllib.error.URLError(ConnectionRefusedError())
 
         with pytest.raises(RemoteTransportError):
-            self.call(dead)
+            call(dead)
 
         def truncated(url, body, timeout):  # urllib's short-body error
             raise http.client.IncompleteRead(b'{"ch', 96)
 
         with pytest.raises(RemoteTransportError):
-            self.call(truncated)
+            call(truncated)
 
-    def test_garbage_reply_is_parse_error(self):
+    def test_garbage_reply_is_parse_error(self, call):
         for reply in (b"not json", b'{"unexpected": 1}', b'{"choices": []}'):
             with pytest.raises(ResponseParseError):
-                self.call(lambda url, body, timeout, r=reply: r)
+                call(lambda url, body, timeout, r=reply: r)
 
-    def test_non_text_content_is_parse_error(self):
+    def test_non_text_content_is_parse_error(self, call):
         for content in (None, 5, ["text"]):
             with pytest.raises(ResponseParseError):
-                self.call(lambda url, body, timeout, c=content:
+                call(lambda url, body, timeout, c=content:
                           completion(c))
 
     def test_all_remote_errors_are_classifier_errors(self):

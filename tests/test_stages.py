@@ -376,6 +376,17 @@ class TestParseSchedule:
         with pytest.raises(StageParseError):
             parse_schedule(schedule_text([(8, 40)]), [])  # no stages
 
+    @pytest.mark.parametrize("count", [
+        "Infinity", "-Infinity", "NaN", "1e999", '"1e999"', '" -inf "'])
+    def test_rejects_non_finite_counts(self, count):
+        """No count is rounded to an int unless it is finite; the error
+        names the stage and the value."""
+        reply = ('[{"name": "a", "n_action_steps": 8, '
+                 f'"num_inference_steps": {count}}}]')
+        with pytest.raises(StageParseError,
+                           match="stage 'a': count is not finite"):
+            parse_schedule(reply, ["a"])
+
     def test_table_validation(self):
         ok = ScheduleEntry("a", 8, 40)
         with pytest.raises(ValueError):
