@@ -403,8 +403,7 @@ def cmd_decompose(args: dict) -> int:
         if mock is not None:
             with open(mock[i]) as f:
                 return f.read()
-        return complete_text(endpoint, [{"type": "text", "text": prompt}],
-                             args["timeout"])
+        return complete_text(endpoint, prompt, args["timeout"])
 
     stage_templates = parse_stage_templates(
         respond(0, build_decomposition_prompt(args["task"],

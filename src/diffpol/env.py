@@ -400,8 +400,11 @@ def generate_demos(n: int, seed: int, noise_level: float = 0.0) -> DemoDataset:
     """
     if n < 1:
         raise ValueError("need at least one demonstration")
-    if noise_level < 0.0:
-        raise ValueError("noise_level must be >= 0")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not (math.isfinite(noise_level) and noise_level >= 0.0):
+        raise ValueError(f"noise_level must be finite and >= 0, "
+                         f"got {noise_level!r}")
     rng = np.random.default_rng(seed)
     batch = 1 if noise_level > 0.0 else LOCKSTEP_BATCH
     env_seeds: list[int] = []

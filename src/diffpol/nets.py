@@ -301,7 +301,9 @@ def denoiser_forward(p: DenoiserParams, obs: np.ndarray, ak: np.ndarray,
     ``context`` is k's first-layer row, ``denoiser_step_part`` plus
     ``denoiser_obs_part``, when the caller built the parts for a whole
     window (obs is then not read); without it the row is built here, a
-    window of one.  k must be an integer in 1..T, else ValueError.
+    window of one.  That one-row step part is a gemv where a whole
+    window's is a gemm, so the two forms agree to a few ulp, not bit for
+    bit.  k must be an integer in 1..T, else ValueError.
     """
     dtype = p.net.flat.dtype
     if context is None:

@@ -52,9 +52,7 @@ def fixed_schedule_table(na: int, nd: int) -> ScheduleTable:
 def denoise_action_window(params: DenoiserParams, sched: NoiseSchedule,
                           obs: np.ndarray, n_steps: int, kind: str,
                           rng: np.random.Generator,
-                          forward_fn=None,
-                          step_parts: dict[int, np.ndarray] | None = None
-                          ) -> np.ndarray:
+                          step_parts: dict[int, np.ndarray]) -> np.ndarray:
     """Draw one action window by reverse diffusion from pure noise.
 
     kind "ddpm" walks a respaced chain with re-derived coefficients and
@@ -63,10 +61,9 @@ def denoise_action_window(params: DenoiserParams, sched: NoiseSchedule,
     at original-schedule step indices.  n_steps must not exceed the
     training schedule length.
 
-    ``step_parts`` maps a step count to the default denoiser's
-    ``denoiser_step_part`` for its chain; a missing entry is built and
-    stored.  One map serves one (params, sched) pair, such as an
-    episode's windows; without one, the step part is built per call.
+    ``step_parts`` maps a step count to ``denoiser_step_part`` for its
+    chain; a missing entry is built and stored.  One map serves one
+    (params, sched) pair, such as an episode's windows.
     """
     if kind not in SAMPLER_KINDS:
         raise ValueError(f"kind must be one of {SAMPLER_KINDS}, got {kind!r}")
@@ -80,29 +77,19 @@ def denoise_action_window(params: DenoiserParams, sched: NoiseSchedule,
     a = noise[0]
     derived, idx = respaced_schedule(sched, n_steps)
     ks = idx.tolist()
-    # the default denoiser's step-invariant first-layer terms: the step
-    # part once per step count, the observation part per window
-    ctx = None
-    if forward_fn is None:
-        if step_parts is None:
-            step_parts = {}
-        if n_steps not in step_parts:
-            step_parts[n_steps] = denoiser_step_part(params, idx)
-        ctx = step_parts[n_steps] + denoiser_obs_part(params, obs)
-
-    def predict_noise(j: int, a: np.ndarray) -> np.ndarray:
-        if ctx is None:
-            return forward_fn(params, obs, a, ks[j - 1])
-        return denoiser_forward(params, obs, a, ks[j - 1], ctx[j - 1])
-
+    # the denoiser's step-invariant first-layer terms: the step part once
+    # per step count, the observation part per window
+    if n_steps not in step_parts:
+        step_parts[n_steps] = denoiser_step_part(params, idx)
+    ctx = step_parts[n_steps] + denoiser_obs_part(params, obs)
     if kind == "ddpm":
         for j in range(n_steps, 0, -1):
-            eps_hat = predict_noise(j, a)
+            eps_hat = denoiser_forward(params, obs, a, ks[j - 1], ctx[j - 1])
             z = noise[n_steps - j + 1] if j > 1 else np.zeros_like(a)
             a = ddpm_reverse_step(derived, eps_hat, a, j, z)
     else:
         for j in range(n_steps, 0, -1):
-            eps_hat = predict_noise(j, a)
+            eps_hat = denoiser_forward(params, obs, a, ks[j - 1], ctx[j - 1])
             a = ddim_reverse_step(sched, eps_hat, a, ks[j - 1],
                                   ks[j - 2] if j > 1 else 0)
     return np.clip(a, -1.0, 1.0)
@@ -127,7 +114,7 @@ class EpisodeResult:
 
 def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
             schedule: SchedulerState, sampler_kind: str = "ddpm",
-            seed: int = 0, forward_fn=None) -> EpisodeResult:
+            seed: int = 0) -> EpisodeResult:
     """Run one episode under a staged compute budget.
 
     ``schedule`` is ticked once per replan to size the next action
@@ -145,8 +132,7 @@ def rollout(params: DenoiserParams, sched: NoiseSchedule, env_seed: int,
     while not reached and step < MAX_STEPS:
         na, nd, schedule = scheduler_tick(schedule, env)
         window = denoise_action_window(params, sched, observe(env), nd,
-                                       sampler_kind, rng, forward_fn,
-                                       step_parts)
+                                       sampler_kind, rng, step_parts)
         replans.append((step, schedule.active, na, nd))
         for action in window[:min(na, MAX_STEPS - step)]:
             env, reached = env_step(env, action)
@@ -178,8 +164,7 @@ def episode_seeds(seed: int, n_episodes: int) -> list[int]:
 
 def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
              schedule, sampler_kind: str = "ddpm",
-             seeds: tuple[int, ...] = (0, 1, 2), gap=None,
-             forward_fn=None) -> Metrics:
+             seeds: tuple[int, ...] = (0, 1, 2), gap=None) -> Metrics:
     """Aggregate rollouts over n_episodes per evaluation seed.
 
     ``schedule`` is a ScheduleTable, or a fixed ``(N_a, N_d)`` pair that
@@ -190,9 +175,10 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
     stage position, so a table needs an entry for each of the task's
     stages, and an entry named after one of them must sit at its
     position.  Every entry's step count must lie in [1, sched.T].  The
-    seeds must be distinct and n_episodes at most EPISODES_PER_SEED, so
-    that no episode runs twice.  Each fault, and a pair that is not two
-    positive integers, raises ValueError before any episode runs.
+    seeds must be distinct and non-negative and n_episodes at most
+    EPISODES_PER_SEED, so that no episode runs twice.  Each fault, and a
+    pair that is not two positive integers, raises ValueError before any
+    episode runs.
     The denoiser runs in float32, the dtype training computes in, on a
     copy of the net; the caller's params are left as they are.
     ``gap`` is accepted and ignored, as a classifier returns the stage
@@ -209,6 +195,9 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
         raise ValueError("need at least one evaluation seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"evaluation seeds repeat: {seeds}")
+    if min(seeds) < 0:
+        raise ValueError(f"evaluation seed {min(seeds)} is negative; "
+                         "seeds must be >= 0")
     if not isinstance(schedule, ScheduleTable):
         na, nd = schedule
         schedule = fixed_schedule_table(na, nd)
@@ -232,8 +221,7 @@ def evaluate(params: DenoiserParams, sched: NoiseSchedule, n_episodes: int,
         for env_seed in episode_seeds(s, n_episodes):
             seed_results.append(rollout(params, sched, env_seed,
                                         SchedulerState(schedule),
-                                        sampler_kind, seed=env_seed + 1,
-                                        forward_fn=forward_fn))
+                                        sampler_kind, seed=env_seed + 1))
         per_seed.append(float(np.mean([r.success for r in seed_results])))
         results.extend(seed_results)
     total_calls = sum(r.denoiser_calls for r in results)

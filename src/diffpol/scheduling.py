@@ -53,9 +53,9 @@ def http_post(url: str, body: bytes, timeout: float) -> bytes:
         return resp.read()
 
 
-def complete_text(endpoint: str, content: list[dict], timeout: float) -> str:
-    """One chat-completion exchange: post a single user message made of
-    ``content`` parts through http_post and return the reply text.
+def complete_text(endpoint: str, prompt: str, timeout: float) -> str:
+    """One chat-completion exchange: post a single user message, one text
+    part holding ``prompt``, through http_post and return the reply text.
 
     Failures surface as RemoteTimeout, RemoteTransportError or, for a
     reply without a text completion, ResponseParseError.
@@ -63,7 +63,8 @@ def complete_text(endpoint: str, content: list[dict], timeout: float) -> str:
     import http.client  # loaded on first use, with http_post's modules
 
     body = json.dumps({
-        "messages": [{"role": "user", "content": content}],
+        "messages": [{"role": "user",
+                      "content": [{"type": "text", "text": prompt}]}],
         "temperature": 0.1,
         "top_p": 0.7,
         "max_new_tokens": 1024,

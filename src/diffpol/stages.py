@@ -32,11 +32,6 @@ def normalize_name(name: str) -> str:
     return "_".join(str(name).split())
 
 
-def _stage_names(stages) -> list[str]:
-    """Accept StageTemplate sequences or plain name sequences."""
-    return [normalize_name(getattr(s, "name", s)) for s in stages]
-
-
 # -- domain types -------------------------------------------------------------
 
 
@@ -143,14 +138,9 @@ Return JSON for all stages:
 ]
 """
 
-def format_stage_definitions(stages) -> str:
+def format_stage_definitions(stages: list[StageTemplate]) -> str:
     """One "name: description" line per stage, template order."""
-    lines = []
-    for s in stages:
-        name = normalize_name(getattr(s, "name", s))
-        desc = getattr(s, "description", "")
-        lines.append(f"{name}: {desc}" if desc else name)
-    return "\n".join(lines)
+    return "\n".join(f"{s.name}: {s.description}" for s in stages)
 
 
 def build_decomposition_prompt(task_desc: str, num_images: int,
@@ -166,7 +156,7 @@ def build_decomposition_prompt(task_desc: str, num_images: int,
                                           num_stages=num_stages)
 
 
-def build_schedule_prompt(stages,
+def build_schedule_prompt(stages: list[StageTemplate],
                           ranges: ScheduleRanges = ScheduleRanges()) -> str:
     if not stages:
         raise ValueError("need at least one stage")
@@ -288,19 +278,11 @@ def _entries(text: str, keys: tuple[str, ...]) -> list[tuple]:
 
 
 def parse_stage_templates(text: str, expected_n: int) -> list[StageTemplate]:
-    """Parse a decomposition response into exactly expected_n templates.
+    """Parse a decomposition response, or a stages file, into exactly
+    expected_n templates, from one decode.
 
     Names are whitespace-normalized to underscores; a description missing
     its standard prefix gets it prepended rather than rejected."""
-    out = _templates(text)
-    if len(out) != expected_n:
-        raise StageParseError(
-            f"expected {expected_n} stages, got {len(out)}")
-    return out
-
-
-def _templates(text: str) -> list[StageTemplate]:
-    """Every template in the text's array, from one decode."""
     out: list[StageTemplate] = []
     for name, desc in _entries(text, ("name", "description")):
         if not isinstance(desc, str):
@@ -310,6 +292,9 @@ def _templates(text: str) -> list[StageTemplate]:
         if not desc.startswith(DESCRIPTION_PREFIX):
             desc = f"{DESCRIPTION_PREFIX} {desc}"
         out.append(StageTemplate(name=name, description=desc))
+    if len(out) != expected_n:
+        raise StageParseError(
+            f"expected {expected_n} stages, got {len(out)}")
     return out
 
 
@@ -337,10 +322,11 @@ def _as_int(value, stage: str) -> int:
                           f"{value!r}")
 
 
-def parse_schedule(text: str, stages,
+def parse_schedule(text: str, names: list[str],
                    ranges: ScheduleRanges = ScheduleRanges()) -> ScheduleTable:
-    """Parse a schedule response into a table in template order, under
-    the prompt's rules.
+    """Parse a schedule response into a table over the stage ``names``
+    (normalised, as a StageTemplate's), in their order, under the
+    prompt's rules.
 
     Values are clamped into the ranges.  If no stage carries the
     precision budget (a_min, i_max), the entry with the largest step
@@ -350,7 +336,6 @@ def parse_schedule(text: str, stages,
     (a no-op when the ranges admit that one pair only).
     """
     r = ranges
-    names = _stage_names(stages)
     if not names:
         raise StageParseError("no stages given")
     got: dict[str, tuple[int, int]] = {}
@@ -380,13 +365,6 @@ def parse_schedule(text: str, stages,
 def templates_to_json(stages: list[StageTemplate]) -> str:
     data = [{"name": s.name, "description": s.description} for s in stages]
     return json.dumps(data, indent=4, ensure_ascii=False) + "\n"
-
-
-def templates_from_json(text: str) -> list[StageTemplate]:
-    out = _templates(text)
-    if not out:
-        raise StageParseError("no stages in file")
-    return out
 
 
 def schedule_to_json(table: ScheduleTable) -> str:

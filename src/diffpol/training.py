@@ -257,6 +257,8 @@ class TrainConfig:
             raise ValueError("total_steps must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.T <= MAX_T:
             raise ValueError(f"T must be in [1, {MAX_T}], got {self.T}")
         for name in ("warmup", "eval_every", "snapshot_every"):
@@ -264,6 +266,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        if not math.isfinite(self.entropy_coef):
+            raise ValueError(f"entropy_coef must be finite, "
+                             f"got {self.entropy_coef!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32' or 'float64', "
                              f"got {self.dtype!r}")

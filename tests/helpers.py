@@ -1,10 +1,12 @@
 """Shared test utilities: oracle denoisers built from the scripted
-expert, a rollout under a fixed budget, the sampler's per-sample
-objective for gradient checks and its gradient's per-draw loop, and the
-push task's stages as protocol templates."""
+expert and the one way to install them in the rollout, a rollout under
+a fixed budget, the sampler's per-sample objective for gradient checks
+and its gradient's per-draw loop, and the push task's stages as
+protocol templates."""
 
 import numpy as np
 
+import diffpol.rollout
 from diffpol.env import D_A, STAGES, T_P, EnvState, env_step, \
     expert_actions
 from diffpol.diffusion import NoiseSchedule
@@ -91,10 +93,11 @@ def expert_forward_fn(sched: NoiseSchedule):
 
     Returns eps_hat such that the clean-sample reconstruction at any
     step equals the expert action window for the current observation, so
-    a deterministic sampler reproduces the expert exactly.
+    a deterministic sampler reproduces the expert exactly.  Like every
+    fake here it has denoiser_forward's signature and ignores context.
     """
 
-    def forward(params, obs, ak, k):
+    def forward(params, obs, ak, k, context=None):
         target = expert_window(obs)
         ab = sched.alpha_bar[k - 1]
         return (ak - np.sqrt(ab) * target) / np.sqrt(1.0 - ab)
@@ -105,7 +108,13 @@ def expert_forward_fn(sched: NoiseSchedule):
 def zero_forward_fn(sched: NoiseSchedule):
     """A denoiser whose clean-sample reconstruction is always zero."""
 
-    def forward(params, obs, ak, k):
+    def forward(params, obs, ak, k, context=None):
         return ak / np.sqrt(1.0 - sched.alpha_bar[k - 1])
 
     return forward
+
+
+def install_denoiser(monkeypatch, fake) -> None:
+    """Make the rollout call ``fake``, which has denoiser_forward's
+    signature, in place of the denoiser until ``monkeypatch`` undoes it."""
+    monkeypatch.setattr(diffpol.rollout, "denoiser_forward", fake)

@@ -23,7 +23,8 @@ from diffpol.cli import (
     run_from_manifest,
 )
 from diffpol.diffusion import make_noise_schedule
-from diffpol.env import generate_demos, load_demos, policy_features, save_demos
+from diffpol.env import TASK_DESCRIPTION, generate_demos, load_demos, \
+    policy_features, save_demos
 from diffpol.nets import init_params, load_checkpoint, save_checkpoint
 from diffpol.rollout import evaluate, hvts_schedule_table
 from diffpol.scheduling import ENDPOINT_ENV_VAR
@@ -192,8 +193,9 @@ class TestResolve:
     @pytest.mark.parametrize("bad", [
         {"lr": -1e-3}, {"lr": 0.0}, {"lr": float("nan")},
         {"lr": float("inf")}, {"eval_every": -5}, {"snapshot_every": -1},
+        {"entropy_coef": float("nan")},
     ], ids=["lr-negative", "lr-zero", "lr-nan", "lr-inf", "eval-every",
-            "snapshot-every"])
+            "snapshot-every", "entropy-coef-nan"])
     def test_bad_train_numbers_exit_1_before_out(self, tmp_path, demo_file,
                                                  bad, capsys):
         cfg = tmp_path / "c.json"
@@ -230,6 +232,40 @@ class TestResolve:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, setting, value", [
+        (["gen-data", "--n", "1", "--seed", "-1"], "seed", "-1"),
+        (["train", "--steps", "1", "--config", "{seed_cfg}",
+          "--data", "{demos}"], "seed", "-1"),
+        (["eval", "--policy", "{ckpt}", "--episodes", "1",
+          "--seeds", "0,-1"], "seed", "-1"),
+        (["bench", "--policy", "{ckpt}", "--episodes", "1",
+          "--seeds", "-1"], "seed", "-1"),
+        (["gen-data", "--n", "1", "--noise", "nan"], "noise", "nan"),
+        (["gen-data", "--n", "1", "--noise", "inf"], "noise", "inf"),
+        (["train", "--mode", "aln", "--steps", "2", "--warmup", "1",
+          "--entropy-coef=-inf", "--data", "{demos}", *TINY],
+         "entropy_coef", "-inf"),
+    ], ids=["gen-data-seed", "train-seed", "eval-seeds", "bench-seeds",
+            "noise-nan", "noise-inf", "entropy-neg-inf"])
+    def test_bad_seed_or_float_names_the_setting(self, tmp_path, argv,
+                                                 setting, value, capsys,
+                                                 demo_file, checkpoint):
+        """A negative seed, or a non-finite noise or entropy coefficient
+        (the aln run this one would be dies only after its warmup), exits
+        1 with one error line naming the setting and the value, and
+        writes nothing."""
+        seed_cfg = tmp_path / "c.json"
+        seed_cfg.write_text(json.dumps({"seed": -1}))
+        out = tmp_path / "run"
+        rc = main([a.format(seed_cfg=seed_cfg, demos=demo_file,
+                            ckpt=checkpoint) for a in argv]
+                  + ["--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert setting in err and value in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("ranges", ["8,16,x,40", "8,16,20", "",
@@ -527,19 +563,29 @@ class TestDecompose:
         calls = []
 
         def fake(url, body, timeout):
-            calls.append((url, json.loads(body)))
+            calls.append((url, body))
             return replies[len(calls) - 1]
 
         monkeypatch.setattr(diffpol.scheduling, "http_post", fake)
         out = tmp_path / "run"
-        args = resolved(["decompose", "--ranges", "8,16,20,60",
+        # the flags prompt_decomposition.txt was built with
+        args = resolved(["decompose", "--task", TASK_DESCRIPTION,
+                         "--num-images", "8", "--num-stages", "5",
+                         "--ranges", "8,16,20,60",
                          "--endpoint", "http://unit.test/v1",
                          "--out", str(out)])
         assert cmd_decompose(args) == 0
         assert len(calls) == 2
-        first = calls[0][1]["messages"][0]["content"][0]["text"]
-        second = calls[1][1]["messages"][0]["content"][0]["text"]
-        assert "Decompose the task" in first
+        # the whole first body, byte for byte: one text part, the prompt
+        prompt = (FIXTURES / "prompt_decomposition.txt").read_text()
+        assert calls[0][1] == json.dumps({
+            "messages": [{"role": "user", "content": [
+                {"type": "text", "text": prompt}]}],
+            "temperature": 0.1,
+            "top_p": 0.7,
+            "max_new_tokens": 1024,
+        }).encode("utf-8")
+        second = json.loads(calls[1][1])["messages"][0]["content"][0]["text"]
         assert "robot_arm" in second  # built from the parsed stage names
         assert (out / "schedule.json").read_bytes() == \
             (FIXTURES / "schedule_expected.json").read_bytes()

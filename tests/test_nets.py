@@ -299,6 +299,34 @@ class TestGradients:
             assert denoiser_forward(p, obs, ak, int(k)).tobytes() \
                 == denoiser_forward(p, obs, ak, int(k), row).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dims", [
+        dict(d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10),
+        dict(d_o=17, T_p=16, d_a=2, hidden=384, embed_dim=128, T=100),
+    ], ids=["tiny", "bench"])
+    def test_forward_without_context_agrees_with_window_rows_to_ulps(
+            self, dims, dtype):
+        """A forward without a context row builds a one-row step part (a
+        gemv); a rollout passes a row of its whole chain's (a gemm).  The
+        two noise estimates agree to within a few ulp of their largest
+        magnitude, not bit for bit: with OpenBLAS 0.3.31 the float64 tiny
+        net's differ in bytes at k = 2 and 10, and the bench net's at all
+        three steps in both dtypes, by at most 4 such ulp here (under 9
+        over other seeds and steps)."""
+        p = init_params(0, **dims)
+        p = replace(p, net=p.net.astype(dtype))
+        rng = np.random.default_rng(11)
+        obs = rng.normal(size=dims["d_o"])
+        ak = rng.normal(size=(dims["T_p"], dims["d_a"]))
+        ks = [7, 2, 10]
+        ctx = context(p, obs, ks)
+        for i, k in enumerate(ks):
+            alone = denoiser_forward(p, obs, ak, k)
+            in_window = denoiser_forward(p, obs, ak, k, ctx[i])
+            ulp = np.finfo(dtype).eps * np.abs(in_window).max()
+            np.testing.assert_allclose(alone, in_window, rtol=0,
+                                       atol=16 * ulp)
+
     @pytest.mark.parametrize("dims", [
         dict(d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10),
         dict(d_o=17, T_p=16, d_a=2, hidden=384, embed_dim=128, T=100),

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import expert_forward_fn, expert_window, fixed_rollout, \
-    zero_forward_fn
+    install_denoiser, zero_forward_fn
 
 import diffpol.rollout
 from diffpol.diffusion import ddim_reverse_step, ddpm_reverse_step, \
@@ -61,7 +61,7 @@ class TestDenoiseWindow:
         rng = np.random.default_rng(0)
         for kind in ("ddpm", "ddim"):
             w = denoise_action_window(p, SCHED, observe(reset_env(0)), 10,
-                                      kind, rng)
+                                      kind, rng, {})
             assert w.shape == (T_P, 2)
             assert np.all(np.abs(w) <= 1.0)
 
@@ -69,16 +69,16 @@ class TestDenoiseWindow:
         p = tiny_params()
         obs = observe(reset_env(0))
         a = denoise_action_window(p, SCHED, obs, 10, "ddpm",
-                                  np.random.default_rng(7))
+                                  np.random.default_rng(7), {})
         b = denoise_action_window(p, SCHED, obs, 10, "ddpm",
-                                  np.random.default_rng(7))
+                                  np.random.default_rng(7), {})
         np.testing.assert_array_equal(a, b)
 
-    def test_ddim_expert_reconstruction_is_exact(self):
+    def test_ddim_expert_reconstruction_is_exact(self, monkeypatch):
+        install_denoiser(monkeypatch, expert_forward_fn(SCHED))
         obs = observe(reset_env(3))
         w = denoise_action_window(tiny_params(), SCHED, obs, 8, "ddim",
-                                  np.random.default_rng(0),
-                                  forward_fn=expert_forward_fn(SCHED))
+                                  np.random.default_rng(0), {})
         np.testing.assert_allclose(w, expert_window(obs), atol=1e-9)
 
     def test_rejects_bad_args(self):
@@ -86,30 +86,33 @@ class TestDenoiseWindow:
         obs = observe(reset_env(0))
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            denoise_action_window(p, SCHED, obs, 101, "ddpm", rng)
+            denoise_action_window(p, SCHED, obs, 101, "ddpm", rng, {})
         with pytest.raises(ValueError):
-            denoise_action_window(p, SCHED, obs, 0, "ddpm", rng)
+            denoise_action_window(p, SCHED, obs, 0, "ddpm", rng, {})
         with pytest.raises(ValueError):
-            denoise_action_window(p, SCHED, obs, 10, "euler", rng)
+            denoise_action_window(p, SCHED, obs, 10, "euler", rng, {})
 
     @pytest.mark.parametrize("kind", ["ddpm", "ddim"])
-    def test_default_path_matches_concatenated_forward(self, kind):
+    def test_default_path_matches_concatenated_forward(self, kind,
+                                                       monkeypatch):
         """The per-window first-layer context gives the windows the plain
         forward over the concatenated training input gives."""
         p = tiny_params(3)
         table = _embed_table(p.embed_dim, p.T)
 
-        def concat_forward(params, obs, ak, k):
+        def concat_forward(params, obs, ak, k, context=None):
             x = np.concatenate([obs, ak.ravel(), table[k - 1]])[None]
             return mlp_forward(params.net, x)[0][0].reshape(ak.shape)
 
         obs = observe(reset_env(5))
         for n_steps in (1, 10, 100):
             got = denoise_action_window(p, SCHED, obs, n_steps, kind,
-                                        np.random.default_rng(n_steps))
-            want = denoise_action_window(p, SCHED, obs, n_steps, kind,
-                                         np.random.default_rng(n_steps),
-                                         forward_fn=concat_forward)
+                                        np.random.default_rng(n_steps), {})
+            with monkeypatch.context() as mp:
+                install_denoiser(mp, concat_forward)
+                want = denoise_action_window(p, SCHED, obs, n_steps, kind,
+                                             np.random.default_rng(n_steps),
+                                             {})
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
@@ -126,10 +129,10 @@ class TestDenoiseWindow:
         rng_a = np.random.default_rng(40 + n_steps)
         rng_b = np.random.default_rng(40 + n_steps)
         shared = {}
-        for env_seed, step_parts in enumerate((None, shared, shared)):
+        for env_seed, step_parts in enumerate(({}, shared, shared)):
             obs = observe(reset_env(n_steps + env_seed))
             got = denoise_action_window(p, SCHED, obs, n_steps, kind, rng_a,
-                                        step_parts=step_parts)
+                                        step_parts)
             want = per_step_draw_window(p, SCHED, obs, n_steps, kind, rng_b)
             assert got.tobytes() == want.tobytes()
         assert list(shared) == [n_steps]
@@ -138,36 +141,37 @@ class TestDenoiseWindow:
 
 
 class TestRollout:
-    def test_expert_policy_succeeds_ddim(self):
+    def test_expert_policy_succeeds_ddim(self, monkeypatch):
+        install_denoiser(monkeypatch, expert_forward_fn(SCHED))
         r = fixed_rollout(tiny_params(), SCHED, env_seed=0, pair=(8, 25),
-                          sampler_kind="ddim", seed=1,
-                          forward_fn=expert_forward_fn(SCHED))
+                          sampler_kind="ddim", seed=1)
         assert r.success and r.steps < MAX_STEPS
 
-    def test_expert_policy_succeeds_ddpm(self):
+    def test_expert_policy_succeeds_ddpm(self, monkeypatch):
+        install_denoiser(monkeypatch, expert_forward_fn(SCHED))
         for env_seed in range(5):
             r = fixed_rollout(tiny_params(), SCHED, env_seed=env_seed,
-                              pair=(8, 50), sampler_kind="ddpm", seed=1,
-                              forward_fn=expert_forward_fn(SCHED))
+                              pair=(8, 50), sampler_kind="ddpm", seed=1)
             assert r.success, f"env seed {env_seed}"
 
-    def test_zero_policy_fails(self):
+    def test_zero_policy_fails(self, monkeypatch):
+        install_denoiser(monkeypatch, zero_forward_fn(SCHED))
         r = fixed_rollout(tiny_params(), SCHED, env_seed=0, pair=(8, 10),
-                          sampler_kind="ddim", seed=1,
-                          forward_fn=zero_forward_fn(SCHED))
+                          sampler_kind="ddim", seed=1)
         assert not r.success
         assert r.steps == MAX_STEPS
 
-    def test_replan_arithmetic_and_counter(self):
+    def test_replan_arithmetic_and_counter(self, monkeypatch):
         calls = {"n": 0}
         inner = zero_forward_fn(SCHED)
 
-        def counting(params, obs, ak, k):
+        def counting(params, obs, ak, k, context=None):
             calls["n"] += 1
             return inner(params, obs, ak, k)
 
+        install_denoiser(monkeypatch, counting)
         r = fixed_rollout(tiny_params(), SCHED, env_seed=0, pair=(8, 100),
-                          sampler_kind="ddpm", seed=0, forward_fn=counting)
+                          sampler_kind="ddpm", seed=0)
         assert r.steps == MAX_STEPS
         replans = int(np.ceil(r.steps / 8))
         assert r.denoiser_calls == replans * 100
@@ -220,11 +224,11 @@ class TestRollout:
         assert set(n_ds) == {20, 25} and len(n_ds) > 2
         assert sorted(built) == [20, 25]
 
-    def test_replans_cover_every_step(self):
+    def test_replans_cover_every_step(self, monkeypatch):
         # one record per 8-step window, the last one cut at the success
+        install_denoiser(monkeypatch, expert_forward_fn(SCHED))
         r = fixed_rollout(tiny_params(), SCHED, env_seed=0, pair=(8, 5),
-                          sampler_kind="ddim", seed=0,
-                          forward_fn=expert_forward_fn(SCHED))
+                          sampler_kind="ddim", seed=0)
         assert r.success and r.steps % 8 != 0
         assert [t[0] for t in r.replans] == list(range(0, r.steps, 8))
         assert all(t[2:] == (8, 5) for t in r.replans)
@@ -241,9 +245,9 @@ class TestRollout:
             return inner(st, action)
 
         monkeypatch.setattr(diffpol.rollout, "env_step", counting)
+        install_denoiser(monkeypatch, zero_forward_fn(SCHED))
         r = fixed_rollout(tiny_params(), SCHED, env_seed=0, pair=(16, 10),
-                          sampler_kind="ddim", seed=0,
-                          forward_fn=zero_forward_fn(SCHED))
+                          sampler_kind="ddim", seed=0)
         assert not r.success
         assert r.steps == calls["n"] == MAX_STEPS
         assert [t[0] for t in r.replans] == list(range(0, MAX_STEPS, 16))
@@ -255,33 +259,34 @@ class TestRollout:
         b = fixed_rollout(p, SCHED, 4, (8, 10), "ddpm", seed=9)
         assert a == b  # wall_time excluded from comparison
 
-    def test_scheduled_rollout_stays_in_table(self):
+    def test_scheduled_rollout_stays_in_table(self, monkeypatch):
+        install_denoiser(monkeypatch, expert_forward_fn(SCHED))
         table = hvts_schedule_table()
         r = rollout(tiny_params(), SCHED, env_seed=2,
                     schedule=SchedulerState(table), sampler_kind="ddim",
-                    seed=3, forward_fn=expert_forward_fn(SCHED))
+                    seed=3)
         assert r.success
         pairs = {(t[2], t[3]) for t in r.replans}
         allowed = {e.pair for e in table.entries}
         assert pairs <= allowed
         assert {t[1] for t in r.replans} <= {0, 1, 2, 3, 4}
 
-    def test_scheduled_cheaper_than_fixed_heavy(self):
+    def test_scheduled_cheaper_than_fixed_heavy(self, monkeypatch):
+        install_denoiser(monkeypatch, expert_forward_fn(SCHED))
         table = hvts_schedule_table()
-        fwd = expert_forward_fn(SCHED)
         fixed = fixed_rollout(tiny_params(), SCHED, 5, (16, 100), "ddpm",
-                              seed=0, forward_fn=fwd)
+                              seed=0)
         hvts = rollout(tiny_params(), SCHED, 5, SchedulerState(table),
-                       "ddpm", seed=0, forward_fn=fwd)
+                       "ddpm", seed=0)
         assert hvts.denoiser_calls / hvts.steps \
             < fixed.denoiser_calls / fixed.steps
 
-    def test_rejects_bad_schedule_config(self):
+    def test_rejects_bad_schedule_config(self, monkeypatch):
+        install_denoiser(monkeypatch, zero_forward_fn(SCHED))
         with pytest.raises(ValueError):
             fixed_rollout(tiny_params(), SCHED, 0, (8,), "ddpm")
         with pytest.raises(ValueError):
-            fixed_rollout(tiny_params(), SCHED, 0, (8, 500), "ddpm",
-                          forward_fn=zero_forward_fn(SCHED))
+            fixed_rollout(tiny_params(), SCHED, 0, (8, 500), "ddpm")
 
 
     @pytest.mark.parametrize("horizon", [0, -3])
@@ -297,10 +302,10 @@ class TestRollout:
 
 
 class TestEvaluate:
-    def test_expert_policy_metrics(self):
+    def test_expert_policy_metrics(self, monkeypatch):
+        install_denoiser(monkeypatch, expert_forward_fn(SCHED))
         m = evaluate(tiny_params(), SCHED, n_episodes=3, schedule=(8, 10),
-                     sampler_kind="ddim", seeds=(0, 1),
-                     forward_fn=expert_forward_fn(SCHED))
+                     sampler_kind="ddim", seeds=(0, 1))
         assert m.success_rate == 1.0
         assert m.per_seed_success == (1.0, 1.0)
         assert m.early_success_rate <= m.success_rate
@@ -308,10 +313,10 @@ class TestEvaluate:
         assert m.total_steps > 0
         assert m.mean_calls_per_step == m.total_calls / m.total_steps
 
-    def test_zero_policy_metrics(self):
+    def test_zero_policy_metrics(self, monkeypatch):
+        install_denoiser(monkeypatch, zero_forward_fn(SCHED))
         m = evaluate(tiny_params(), SCHED, n_episodes=2, schedule=(8, 5),
-                     sampler_kind="ddim", seeds=(0,),
-                     forward_fn=zero_forward_fn(SCHED))
+                     sampler_kind="ddim", seeds=(0,))
         assert m.success_rate == 0.0
         assert m.early_success_rate == 0.0
 
@@ -320,10 +325,11 @@ class TestEvaluate:
         b = evaluate(tiny_params(), SCHED, 2, (8, 5), "ddpm", seeds=(0, 1))
         assert a == b
 
-    def test_scheduled_evaluation(self):
+    def test_scheduled_evaluation(self, monkeypatch):
+        install_denoiser(monkeypatch, expert_forward_fn(SCHED))
         m = evaluate(tiny_params(), SCHED, n_episodes=2,
                      schedule=hvts_schedule_table(), sampler_kind="ddim",
-                     seeds=(0,), forward_fn=expert_forward_fn(SCHED))
+                     seeds=(0,))
         assert m.success_rate == 1.0
         assert m.mean_calls_per_step < 100 / 16
 
@@ -394,11 +400,12 @@ class TestEvaluate:
             return episodes[-1]
 
         monkeypatch.setattr(diffpol.rollout, "rollout", recording)
+        install_denoiser(monkeypatch, expert_forward_fn(SCHED))
         runs = []
         for schedule in (pair, fixed_schedule_table(*pair)):
             episodes.clear()
             m = evaluate(tiny_params(), SCHED, 2, schedule, kind,
-                         seeds=(0, 1), forward_fn=expert_forward_fn(SCHED))
+                         seeds=(0, 1))
             runs.append((m, list(episodes)))
         assert runs[0] == runs[1]
         assert len(runs[0][1]) == 4

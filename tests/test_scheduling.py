@@ -11,7 +11,7 @@ import urllib.error
 
 import numpy as np
 import pytest
-from helpers import expert_forward_fn, zero_forward_fn
+from helpers import expert_forward_fn, install_denoiser, zero_forward_fn
 
 import diffpol.rollout
 import diffpol.scheduling
@@ -84,14 +84,15 @@ class ScriptedClassifier:
         return item
 
 
-def scheduled_rollout(st: SchedulerState, env_seed=0, forward_fn=None):
-    """One cheap episode under st, by default with the zero denoiser;
-    every replan is counted."""
+def scheduled_rollout(st: SchedulerState, env_seed=0, fake=None):
+    """One cheap episode under st with the fake denoiser ``fake``, by
+    default the zero denoiser; every replan is counted."""
     d_feat = policy_features(np.zeros(6)).size
     params = init_params(0, d_o=d_feat, T_p=T_P, d_a=2, hidden=8,
                          embed_dim=4, T=SCHED.T)
-    return rollout(params, SCHED, env_seed, st, "ddim", seed=0,
-                   forward_fn=forward_fn or zero_forward_fn(SCHED))
+    with pytest.MonkeyPatch.context() as mp:
+        install_denoiser(mp, fake or zero_forward_fn(SCHED))
+        return rollout(params, SCHED, env_seed, st, "ddim", seed=0)
 
 
 def window_starts(r) -> list[int]:
@@ -156,7 +157,7 @@ class TestSchedulerTick:
         oracle = CountingOracle()
         r = scheduled_rollout(SchedulerState(fixed_schedule_table(8, 5),
                                              oracle),
-                              forward_fn=expert_forward_fn(SCHED))
+                              fake=expert_forward_fn(SCHED))
         assert r.success
         assert [stage for _, stage, _, _ in r.replans] == oracle.stages
         assert len(set(oracle.stages)) > 2
@@ -285,8 +286,7 @@ class TestCompleteText:
         in place of http_post."""
         def call(post, timeout=10.0):
             monkeypatch.setattr(diffpol.scheduling, "http_post", post)
-            return complete_text(self.URL, [{"type": "text", "text": "hi"}],
-                                 timeout)
+            return complete_text(self.URL, "hi", timeout)
         return call
 
     def test_request_body_and_reply(self, monkeypatch):
@@ -297,13 +297,12 @@ class TestCompleteText:
             return completion("the reply")
 
         monkeypatch.setattr(diffpol.scheduling, "http_post", post)
-        content = [{"type": "text", "text": "first"},
-                   {"type": "text", "text": "second"}]
-        assert complete_text(self.URL, content, 4.0) == "the reply"
+        assert complete_text(self.URL, "the prompt", 4.0) == "the reply"
         assert captured["url"] == self.URL
         assert captured["timeout"] == 4.0
         assert captured["body"] == {
-            "messages": [{"role": "user", "content": content}],
+            "messages": [{"role": "user", "content": [
+                {"type": "text", "text": "the prompt"}]}],
             "temperature": 0.1,
             "top_p": 0.7,
             "max_new_tokens": 1024,

@@ -22,7 +22,6 @@ from diffpol.stages import (
     sanitize_json,
     schedule_from_json,
     schedule_to_json,
-    templates_from_json,
     templates_to_json,
 )
 
@@ -196,7 +195,7 @@ class TestSanitizeJson:
 class TestDecodeOnce:
     @pytest.mark.parametrize("parse", [
         lambda t: parse_stage_templates(t, 5),
-        lambda t: parse_schedule(t, push_stage_templates()),
+        lambda t: parse_schedule(t, [s.name for s in push_stage_templates()]),
     ], ids=["templates", "schedule"])
     def test_reply_is_decoded_once(self, parse, monkeypatch):
         """The parsers decode the recovered array once, with no second
@@ -234,7 +233,8 @@ class TestParseStageTemplates:
         expected = read_fixture("stages_expected.json")
         out = parse_stage_templates(read_fixture("decompose_response.txt"), 5)
         assert templates_to_json(out) == expected
-        assert templates_to_json(templates_from_json(expected)) == expected
+        assert templates_to_json(parse_stage_templates(expected, 5)) \
+            == expected
 
     def test_stages_file_decoded_once(self, monkeypatch):
         calls = {"n": 0}
@@ -247,7 +247,8 @@ class TestParseStageTemplates:
 
         monkeypatch.setattr(diffpol.stages, "_DECODER", Counting())
         expected = read_fixture("stages_expected.json")
-        assert templates_to_json(templates_from_json(expected)) == expected
+        assert templates_to_json(parse_stage_templates(expected, 5)) \
+            == expected
         assert calls["n"] == 1
 
     def test_spaces_become_underscores(self):
@@ -303,9 +304,10 @@ def schedule_text(pairs):
 class TestParseSchedule:
     def test_canned_response(self):
         ranges = ScheduleRanges(8, 16, 20, 60)
-        stages = templates_from_json(read_fixture("stages_expected.json"))
+        stages = parse_stage_templates(read_fixture("stages_expected.json"),
+                                       5)
         table = parse_schedule(read_fixture("schedule_response.txt"),
-                               stages, ranges)
+                               [t.name for t in stages], ranges)
         pairs = {e.name: e.pair for e in table.entries}
         assert pairs["robot_arm_releases_can_into_compartment"] == (8, 60)
         assert [e.name for e in table.entries] == [t.name for t in stages]
