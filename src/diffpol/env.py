@@ -9,10 +9,10 @@ only through the seeded initial placement and optional action noise.
 
 ``env_step`` (one state) and ``step_batch`` (rows) are one transition:
 each returns the next state and whether the block is at its target, and
-the episode loops count steps against MAX_STEPS.  Noise-free demos are
-collected in lockstep through the batched expert and transition; noisy
-ones one episode at a time, so the shared generator draws their noise in
-episode order.  The bytes equal the episode-by-episode collector's.
+the episode loops count steps against MAX_STEPS.  Demos are collected
+in lockstep through the batched expert and transition, and each episode
+draws its action noise from its own generator, so the bytes equal the
+episode-by-episode collector's.
 A dataset stores each executed action once and cuts its overlapping
 windows by index; only the file format writes every window out.
 """
@@ -38,7 +38,7 @@ MAX_STEPS = 200
 D_O = 6                 # observation: agent, block, target positions
 D_A = 2                 # action: planar agent velocity in [-1, 1]
 T_P = 16                # action window length used everywhere downstream
-LOCKSTEP_BATCH = 256    # episodes per collection round (~3 MB of buffers)
+LOCKSTEP_BATCH = 256    # episodes per collection round (3-4 MB of buffers)
 _HORIZON = np.arange(T_P)
 
 STAGES = ("approach", "align", "push", "reach", "complete")
@@ -350,18 +350,29 @@ class DemoDataset:
                 self.step0))
 
 
-def collect_episodes(seeds: range, noise_level: float,
-                     rng: np.random.Generator
+def collect_episodes(seeds: range, noise_level: float
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Roll the scripted expert from every seeded start in lockstep; an
     episode leaves the batch when it ends.  Returns lengths (k,), success
     flags (k,), observations (k, MAX_STEPS + 1, D_O) and actions
     (k, MAX_STEPS, D_A); rows past an episode's length are unwritten.
-    With noise, the episodes' draws interleave step by step.
+
+    With noise, step t's action is clip(expert + noise_level * z_t), where
+    z_1, z_2, ... are standard normal pairs from the episode's own
+    generator, keyed by its env seed under spawn key (1,) so that it
+    shares no stream with the placement's ``default_rng(env_seed)``.  An
+    episode thus depends only on its env seed and the noise level.
     """
     k = len(seeds)
     obs = np.empty((k, MAX_STEPS + 1, D_O))
     acts = np.empty((k, MAX_STEPS, D_A))
+    if noise_level > 0.0:
+        noise = np.empty((k, MAX_STEPS, D_A))
+        for i, s in enumerate(seeds):
+            stream = np.random.SeedSequence(s, spawn_key=(1,))
+            np.random.default_rng(stream).standard_normal(out=noise[i])
+        with np.errstate(over="ignore"):  # an infinite term clips to +-1
+            noise *= noise_level
     obs[:, 0] = initial_observations(seeds)
     agent, block, target = obs[:, 0, 0:2], obs[:, 0, 2:4], obs[:, 0, 4:6]
     lengths = np.zeros(k, dtype=np.int64)
@@ -370,8 +381,7 @@ def collect_episodes(seeds: range, noise_level: float,
     for t in range(1, MAX_STEPS + 1):
         a = expert_actions(agent, block, target)
         if noise_level > 0.0:
-            a = _clip(a + noise_level * rng.standard_normal(a.shape),
-                      -1.0, 1.0)
+            a = _clip(a + noise[rows, t - 1], -1.0, 1.0)
         agent, block, reached = step_batch(agent, block, target, a)
         acts[rows, t - 1] = a
         obs[rows, t] = np.concatenate([agent, block, target], axis=1)
@@ -391,12 +401,11 @@ def generate_demos(n: int, seed: int, noise_level: float = 0.0) -> DemoDataset:
     """Collect n successful expert episodes.
 
     Seeds seed, seed + 1, ... are tried in rounds of at most
-    LOCKSTEP_BATCH episodes (one episode per round with action noise,
-    which keeps the generator's draw order); episodes that fail, or end
-    before one full window fits, are skipped, so the result is the first
-    n successes in seed order, within 20 n attempts.  An episode of
-    length L has L - T_P + 1 windows, pairing the observation at step t
-    with actions t..t+T_P-1.
+    LOCKSTEP_BATCH episodes; episodes that fail, or end before one full
+    window fits, are skipped, so the result is the first n successes in
+    seed order, within 20 n attempts.  An episode of length L has
+    L - T_P + 1 windows, pairing the observation at step t with actions
+    t..t+T_P-1.
     """
     if n < 1:
         raise ValueError("need at least one demonstration")
@@ -405,20 +414,18 @@ def generate_demos(n: int, seed: int, noise_level: float = 0.0) -> DemoDataset:
     if not (math.isfinite(noise_level) and noise_level >= 0.0):
         raise ValueError(f"noise_level must be finite and >= 0, "
                          f"got {noise_level!r}")
-    rng = np.random.default_rng(seed)
-    batch = 1 if noise_level > 0.0 else LOCKSTEP_BATCH
     env_seeds: list[int] = []
     obs: list[np.ndarray] = []
     actions: list[np.ndarray] = []
     next_seed, attempts_left = seed, 20 * n
     while len(env_seeds) < n:
-        k = min(n - len(env_seeds), batch, attempts_left)
+        k = min(n - len(env_seeds), LOCKSTEP_BATCH, attempts_left)
         if k == 0:
             raise RuntimeError("expert failed too often; check noise_level")
         seeds = range(next_seed, next_seed + k)
         next_seed += k
         attempts_left -= k
-        lengths, success, ob, acts = collect_episodes(seeds, noise_level, rng)
+        lengths, success, ob, acts = collect_episodes(seeds, noise_level)
         for i in np.flatnonzero(success & (lengths >= T_P)):
             env_seeds.append(seeds[i])
             obs.append(ob[i, :lengths[i] - T_P + 1])

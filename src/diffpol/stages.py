@@ -173,10 +173,11 @@ def build_schedule_prompt(stages: list[StageTemplate],
 _DECODER = json.JSONDecoder()
 # what the decoder reading from a [ sees outside strings: a JSON string
 # (one left open runs to the end of the text, so a reply full of quotes
-# costs one pass), a [, or a trailing comma, which has only whitespace
-# and commas between it and the ] or } of group 1
+# costs one pass), a [, a run of commas and whitespace, whose commas are
+# trailing when a ] or } (group 1) ends it, or a backslash, which no JSON
+# text holds outside a string
 _TOKEN = re.compile(
-    r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)|\[|,(?=[ \t\n\r,]*([\]}]))',
+    r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)|\[|,[ \t\n\r,]*([\]}])?|\\',
     re.DOTALL)
 
 
@@ -197,7 +198,10 @@ def _first_array(raw: str) -> tuple[list, str]:
     Each [ costs at most two decodes.  A sweep from one [ serves every
     later [ it reads outside a string, as the decoder reading from that
     [ sees the same tokens; only a [ inside a string of every earlier
-    sweep sweeps afresh."""
+    sweep sweeps afresh.  A sweep stops at the first backslash outside a
+    string, where every decoder it serves has stopped; two sweeps that
+    both pass a point are then on opposite sides of a string there, so
+    no point is swept more than twice."""
     swept_at: dict[int, tuple[str, int]] = {}
     start = raw.find("[")
     while start != -1:
@@ -223,17 +227,22 @@ def _first_array(raw: str) -> tuple[list, str]:
 
 def _sweep(raw: str, start: int) -> dict[int, tuple[str, int]]:
     """For each [ outside a string from ``start`` on, keyed by its index
-    in raw: raw from ``start`` on with every trailing comma outside a
-    string dropped, and the ['s index in that text."""
-    pieces, at, pos, dropped = [], [], start, 0
+    in raw: raw from ``start`` up to the first backslash outside a string
+    with every trailing comma outside a string dropped, and the ['s index
+    in that text."""
+    pieces, at, pos, dropped, stop = [], [], start, 0, len(raw)
     for m in _TOKEN.finditer(raw, start):
+        if m[0] == "\\":
+            stop = m.start()
+            break
         if m[0] == "[":
             at.append((m.start(), m.start() - start - dropped))
-        elif m[0] == ",":
-            pieces.append(raw[pos:m.start()])
-            pos = m.end()
-            dropped += 1
-    pieces.append(raw[pos:])
+        elif m[1]:
+            run = raw[m.start():m.start(1)]
+            pieces += raw[pos:m.start()], run.replace(",", "")
+            pos = m.start(1)
+            dropped += run.count(",")
+    pieces.append(raw[pos:stop])
     text = "".join(pieces)
     return {k: (text, i) for k, i in at}
 

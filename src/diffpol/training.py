@@ -34,7 +34,6 @@ from __future__ import annotations
 import contextvars
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
@@ -423,8 +422,13 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
                                   sampler_side, step, ks, idxs, losses, tw)
 
     # aln's worker thread; it ends with the block, whether the loop
-    # returns or raises
-    pool = ThreadPoolExecutor(max_workers=1) if adaptive else nullcontext()
+    # returns or raises.  Only aln imports the executor, which also loads
+    # logging, queue and traceback.
+    if adaptive:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=1)
+    else:
+        pool = nullcontext()
     with pool:
         for step in range(config.total_steps):
             if adaptive:

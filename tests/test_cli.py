@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import os
 import pathlib
 import struct
+import subprocess
+import sys
 import urllib.error
 
 import numpy as np
@@ -302,6 +305,21 @@ class TestGenData:
         assert doc["args"]["n"] == 2
         assert doc["args"]["seed"] == 5
         assert doc["args"]["noise"] == 0.0
+
+    def test_overflowing_noise_prints_only_the_error(self, tmp_path):
+        """Noise of 1e308 overflows the scaled draws; they clip to the
+        action bounds without a warning, and the expert's failure is the
+        one stderr line (in a fresh process, where warnings print)."""
+        src = pathlib.Path(diffpol.rollout.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "diffpol.cli", "gen-data", "--n", "3",
+             "--noise", "1e308", "--out", str(tmp_path / "d")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == \
+            "error: expert failed too often; check noise_level\n"
+        assert not (tmp_path / "d").exists()
 
 
 class TestTrain:

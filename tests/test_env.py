@@ -18,6 +18,7 @@ from diffpol.env import (
     STEP_SIZE,
     T_P,
     TARGET_TOL,
+    DemoDataset,
     DemoTrajectory,
     _clip,
     _norm,
@@ -38,19 +39,21 @@ from helpers import expert_action
 
 
 # sha256 of save_demos(generate_demos(20, seed=0, noise_level=0.1)),
-# recorded before the scalar helpers replaced np.linalg.norm and np.clip
-DEMO_GOLDEN = "473a4fb43fe1457f1de0f88bf854d79de35a5fdb0bc7cb203031cafa2c3c3571"
+# recorded from reference_demos, which steps one episode at a time with
+# each episode's own noise stream
+DEMO_GOLDEN = "c38c142e44ad11fadb01f624dccc3f8e626456158ea87ae46a5b808af1e5e94f"
 
-# sha256 of save_demos(generate_demos(*args)), recorded with the
-# episode-by-episode scalar collector that the lockstep one replaced;
+# sha256 of save_demos(generate_demos(*args)); the noise-free ones were
+# recorded with the episode-by-episode scalar collector that the
+# lockstep one replaced, the noisy ones from reference_demos as above;
 # (250, 0, 0.0) is the dataset test_07 and the benchmark train on
 DEMO_GOLDENS = {
     (250, 0, 0.0): "fdea6360675eb716f464d57c9d192698007696c04aae52a5d892d38a2ef2b14a",
     (250, 1, 0.0): "29d54add60d623897ecc53da5ace3a80a6e6df1e58a42bcf53954cfdc741fdae",
     (250, 7, 0.0): "f5ffc95b0547bdcd5383f3de4c0581554f6837a93f5f7069f975711a8530d891",
     (3, 2, 0.0): "6d39cca6a10d8e72b8ecb3dc3c21ecb6e32c9e68dd4cf87cc575c4b70cdf346c",
-    (2, 3, 0.05): "7835f90e921a36bbd02c191ae8250ed28886ab7cc0c0107bcdb9043a5e08e5e6",
-    (50, 9, 0.02): "f892bf40495f6a09267296eb4c42ea0ad1fb29552b058f0fdf51bb16ca442dce",
+    (2, 3, 0.05): "b8ce0b87238976b6736668208717fa86cc90e2167206bbfd1e8453a5a9ca8284",
+    (50, 9, 0.02): "d94e3d5e35f7d65825402138c66360be9475fe201949eb15b1db72f43d432a36",
 }
 
 
@@ -221,14 +224,12 @@ class TestScriptedExpert:
         np.testing.assert_array_equal(expert_action(st), expert_action(st))
 
     def test_bounded_actions(self):
-        rng = np.random.default_rng(0)
-        lengths, _, _, acts = collect_episodes(range(20), 0.0, rng)
+        lengths, _, _, acts = collect_episodes(range(20), 0.0)
         for length, a in zip(lengths, acts):
             assert np.all(np.abs(a[:length]) <= 1.0 + 1e-12)
 
     def test_full_success_within_budget(self):
-        rng = np.random.default_rng(0)
-        lengths, ok, _, _ = collect_episodes(range(100), 0.0, rng)
+        lengths, ok, _, _ = collect_episodes(range(100), 0.0)
         for seed in range(100):
             assert ok[seed], f"expert failed on seed {seed}"
             assert lengths[seed] < MAX_STEPS
@@ -313,8 +314,7 @@ class TestBatchedForms:
         self.assert_steps_match(agent, block, target, actions)
 
     def test_expert_rows_match_the_per_state_rules(self):
-        rng = np.random.default_rng(0)
-        lengths, _, obs, _ = collect_episodes(range(100), 0.0, rng)
+        lengths, _, obs, _ = collect_episodes(range(100), 0.0)
         states = np.concatenate([o[:length + 1]
                                  for o, length in zip(obs, lengths)])
         # agent on the block, exactly and within 1e-12
@@ -333,25 +333,47 @@ class TestBatchedForms:
         assert branches == {"complete", "on block", "push", "orbit",
                             "orbit flipped", "stage"}
 
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_an_episode_depends_only_on_its_seed(self, noise, monkeypatch):
+        """Each episode's rows are the same collected among 30, alone,
+        or in generate_demos' rounds of 7."""
+        lengths, ok, obs, acts = collect_episodes(range(0, 30), noise)
+        for s in range(30):
+            one = collect_episodes(range(s, s + 1), noise)
+            assert (one[0][0], one[1][0]) == (lengths[s], ok[s])
+            assert one[2][0, :lengths[s] + 1].tobytes() == \
+                obs[s, :lengths[s] + 1].tobytes()
+            assert one[3][0, :lengths[s]].tobytes() == \
+                acts[s, :lengths[s]].tobytes()
+        kept = np.flatnonzero(ok & (lengths >= T_P))
+        monkeypatch.setattr(env, "LOCKSTEP_BATCH", 7)
+        ds = generate_demos(kept.size, seed=0, noise_level=noise)
+        assert ds.env_seeds.tolist() == kept.tolist()
+        for i, s in enumerate(kept):
+            n = ds.n_windows[i]
+            assert ds.obs[ds.win0[i]:][:n].tobytes() == obs[s, :n].tobytes()
+            assert ds.actions[ds.step0[i]:][:lengths[s]].tobytes() == \
+                acts[s, :lengths[s]].tobytes()
+
     def test_collector_matches_stepping_one_state_at_a_time(self):
-        # with noise, one episode per call keeps the per-episode draw order
-        for noise, seeds in [(0.0, range(30)), (0.1, range(3, 4)),
-                             (0.1, range(7, 8))]:
-            lengths, ok, obs, acts = collect_episodes(
-                seeds, noise, np.random.default_rng(5))
-            rng = np.random.default_rng(5)
+        for noise, seeds in [(0.0, range(30)), (0.1, range(30)),
+                             (0.05, range(100, 130))]:
+            lengths, ok, obs, acts = collect_episodes(seeds, noise)
             for i, seed in enumerate(seeds):
-                reached, want_obs, want_acts = step_expert(seed, noise, rng)
+                reached, want_obs, want_acts = step_expert(seed, noise)
                 length = len(want_acts)
                 assert (lengths[i], ok[i]) == (length, reached)
                 assert obs[i, :length + 1].tobytes() == want_obs.tobytes()
                 assert acts[i, :length].tobytes() == want_acts.tobytes()
 
 
-def step_expert(seed, noise=0.0, rng=None):
+def step_expert(seed, noise=0.0):
     """One expert episode through the per-state expert and env_step, to
     the target or the step limit: whether it reached the target, the
-    observations and the executed actions."""
+    observations and the executed actions.  With noise, each step adds
+    noise times a standard normal pair drawn from the episode's own
+    generator, keyed by its seed under spawn key (1,)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     st = reset_env(seed)
     obs, acts, reached = [observe(st)], [], False
     while not reached and len(acts) < env.MAX_STEPS:
@@ -362,6 +384,22 @@ def step_expert(seed, noise=0.0, rng=None):
         obs.append(observe(st))
         acts.append(a)
     return reached, np.array(obs), np.array(acts)
+
+
+def reference_demos(n, seed, noise):
+    """generate_demos one episode at a time through step_expert: the
+    first n successes of at least one window, in seed order, within
+    20 n attempts."""
+    env_seeds, obs, actions = [], [], []
+    for s in range(seed, seed + 20 * n):
+        reached, ob, acts = step_expert(s, noise)
+        if reached and len(acts) >= T_P:
+            env_seeds.append(s)
+            obs.append(ob[:len(acts) - T_P + 1])
+            actions.append(acts)
+            if len(env_seeds) == n:
+                return DemoDataset(env_seeds, obs, actions)
+    raise AssertionError(f"fewer than {n} successes")
 
 
 def reference_expert(st):
@@ -438,6 +476,15 @@ class TestDemos:
         save_demos(str(p), generate_demos(*args))
         assert hashlib.sha256(p.read_bytes()).hexdigest() == \
             DEMO_GOLDENS[args]
+
+    @pytest.mark.parametrize("args", [(20, 0, 0.1), (2, 3, 0.05),
+                                      (50, 9, 0.02)])
+    def test_noisy_goldens_are_the_one_episode_collectors(self, args,
+                                                          tmp_path):
+        p = tmp_path / "demos.bin"
+        save_demos(str(p), reference_demos(*args))
+        want = DEMO_GOLDEN if args == (20, 0, 0.1) else DEMO_GOLDENS[args]
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == want
 
     def test_rounds_keep_the_first_successes_in_seed_order(self,
                                                            monkeypatch):

@@ -362,3 +362,28 @@ def test_rollout_training_and_cli_load_no_network_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_only_an_aln_call_loads_the_thread_pool():
+    """aln's worker is the one thread pool: a fresh process that imports
+    the rollout, training and CLI modules, trains in uniform mode and
+    evaluates an episode holds no concurrent.futures; an aln call loads
+    it."""
+    src = os.path.dirname(os.path.dirname(diffpol.rollout.__file__))
+    code = (
+        "import sys, diffpol.rollout, diffpol.training, diffpol.cli\n"
+        "from diffpol.env import generate_demos\n"
+        "from diffpol.training import TrainConfig, train\n"
+        "ds = generate_demos(2, seed=0)\n"
+        "cfg = TrainConfig(total_steps=2, batch_size=4, T=10, hidden=8,\n"
+        "                  embed_dim=4, sampler_hidden=8, warmup=1)\n"
+        "params, _ = train(cfg, ds, 'uniform')\n"
+        "diffpol.rollout.evaluate(params, params.noise_schedule(), 1,\n"
+        "                         (8, 10), 'ddim', seeds=(0,))\n"
+        "print('concurrent.futures' in sys.modules)\n"
+        "train(cfg, ds, 'aln')\n"
+        "print('concurrent.futures' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True"]

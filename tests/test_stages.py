@@ -71,6 +71,25 @@ class TestPromptBuilders:
             build_schedule_prompt([])
 
 
+class CountingTokenizer:
+    """A tokenizer pattern that counts the tokens its scans find and the
+    characters they pass over."""
+
+    def __init__(self, pattern):
+        self.pattern, self.found, self.swept = pattern, 0, 0
+
+    def match(self, *args):
+        return self.pattern.match(*args)
+
+    def finditer(self, string, pos=0):
+        for m in self.pattern.finditer(string, pos):
+            self.found += 1
+            self.swept += m.end() - pos
+            pos = m.end()
+            yield m
+        self.swept += len(string) - pos
+
+
 class TestSanitizeJson:
     def test_well_formed_unchanged(self):
         text = '[{"name": "a", "description": "b"}]'
@@ -177,6 +196,26 @@ class TestSanitizeJson:
         assert sanitize_json(raw) == "[1, 2]"
         assert len(sweeps) == 1
         assert len(decodes) <= 2 * raw.count("[")
+
+    @pytest.mark.parametrize("k", [300, 1200])
+    def test_sweeps_cover_each_character_at_most_twice(self, k,
+                                                       monkeypatch):
+        """Failing candidates joined by escaped quotes, each [ inside a
+        string of every earlier sweep: the text the tokenizer passes
+        over stays within twice the reply's length."""
+        tokens = CountingTokenizer(diffpol.stages._TOKEN)
+        monkeypatch.setattr(diffpol.stages, "_TOKEN", tokens)
+        raw = '[{"a":1,} x ' + ('\\"' + '[{"a":1,} x ') * k
+        with pytest.raises(StageParseError):
+            sanitize_json(raw)
+        assert tokens.swept <= 2 * len(raw)
+
+    def test_a_run_of_trailing_commas_is_one_token(self, monkeypatch):
+        tokens = CountingTokenizer(diffpol.stages._TOKEN)
+        monkeypatch.setattr(diffpol.stages, "_TOKEN", tokens)
+        assert sanitize_json("[1" + ", " * 4000 + "]") == \
+            "[1" + " " * 4000 + "]"
+        assert tokens.found <= 2
 
     def test_deep_nesting_is_a_parse_error(self):
         raw = "[" * 2000 + "]" * 2000
