@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 from .env import TASK_DESCRIPTION, generate_demos, load_demos, save_demos
 from .nets import load_checkpoint, save_checkpoint
-from .rollout import compare_speedup, evaluate, fixed_schedule_table, \
-    hvts_schedule_table
+from .rollout import EPISODES_PER_SEED, compare_speedup, evaluate, \
+    fixed_schedule_table, hvts_schedule_table
 from .scheduling import ENDPOINT_ENV_VAR, ClassifierError, complete_text
 from .stages import (
     ScheduleRanges,
@@ -338,8 +338,9 @@ def cmd_train(args: dict) -> int:
                      **{k: args[k] for k in _TRAIN if k != "total_steps"})
     tc.check_mode(args["mode"])
     n_ep = args["eval_episodes"]
-    if tc.eval_every > 0 and n_ep < 1:
-        raise ValueError("eval_episodes must be >= 1 when eval_every > 0")
+    if tc.eval_every > 0 and not 1 <= n_ep <= EPISODES_PER_SEED:
+        raise ValueError(f"eval_episodes {n_ep} must lie in [1, "
+                         f"{EPISODES_PER_SEED}] when eval_every > 0")
     ds = load_demos(args["data"])
     eval_fn = None
     if tc.eval_every > 0:

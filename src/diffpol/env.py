@@ -14,7 +14,7 @@ in lockstep through the batched expert and transition, and each episode
 draws its action noise from its own generator, so the bytes equal the
 episode-by-episode collector's.
 A dataset stores each executed action once and cuts its overlapping
-windows by index; only the file format writes every window out.
+windows by index, and its file holds the same arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ LOCKSTEP_BATCH = 256    # episodes per collection round (3-4 MB of buffers)
 _HORIZON = np.arange(T_P)
 
 STAGES = ("approach", "align", "push", "reach", "complete")
-DEMO_MAGIC = b"DIFFDEM1"
+DEMO_MAGIC = b"DIFFDEM2"
 
 TASK_DESCRIPTION = "Push the block across the plane into the target zone."
 
@@ -423,6 +423,8 @@ def generate_demos(n: int, seed: int, noise_level: float = 0.0) -> DemoDataset:
         if k == 0:
             raise RuntimeError("expert failed too often; check noise_level")
         seeds = range(next_seed, next_seed + k)
+        if seeds[-1] >= 2 ** 63:  # datasets and files hold int64 seeds
+            raise ValueError(f"env seed {seeds[-1]} is outside int64")
         next_seed += k
         attempts_left -= k
         lengths, success, ob, acts = collect_episodes(seeds, noise_level)
@@ -434,24 +436,25 @@ def generate_demos(n: int, seed: int, noise_level: float = 0.0) -> DemoDataset:
 
 
 def save_demos(path: str, ds: DemoDataset) -> None:
-    """Magic, little-endian int64 counts (n_traj, d_o, d_a, T_p), then per
-    trajectory int64 (env_seed, length, n_windows) and the float64
-    observation and action payloads, row-major."""
+    """Magic, little-endian int64 (n_traj, D_O, D_A, T_P), the n_traj
+    int64 env seeds, the n_traj int64 lengths, then the dataset's float64
+    ``obs`` and ``actions``, row-major."""
     with open(path, "wb") as f:
-        f.write(DEMO_MAGIC)
-        f.write(struct.pack("<4q", ds.n_traj, D_O, D_A, T_P))
-        for tr in ds.trajectories:
-            f.write(struct.pack("<3q", tr.env_seed, tr.length, tr.n_windows))
-            f.write(np.ascontiguousarray(tr.obs, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(tr.actions, dtype="<f8").tobytes())
+        f.write(DEMO_MAGIC + struct.pack("<4q", ds.n_traj, D_O, D_A, T_P))
+        f.write(np.stack([ds.env_seeds, ds.lengths]).astype("<i8").tobytes())
+        for a in (ds.obs, ds.actions):
+            f.write(a.astype("<f8").tobytes())
 
 
 def load_demos(path: str) -> DemoDataset:
-    """Read a ``save_demos`` file.  A malformed header or size, a
-    non-finite value, or overlapping windows that disagree is a
-    ``ValueError`` naming the path."""
+    """Read a ``save_demos`` file.  A malformed header or size, a length
+    below one window, a non-finite value, or a file in the older
+    ``DIFFDEM1`` format is a ``ValueError`` naming the path."""
     with open(path, "rb") as f:
         blob = f.read()
+    if blob[:8] == b"DIFFDEM1":
+        raise ValueError(f"{path}: DIFFDEM1 demo file predates the packed "
+                         "layout; write it again with gen-data")
     if blob[:8] != DEMO_MAGIC:
         raise ValueError(f"{path}: not a demo dataset (bad magic)")
     off = 8 + 4 * 8
@@ -463,34 +466,29 @@ def load_demos(path: str) -> DemoDataset:
                          f"{(D_O, D_A, T_P)}")
     if n_traj < 1:
         raise ValueError(f"{path}: {n_traj} trajectories")
-    env_seeds, obs, actions = [], [], []
-    for i in range(n_traj):
-        if len(blob) < off + 3 * 8:
-            raise ValueError(f"{path}: trajectory {i}: truncated header")
-        env_seed, length, n_w = struct.unpack_from("<3q", blob, off)
-        off += 3 * 8
-        if n_w < 1 or n_w != length - t_p + 1:
-            raise ValueError(f"{path}: trajectory {i}: {n_w} windows for "
-                             f"length {length} (need length - {t_p} + 1 "
-                             f">= 1)")
-        if len(blob) < off + n_w * (d_o + t_p * d_a) * 8:
-            raise ValueError(f"{path}: trajectory {i}: truncated payload")
-        ob = np.frombuffer(blob, dtype="<f8", count=n_w * d_o, offset=off)
-        off += n_w * d_o * 8
-        windows = np.frombuffer(blob, dtype="<f8", count=n_w * t_p * d_a,
-                                offset=off).reshape(n_w, t_p, d_a)
-        off += n_w * t_p * d_a * 8
-        for what, a in (("observation", ob), ("action", windows)):
-            if not np.isfinite(a).all():
-                raise ValueError(f"{path}: trajectory {i}: non-finite {what}")
-        # each window is the previous one moved on by a step, bit for bit
-        bits = windows.view("<i8")
-        if not np.array_equal(bits[1:, :-1], bits[:-1, 1:]):
-            raise ValueError(f"{path}: trajectory {i}: overlapping action "
-                             f"windows disagree")
-        env_seeds.append(env_seed)
-        obs.append(ob.reshape(n_w, d_o))
-        actions.append(np.concatenate([windows[:, 0], windows[-1, 1:]]))
-    if off != len(blob):
+    if len(blob) < off + 2 * 8 * n_traj:
+        raise ValueError(f"{path}: truncated header")
+    env_seeds, lengths = np.frombuffer(blob, "<i8", 2 * n_traj, off) \
+        .reshape(2, n_traj)
+    off += 2 * 8 * n_traj
+    short = np.flatnonzero(lengths < T_P)
+    if short.size:
+        i = short[0]
+        raise ValueError(f"{path}: trajectory {i}: length {lengths[i]} is "
+                         f"below one window of {T_P} steps")
+    n_steps = sum(lengths.tolist())  # Python ints cannot overflow
+    n_win = n_steps - n_traj * (T_P - 1)
+    if len(blob) != off + 8 * (D_O * n_win + D_A * n_steps):
         raise ValueError(f"{path}: payload size mismatch")
-    return DemoDataset(env_seeds, obs, actions)
+    obs = np.frombuffer(blob, "<f8", D_O * n_win, off).reshape(n_win, D_O)
+    actions = np.frombuffer(blob, "<f8", offset=off + obs.nbytes) \
+        .reshape(n_steps, D_A)
+    win_end, step_end = np.cumsum(lengths - (T_P - 1)), np.cumsum(lengths)
+    for what, a, ends in (("observation", obs, win_end),
+                          ("action", actions, step_end)):
+        bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+        if bad.size:
+            i = np.searchsorted(ends, bad[0], side="right")
+            raise ValueError(f"{path}: trajectory {i}: non-finite {what}")
+    return DemoDataset(env_seeds, np.split(obs, win_end[:-1]),
+                       np.split(actions, step_end[:-1]))

@@ -13,6 +13,7 @@ import numpy as np
 
 import pytest
 
+import diffpol.cli
 import diffpol.rollout
 import diffpol.scheduling
 from diffpol.cli import (
@@ -321,6 +322,18 @@ class TestGenData:
             "error: expert failed too often; check noise_level\n"
         assert not (tmp_path / "d").exists()
 
+    def test_env_seed_past_int64_exits_1(self, tmp_path, capsys):
+        """A demo file stores env seeds as int64: the last one fits."""
+        out = tmp_path / "run"
+        argv = ["gen-data", "--seed", str(2 ** 63 - 1), "--out", str(out)]
+        assert main(argv + ["--n", "2"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: env seed {2 ** 63} is outside int64\n"
+        assert not out.exists()
+        assert main(argv + ["--n", "1"]) == 0
+        assert load_demos(str(out / "demos.bin")).env_seeds.tolist() == \
+            [2 ** 63 - 1]
+
 
 class TestTrain:
     def test_zero_steps_is_a_valid_run(self, tmp_path, demo_file):
@@ -370,6 +383,33 @@ class TestTrain:
         assert main(["train", "--steps", "0", "--data", demo_file,
                      "--out", str(out)] + TINY) == 0
         assert (out / "weights.csv").read_bytes() == b"step\r\n"
+
+    def test_window_per_row_demo_file_exits_1(self, tmp_path, demo_file,
+                                              capsys):
+        old = tmp_path / "old.bin"
+        old.write_bytes(b"DIFFDEM1" + pathlib.Path(demo_file).read_bytes()[8:])
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "1", "--data", str(old),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {old}: DIFFDEM1 demo file predates")
+        assert err.count("\n") == 1 and "gen-data" in err
+        assert not out.exists()
+
+    def test_eval_episodes_past_one_seed_exit_1_before_training(
+            self, tmp_path, demo_file, capsys, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("train() ran")
+
+        monkeypatch.setattr(diffpol.cli, "train", no_training)
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "400", "--eval-every", "300",
+                     "--eval-episodes", "20000", "--data", demo_file,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eval_episodes 20000 ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestEval:

@@ -38,22 +38,24 @@ from diffpol.env import (
 from helpers import expert_action
 
 
-# sha256 of save_demos(generate_demos(20, seed=0, noise_level=0.1)),
-# recorded from reference_demos, which steps one episode at a time with
-# each episode's own noise stream
-DEMO_GOLDEN = "c38c142e44ad11fadb01f624dccc3f8e626456158ea87ae46a5b808af1e5e94f"
+# sha256 of save_demos(generate_demos(20, seed=0, noise_level=0.1)).
+# Every golden here holds the arrays first pinned in the window-per-row
+# DIFFDEM1 format: the noise-free ones recorded with the episode-by-
+# episode scalar collector that the lockstep one replaced, the noisy ones
+# from reference_demos, which steps one episode at a time with each
+# episode's own noise stream.  Each DIFFDEM1 file was loaded and its
+# arrays packed into the DIFFDEM2 layout by hand to give these hashes.
+DEMO_GOLDEN = "e9bdf42ee65147f8ce1cbf85e5c048834fc6580791a084a7a31d43aa72ee2858"
 
-# sha256 of save_demos(generate_demos(*args)); the noise-free ones were
-# recorded with the episode-by-episode scalar collector that the
-# lockstep one replaced, the noisy ones from reference_demos as above;
+# sha256 of save_demos(generate_demos(*args)), derived as above;
 # (250, 0, 0.0) is the dataset test_07 and the benchmark train on
 DEMO_GOLDENS = {
-    (250, 0, 0.0): "fdea6360675eb716f464d57c9d192698007696c04aae52a5d892d38a2ef2b14a",
-    (250, 1, 0.0): "29d54add60d623897ecc53da5ace3a80a6e6df1e58a42bcf53954cfdc741fdae",
-    (250, 7, 0.0): "f5ffc95b0547bdcd5383f3de4c0581554f6837a93f5f7069f975711a8530d891",
-    (3, 2, 0.0): "6d39cca6a10d8e72b8ecb3dc3c21ecb6e32c9e68dd4cf87cc575c4b70cdf346c",
-    (2, 3, 0.05): "b8ce0b87238976b6736668208717fa86cc90e2167206bbfd1e8453a5a9ca8284",
-    (50, 9, 0.02): "d94e3d5e35f7d65825402138c66360be9475fe201949eb15b1db72f43d432a36",
+    (250, 0, 0.0): "b6020802c4a4012ced6cae58e8276a0a53fe5d4a6b3b12880a859b6697dee330",
+    (250, 1, 0.0): "bc32d71256d50f155e82f26019607bcc5e45d15f87c33dd9af6f3e4fb230107e",
+    (250, 7, 0.0): "b4f63b754f9daab13fe6bc7f74222348fb3b1c1f0e706b9636c7b19979489591",
+    (3, 2, 0.0): "62321e61a2bb4ed6d0b6cc21f402937e00caaabfacff01b2648996d27eaa08df",
+    (2, 3, 0.05): "04fcefe8ee94d37cb5411055c4c635fb39daabefb3a717d0f6fe7e9211e63688",
+    (50, 9, 0.02): "3d7fb715fe75e500a34ac3fcc0d68f37451cf23f6064b5af69bba3127b1186fb",
 }
 
 
@@ -446,11 +448,6 @@ class TestDemos:
             assert not tr.obs.flags.writeable
             assert not tr.actions.flags.writeable
 
-    def test_windows_overlap_consistently(self):
-        ds = generate_demos(2, seed=1)
-        tr = ds.trajectories[0]
-        np.testing.assert_array_equal(tr.actions[0][1:], tr.actions[1][:-1])
-
     def test_noise_free_windows_replay_to_success(self):
         ds = generate_demos(3, seed=2, noise_level=0.0)
         for tr in ds.trajectories:
@@ -520,16 +517,36 @@ class TestDemos:
         with pytest.raises(ValueError):
             generate_demos(1, seed=0, noise_level=-0.1)
 
+    def test_env_seeds_past_int64_are_refused(self):
+        with pytest.raises(ValueError, match=f"env seed {2 ** 63} is outside"):
+            generate_demos(2, seed=2 ** 63 - 1)
+        assert generate_demos(1, seed=2 ** 63 - 1).env_seeds.tolist() == \
+            [2 ** 63 - 1]
+
+    def test_bytes_match_independent_layout(self, tmp_path):
+        ds = DemoDataset([3, 11], [np.full((1, D_O), 0.5),
+                                   np.arange(2.0 * D_O).reshape(2, D_O)],
+                         [np.linspace(-1, 1, T_P * D_A).reshape(T_P, D_A),
+                          np.random.default_rng(0).normal(
+                              size=(T_P + 1, D_A))])
+        p = tmp_path / "d.bin"
+        save_demos(str(p), ds)
+        want = b"DIFFDEM2" + struct.pack("<4q", 2, D_O, D_A, T_P) \
+            + struct.pack("<4q", 3, 11, T_P, T_P + 1)
+        for a in (ds.obs, ds.actions):
+            want += a.astype("<f8").tobytes()
+        assert p.read_bytes() == want
+        assert len(want) == 40 + 16 * 2 + 8 * (D_O * 3 + D_A * (2 * T_P + 1))
+
     def test_save_load_round_trip(self, tmp_path):
         ds = generate_demos(2, seed=4, noise_level=0.02)
         p = str(tmp_path / "demos.bin")
         save_demos(p, ds)
         back = load_demos(p)
-        assert back.n_traj == ds.n_traj
-        for ta, tb in zip(ds.trajectories, back.trajectories):
-            assert (ta.env_seed, ta.length) == (tb.env_seed, tb.length)
-            np.testing.assert_array_equal(ta.obs, tb.obs)
-            np.testing.assert_array_equal(ta.actions, tb.actions)
+        for name in ("env_seeds", "lengths", "step0", "win0", "obs",
+                     "actions"):
+            a, b = getattr(ds, name), getattr(back, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         save_demos(str(tmp_path / "again.bin"), back)
         assert (tmp_path / "demos.bin").read_bytes() == \
                (tmp_path / "again.bin").read_bytes()
@@ -548,27 +565,50 @@ class TestDemos:
         with pytest.raises(ValueError):
             load_demos(str(trunc))
 
-    @pytest.mark.parametrize("length,n_w,payload_windows", [
-        (5, 80, 80),     # n_windows does not follow from length
-        (T_P - 1, 0, 0),  # an episode too short for one window
-        (T_P - 2, -1, 0),
-        (T_P + 3, -1, 25),
+    @staticmethod
+    def one_trajectory(length, payload_steps):
+        """A one-trajectory file whose table records ``length`` and whose
+        payload holds ``payload_steps`` steps' rows."""
+        n_w = max(payload_steps - T_P + 1, 0)
+        return b"DIFFDEM2" + struct.pack("<4q", 1, D_O, D_A, T_P) \
+            + struct.pack("<2q", 0, length) \
+            + bytes(8 * (D_O * n_w + D_A * payload_steps))
+
+    @pytest.mark.parametrize("length", [5, T_P - 1, T_P - 2, -1])
+    def test_load_rejects_a_length_below_one_window(self, tmp_path, length):
+        p = tmp_path / "d.bin"
+        p.write_bytes(self.one_trajectory(length, T_P))
+        with pytest.raises(ValueError, match=f"{p}: trajectory 0: length "
+                           f"{length} is below one window"):
+            load_demos(str(p))
+
+    @pytest.mark.parametrize("length,payload_steps", [
+        (T_P + 3, T_P + 24),  # the payload of 25 windows, the length's 4
+        (T_P + 3, T_P + 2),
+        (2 ** 62, T_P),       # a size no int64 sum could hold
     ])
-    def test_load_rejects_inconsistent_window_count(self, tmp_path, length,
-                                                     n_w, payload_windows):
+    def test_load_rejects_a_payload_size_mismatch(self, tmp_path, length,
+                                                  payload_steps):
+        p = tmp_path / "d.bin"
+        p.write_bytes(self.one_trajectory(length, payload_steps))
+        with pytest.raises(ValueError, match=f"{p}: payload size mismatch"):
+            load_demos(str(p))
+
+    def test_load_refuses_the_window_per_row_format(self, tmp_path):
         p = tmp_path / "d.bin"
         p.write_bytes(b"DIFFDEM1" + struct.pack("<4q", 1, D_O, D_A, T_P)
-                      + struct.pack("<3q", 0, length, n_w)
-                      + bytes(payload_windows * (D_O + T_P * D_A) * 8))
-        with pytest.raises(ValueError, match=f"{p}: trajectory 0: "):
+                      + struct.pack("<3q", 0, T_P, 1)
+                      + bytes((D_O + T_P * D_A) * 8))
+        with pytest.raises(ValueError, match=f"{p}: DIFFDEM1 .*gen-data"):
             load_demos(str(p))
 
     @pytest.mark.parametrize("keep", [13, 39, 40 + 23])
     def test_load_rejects_truncated_headers(self, tmp_path, keep):
+        # 40 + 23 cuts the second of two lengths in the seed/length table
         p = tmp_path / "d.bin"
-        save_demos(str(p), generate_demos(1, seed=5))
+        save_demos(str(p), generate_demos(2, seed=5))
         p.write_bytes(p.read_bytes()[:keep])
-        with pytest.raises(ValueError, match=f"{p}: .*truncated header"):
+        with pytest.raises(ValueError, match=f"{p}: truncated header"):
             load_demos(str(p))
 
     @pytest.mark.parametrize("what", ["observation", "action"])
@@ -586,26 +626,8 @@ class TestDemos:
                            match=f"{p}: trajectory 1: non-finite {what}"):
             load_demos(str(p))
 
-    def test_load_rejects_windows_that_disagree(self, tmp_path):
-        ds = generate_demos(2, seed=5)
-        p = tmp_path / "d.bin"
-        save_demos(str(p), ds)
-        # action 5 of window 3 of trajectory 1, which windows 0..2 and
-        # 4..8 also hold
-        n0, n1 = ds.n_windows
-        traj1 = 8 + 4 * 8 + 3 * 8 + n0 * (D_O + T_P * D_A) * 8 + 3 * 8
-        off = traj1 + n1 * D_O * 8 + ((3 * T_P + 5) * D_A) * 8
-        blob = bytearray(p.read_bytes())
-        old, = struct.unpack_from("<d", blob, off)
-        assert old == ds.actions[ds.step0[1] + 3 + 5, 0]
-        struct.pack_into("<d", blob, off, old + 0.25)
-        p.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match=f"{p}: trajectory 1: "
-                           "overlapping action windows disagree"):
-            load_demos(str(p))
-
     def test_load_rejects_an_empty_dataset(self, tmp_path):
         p = tmp_path / "d.bin"
-        p.write_bytes(b"DIFFDEM1" + struct.pack("<4q", 0, D_O, D_A, T_P))
+        p.write_bytes(b"DIFFDEM2" + struct.pack("<4q", 0, D_O, D_A, T_P))
         with pytest.raises(ValueError, match=f"{p}: 0 trajectories"):
             load_demos(str(p))
