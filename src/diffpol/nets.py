@@ -10,6 +10,7 @@ central finite differences as an independent route.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -83,6 +84,13 @@ class MlpParams:
         """A copy whose vector has ``dtype`` (values rounded to it)."""
         return MlpParams(self.flat.astype(dtype), self.shapes)
 
+    def layer(self, i: int) -> "MlpParams":
+        """Layer i's weight and bias as a one-layer net of views into
+        ``flat``, where they lie next to each other."""
+        sizes = [math.prod(ws) + math.prod(bs) for ws, bs in self.shapes]
+        lo = sum(sizes[:i])
+        return MlpParams(self.flat[lo:lo + sizes[i]], self.shapes[i:i + 1])
+
 
 def init_mlp(rng: np.random.Generator, sizes: list[int]) -> MlpParams:
     """Fan-in scaled uniform init: W ~ U(+-sqrt(3/fan_in)), unit variance
@@ -135,11 +143,20 @@ def _mlp_from_first(p: MlpParams, z: np.ndarray,
     return z
 
 
-def mlp_backward(p: MlpParams, cache: list[np.ndarray],
-                 dy: np.ndarray) -> MlpParams:
+def mlp_backward(p: MlpParams, cache: list[np.ndarray], dy: np.ndarray,
+                 grads: MlpParams | None = None,
+                 on_layer=None) -> MlpParams:
     """Gradients of a scalar loss wrt every weight, given dL/dy; written
-    straight into a fresh vector laid out like ``p.flat``, in its dtype."""
-    grads = MlpParams(np.empty_like(p.flat), p.shapes)
+    straight into ``grads``, laid out like ``p`` and in its dtype (a
+    fresh vector when None), which is returned.
+
+    ``on_layer(i)``, when given, is called for i = L-1 down to 1 as soon
+    as layer i's gradient is final and the pass has taken its last read
+    of layer i's weights, so the caller may update layer i while the pass
+    goes on with the layers below; layer 0's gradient is final when the
+    call returns."""
+    if grads is None:
+        grads = MlpParams(np.empty_like(p.flat), p.shapes)
     g = np.asarray(dy, dtype=p.flat.dtype)
     for i in range(len(p.weights) - 1, -1, -1):
         if i < len(p.weights) - 1:
@@ -148,6 +165,8 @@ def mlp_backward(p: MlpParams, cache: list[np.ndarray],
         np.sum(g, axis=0, out=grads.biases[i])
         if i > 0:
             g = g @ p.weights[i].T
+            if on_layer is not None:
+                on_layer(i)
     return grads
 
 
@@ -221,6 +240,24 @@ def optimizer_step(p: MlpParams, grads: MlpParams, st: AdamState) -> None:
         np.multiply(b, lr, out=b)
         np.divide(b, a, out=b)
         np.subtract(theta, b, out=theta)
+
+
+def serve_adam(cmd_fd: int, ack_fd: int, p: MlpParams, grads: MlpParams,
+               lr: float) -> None:
+    """Adam for the layers of ``p`` named over a pipe, with moments of
+    its own; returns at end of file on ``cmd_fd``.
+
+    Each byte read from ``cmd_fd`` is a layer index i: ``optimizer_step``
+    updates ``p.layer(i)`` from ``grads.layer(i)`` and then one byte
+    b"+" is written to ``ack_fd``.  Each layer's moments and step count
+    are its own, so a layer updated once per step gets, element for
+    element, the bits of a whole-vector ``optimizer_step``."""
+    layers = [(p.layer(i), grads.layer(i), AdamState(lr=lr))
+              for i in range(len(p.shapes))]
+    while msg := os.read(cmd_fd, 64):
+        for i in msg:
+            optimizer_step(*layers[i])
+            os.write(ack_fd, b"+")
 
 
 # -- denoiser: obs + noisy action window + step embedding -> noise estimate --
@@ -323,7 +360,8 @@ def denoiser_forward(p: DenoiserParams, obs: np.ndarray, ak: np.ndarray,
 
 
 def denoiser_batch_grads(p: DenoiserParams, obs_b: np.ndarray, ak_b: np.ndarray,
-                         ks: np.ndarray, eps_b: np.ndarray, on_losses=None
+                         ks: np.ndarray, eps_b: np.ndarray, on_losses=None,
+                         grads: MlpParams | None = None, on_layer=None
                          ) -> tuple[np.ndarray, MlpParams]:
     """Per-sample losses and the exact gradient of their mean, in one pass.
 
@@ -337,6 +375,7 @@ def denoiser_batch_grads(p: DenoiserParams, obs_b: np.ndarray, ak_b: np.ndarray,
     no backward pass runs.  The backward pass does not read ``losses``,
     so the hook may hand them to another thread (``train`` starts the
     sampler's update there) as long as nobody writes to them.
+    ``grads`` and ``on_layer`` are ``mlp_backward``'s.
     """
     obs_b, ak_b, ks, eps_b = (np.asarray(a) for a in (obs_b, ak_b, ks, eps_b))
     if obs_b.ndim != 2 or obs_b.shape[1] != p.d_o:
@@ -359,7 +398,7 @@ def denoiser_batch_grads(p: DenoiserParams, obs_b: np.ndarray, ak_b: np.ndarray,
     if on_losses is not None:
         on_losses(losses)
     dy = (2.0 / diff.shape[1]) * diff / B  # gradient of the batch-mean loss
-    return losses, mlp_backward(p.net, cache, dy)
+    return losses, mlp_backward(p.net, cache, dy, grads, on_layer)
 
 
 # -- checkpoint: magic + dims and schedule header + flat float64 payload ------

@@ -23,6 +23,14 @@ before the step is reported.  Each side's arithmetic is unchanged and
 every random draw stays on the calling thread, in the same order, so
 the results are bit-identical to running the sides one after the other.
 
+In both modes the denoiser's Adam is split by layer.  A forked worker
+process updates layers L-1 .. 1, each as soon as the backward pass is
+done with it, while the pass goes on with the layers below; the calling
+thread updates layer 0, the last one the pass finishes.  Weights and
+gradient live in memory shared with the worker, and every read of the
+weights waits for its acknowledgements first.  Adam works element by
+element, so the bits are those of one whole-vector update.
+
 The loop computes in ``TrainConfig.dtype`` (float32 by default): both
 nets' weights, gradients, Adam moments and batch arrays.  Random draws,
 rewards and the draw distribution stay float64, and the returned
@@ -34,6 +42,7 @@ from __future__ import annotations
 import contextvars
 import csv
 import math
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
@@ -53,6 +62,7 @@ from .nets import (
     mlp_backward,
     mlp_forward,
     optimizer_step,
+    serve_adam,
 )
 
 WEIGHT_FLOOR = 1e-4
@@ -230,6 +240,97 @@ def weighted_sample_index(w: np.ndarray, rng: np.random.Generator,
     return rng.choice(w.size, size=size, p=w / w.sum())
 
 
+# -- the denoiser's Adam worker process --------------------------------------
+
+
+class _AdamWorker:
+    """A forked process that runs Adam on layers 1..L-1 of ``net`` from
+    ``grads``, both in memory shared with it, as ``serve_adam`` does.
+
+    ``send(i)`` hands it layer i once the caller has written the layer's
+    gradient and stopped reading its weights; ``wait()`` returns once
+    every layer sent has been updated, and raises a RuntimeError naming
+    the failure if the worker failed or died.  Used as a context
+    manager, it ends and reaps the worker on the way out, whether the
+    block returns or raises.  The worker inherits the forking thread's
+    context, numpy's error state included, and exits with ``os._exit``:
+    at end of file on its command pipe, which is also what it reads when
+    the parent dies.
+    """
+
+    def __init__(self, net: MlpParams, grads: MlpParams, lr: float):
+        cmd_r, self._cmd = os.pipe()
+        self._acks, ack_w = os.pipe()
+        self._pending = 0
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (cmd_r, self._cmd, self._acks, ack_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            _adam_worker_main(cmd_r, ack_w, net, grads, lr)
+        os.close(cmd_r)
+        os.close(ack_w)
+
+    def send(self, layer: int) -> None:
+        self._pending += 1
+        try:
+            os.write(self._cmd, bytes((layer,)))
+        except BrokenPipeError:  # the worker is gone; wait() says why
+            pass
+
+    def wait(self) -> None:
+        while self._pending:
+            got = os.read(self._acks, 4096)
+            acks = len(got) - len(got.lstrip(b"+"))
+            self._pending -= acks
+            if not got or acks < len(got):
+                raise RuntimeError(self._failure(got[acks + 1:]))
+
+    def _failure(self, message: bytes) -> str:
+        """What went wrong: the worker's own message, else how it ended."""
+        if message:
+            return ("Adam worker process failed: "
+                    + message.decode(errors="replace"))
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 \
+            else f"exited with status {code}"
+        return f"Adam worker process {how} mid-run"
+
+    def __enter__(self) -> "_AdamWorker":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        os.close(self._cmd)  # the worker exits once its queue is done
+        if self.pid is not None:
+            os.waitpid(self.pid, 0)
+        os.close(self._acks)
+
+
+def _adam_worker_main(cmd_r: int, ack_w: int, net: MlpParams,
+                      grads: MlpParams, lr: float) -> None:
+    """The worker process's whole life; never returns into the caller's
+    frames.  It first closes every descriptor but its two pipe ends and
+    stdio, so that it holds no end of another worker's pipes, whose end
+    of file would then never come."""
+    status = 1
+    try:
+        lo, hi = sorted((cmd_r, ack_w))
+        os.closerange(3, lo)
+        os.closerange(lo + 1, hi)
+        os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
+        serve_adam(cmd_r, ack_w, net, grads, lr)
+        status = 0
+    except Exception as e:  # reported on the pipe; the parent raises it
+        text = " ".join(f"{type(e).__name__}: {e}".split())
+        os.write(ack_w, b"!" + text.encode()[:1024])
+    finally:
+        os._exit(status)
+
+
 # -- training loop -----------------------------------------------------------
 
 
@@ -341,6 +442,12 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     steps with a float64 copy of the parameters, and its return value
     recorded in the report.  The returned parameters are float64.
 
+    Processes: every call forks one ``_AdamWorker``, before any thread
+    of its own starts, and reaps it before it returns or raises.  The
+    worker updates the denoiser's layers 1..L-1 during each backward
+    pass; this thread updates layer 0 with ``optimizer_step``.  A failed
+    or killed worker is a RuntimeError naming the failure.
+
     Threads: an aln call owns one worker thread, which exists only
     inside the call, whether it returns or raises; uniform mode starts
     none.  At each adaptive step, ``denoiser_batch_grads`` hands the
@@ -357,6 +464,8 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     draws all stay on this thread, so the bits are those of the two
     sides run in turn.
     """
+    import mmap  # here, so that processes that never train do not load it
+
     config.check_mode(mode)
 
     rng = np.random.default_rng(config.seed)
@@ -366,10 +475,16 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     params = init_params(config.seed, d_o=feats.shape[1], T_p=T_P, d_a=D_A,
                          hidden=config.hidden, embed_dim=config.embed_dim,
                          T=config.T)
-    params = replace(params, net=params.net.astype(config.dtype),
-                     beta_start=config.beta_start, beta_end=config.beta_end)
+    # the weights, then their gradient, in memory the Adam worker shares
+    n, dtype = params.net.flat.size, np.dtype(config.dtype)
+    shared = np.frombuffer(mmap.mmap(-1, 2 * n * dtype.itemsize), dtype)
+    shared[:n] = params.net.flat
+    net, grads = (MlpParams(v, params.net.shapes)
+                  for v in (shared[:n], shared[n:]))
+    params = replace(params, net=net, beta_start=config.beta_start,
+                     beta_end=config.beta_end)
     sched = params.noise_schedule()
-    adam = AdamState(lr=config.lr)
+    layer0 = (net.layer(0), grads.layer(0), AdamState(lr=config.lr))
     adaptive = mode == "aln"
     # own generator (seed + 1), so uniform mode's draws do not depend on it
     ts = make_timestep_sampler(
@@ -390,6 +505,7 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
                 else uniform_probs).copy()
 
     def float64_params() -> DenoiserParams:
+        worker.wait()
         return replace(params, net=params.net.astype(np.float64))
 
     tw = np.ones(dataset.n_traj)  # the replay weights
@@ -422,14 +538,15 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
                                   sampler_side, step, ks, idxs, losses, tw)
 
     # aln's worker thread; it ends with the block, whether the loop
-    # returns or raises.  Only aln imports the executor, which also loads
-    # logging, queue and traceback.
+    # returns or raises, and starts at the first submit, after the fork.
+    # Only aln imports the executor, which also loads logging, queue and
+    # traceback.
     if adaptive:
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(max_workers=1)
     else:
         pool = nullcontext()
-    with pool:
+    with _AdamWorker(net, grads, config.lr) as worker, pool:
         for step in range(config.total_steps):
             if adaptive:
                 idxs = weighted_sample_index(tw, rng, size=B)
@@ -447,9 +564,10 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
             ak_b = forward_noise(sched, a0_b, ks, eps_b)
 
             loss, pending, entropy = None, None, uniform_entropy
-            _, grads = denoiser_batch_grads(params, feat_b, ak_b, ks, eps_b,
-                                            start_sampler_side)
-            optimizer_step(params.net, grads, adam)
+            worker.wait()  # the forward pass reads every layer
+            denoiser_batch_grads(params, feat_b, ak_b, ks, eps_b,
+                                 start_sampler_side, grads, worker.send)
+            optimizer_step(*layer0)
             if pending is not None:  # the two sides join here
                 tw, entropy = pending.result()
 
@@ -464,7 +582,8 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
                     and (step + 1) % config.eval_every == 0:
                 report.eval_steps.append(step + 1)
                 report.eval_success.append(float(eval_fn(float64_params())))
+        trained = float64_params()
 
     report.final_sampler_probs = draw_probs(config.total_steps - 1)
     report.final_traj_weights = tw.copy()
-    return float64_params(), report
+    return trained, report

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import diffpol.cli
+import diffpol.nets
 import diffpol.rollout
 import diffpol.scheduling
 from diffpol.cli import (
@@ -409,6 +410,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: eval_episodes 20000 ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_failed_adam_worker_exits_1_before_out(self, tmp_path, demo_file,
+                                                   capsys, monkeypatch):
+        """The worker process calls nets' optimizer_step, train() its own
+        import, so this fails the worker's first update only."""
+        def failing(*args):
+            raise FloatingPointError("overflow encountered in multiply")
+
+        monkeypatch.setattr(diffpol.nets, "optimizer_step", failing)
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "3", *TINY, "--data", demo_file,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: Adam worker process failed: FloatingPointError: "
+            "overflow encountered in multiply\n")
         assert not out.exists()
 
 

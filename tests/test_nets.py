@@ -1,6 +1,8 @@
 """Denoiser network: embeddings, exact gradients, Adam, checkpoints."""
 
+import hashlib
 import json
+import os
 import pathlib
 import struct
 import tracemalloc
@@ -24,6 +26,7 @@ from diffpol.nets import (
     mlp_forward,
     optimizer_step,
     save_checkpoint,
+    serve_adam,
     _embed_table,
 )
 from diffpol.training import TrainConfig, make_timestep_sampler, train
@@ -210,6 +213,30 @@ class TestGradients:
                     [a + b for a, b in zip(acc.biases, g_i.biases)])
         for a, b in zip(acc.weights, grads.weights):
             np.testing.assert_allclose(a / B, b, atol=1e-12)
+
+    def test_layer_hook_fires_once_each_layer_is_done(self):
+        """on_layer(i) comes for i = L-1 .. 1, once layer i's gradient is
+        final and its weights are read no more: overwriting them there
+        changes no gradient.  The gradient goes into the given vector."""
+        rng = np.random.default_rng(12)
+        p = init_params(12, d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
+        args = (rng.normal(size=(5, 3)), rng.normal(size=(5, 4, 2)),
+                rng.integers(1, 11, size=5), rng.normal(size=(5, 4, 2)))
+        want_losses, want = denoiser_batch_grads(p, *args)
+        out = MlpParams(np.full_like(p.net.flat, np.nan), p.net.shapes)
+        seen = []
+
+        def clobber(i):
+            seen.append(i)
+            np.testing.assert_array_equal(out.layer(i).flat,
+                                          want.layer(i).flat)
+            p.net.layer(i).flat[:] = np.nan
+
+        losses, grads = denoiser_batch_grads(p, *args, grads=out,
+                                             on_layer=clobber)
+        assert seen == [3, 2, 1] and grads is out
+        np.testing.assert_array_equal(losses, want_losses)
+        np.testing.assert_array_equal(out.flat, want.flat)
 
     def test_batch_grads_reject_bad_inputs(self):
         p = init_params(0, d_o=3, T_p=4, d_a=2, hidden=8, embed_dim=8, T=10)
@@ -518,6 +545,51 @@ class TestAdam:
             assert want.dtype == np.float32
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_per_layer_updates_match_the_whole_vector(self, dtype):
+        """Adam on each layer with its own moments gives, bit for bit,
+        the whole-vector update: serve_adam's split of the work."""
+        rng = np.random.default_rng(15)
+        sizes = [100, 300, 200, 7]
+        whole = init_mlp(rng, sizes).astype(dtype)
+        split = whole.astype(dtype)
+        st, states = AdamState(lr=3e-3), [AdamState(lr=3e-3)
+                                          for _ in whole.shapes]
+        for _ in range(3):
+            g = init_mlp(rng, sizes)
+            g.flat *= rng.lognormal(0.0, 2.0, size=g.flat.size)
+            g = g.astype(dtype)
+            optimizer_step(whole, g, st)
+            for i, s in reversed(list(enumerate(states))):
+                optimizer_step(split.layer(i), g.layer(i), s)
+        np.testing.assert_array_equal(split.flat, whole.flat)
+        np.testing.assert_array_equal(
+            np.concatenate([s.m for s in states]), st.m)
+        np.testing.assert_array_equal(
+            np.concatenate([s.v for s in states]), st.v)
+
+    def test_serve_adam_updates_the_layers_it_reads(self):
+        """Each layer index read is one update of that layer and one
+        b"+" written back; end of file ends the loop."""
+        rng = np.random.default_rng(16)
+        p = init_mlp(rng, [5, 6, 4, 3])
+        g = init_mlp(rng, [5, 6, 4, 3])
+        want = p.astype(np.float64)
+        states = [AdamState(lr=0.01) for _ in p.shapes]
+        for i in (2, 1, 2):
+            optimizer_step(want.layer(i), g.layer(i), states[i])
+        cmd_r, cmd_w = os.pipe()
+        ack_r, ack_w = os.pipe()
+        try:
+            os.write(cmd_w, bytes([2, 1, 2]))
+            os.close(cmd_w)
+            serve_adam(cmd_r, ack_w, p, g, lr=0.01)
+            assert os.read(ack_r, 64) == b"+++"
+        finally:
+            for fd in (cmd_r, ack_r, ack_w):
+                os.close(fd)
+        np.testing.assert_array_equal(p.flat, want.flat)
+
     def test_rejects_mismatched_gradient(self):
         p = init_mlp(np.random.default_rng(0), [2, 3, 1])
         g = init_mlp(np.random.default_rng(0), [2, 4, 1])
@@ -570,6 +642,18 @@ class TestFlatLayout:
         assert p.flat[3 * 5 + 2] == -7.0
         assert p.flat[3 * 5 + 5 + 4 * 2 + 1] == 123.0
 
+    def test_layers_are_views_that_tile_flat(self):
+        p = init_mlp(np.random.default_rng(17), [3, 5, 4, 2])
+        layers = [p.layer(i) for i in range(len(p.shapes))]
+        for i, q in enumerate(layers):
+            self.assert_views_of_flat(q)
+            assert q.shapes == (p.shapes[i],)
+            assert np.shares_memory(q.flat, p.flat)
+            np.testing.assert_array_equal(q.weights[0], p.weights[i])
+            np.testing.assert_array_equal(q.biases[0], p.biases[i])
+        np.testing.assert_array_equal(
+            np.concatenate([q.flat for q in layers]), p.flat)
+
     def test_astype_copies_into_a_new_vector(self):
         p = init_mlp(np.random.default_rng(14), [3, 5, 2])
         q = p.astype(np.float32)
@@ -585,14 +669,22 @@ class TestFlatLayout:
         np.testing.assert_array_equal(same.flat, p.flat)
 
 
+def final_sha256(params) -> str:
+    """sha256 of the returned float64 weight vector's bytes."""
+    assert params.net.flat.dtype == np.float64
+    return hashlib.sha256(params.net.flat.tobytes()).hexdigest()
+
+
 class TestGoldenLosses:
     def test_tiny_runs_reproduce_recorded_losses(self):
         doc = json.loads((FIXTURES / "golden_losses.json").read_text())
         demos = generate_demos(doc["demos"]["n"], seed=doc["demos"]["seed"])
         cfg = TrainConfig(**doc["config"], dtype="float64")
+        assert set(doc["final_sha256"]) == set(doc["losses"])
         for mode, want in doc["losses"].items():
-            _, report = train(cfg, demos, mode)
+            params, report = train(cfg, demos, mode)
             assert [x.hex() for x in report.losses] == want, mode
+            assert final_sha256(params) == doc["final_sha256"][mode], mode
 
 
 class TestGoldenLossesFloat32:
@@ -604,9 +696,12 @@ class TestGoldenLossesFloat32:
         cfg = TrainConfig(**doc["config"])
         assert cfg.dtype == "float32"
         assert set(doc["losses_float32"]) == {"uniform", "aln"}
+        assert set(doc["final_sha256_float32"]) == {"uniform", "aln"}
         for mode, want in doc["losses_float32"].items():
-            _, report = train(cfg, demos, mode)
+            params, report = train(cfg, demos, mode)
             assert [x.hex() for x in report.losses] == want, mode
+            assert final_sha256(params) == \
+                doc["final_sha256_float32"][mode], mode
 
 
 class TestCheckpoint:

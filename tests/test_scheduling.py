@@ -368,16 +368,26 @@ def test_only_an_aln_call_loads_the_thread_pool():
     """aln's worker is the one thread pool: a fresh process that imports
     the rollout, training and CLI modules, trains in uniform mode and
     evaluates an episode holds no concurrent.futures; an aln call loads
-    it."""
+    it.  Nor does a process that only evaluates hold mmap, which every
+    train() call loads for the memory it shares with its Adam worker."""
     src = os.path.dirname(os.path.dirname(diffpol.rollout.__file__))
     code = (
         "import sys, diffpol.rollout, diffpol.training, diffpol.cli\n"
-        "from diffpol.env import generate_demos\n"
+        "import numpy as np\n"
+        "from diffpol.env import D_A, D_O, T_P, generate_demos, \\\n"
+        "    policy_features\n"
+        "from diffpol.nets import init_params\n"
         "from diffpol.training import TrainConfig, train\n"
+        "fresh = init_params(0, d_o=policy_features(np.zeros(D_O)).size,\n"
+        "                    T_p=T_P, d_a=D_A, hidden=8, embed_dim=4, T=10)\n"
+        "diffpol.rollout.evaluate(fresh, fresh.noise_schedule(), 1,\n"
+        "                         (8, 10), 'ddim', seeds=(0,))\n"
+        "print('mmap' in sys.modules)\n"
         "ds = generate_demos(2, seed=0)\n"
         "cfg = TrainConfig(total_steps=2, batch_size=4, T=10, hidden=8,\n"
         "                  embed_dim=4, sampler_hidden=8, warmup=1)\n"
         "params, _ = train(cfg, ds, 'uniform')\n"
+        "print('mmap' in sys.modules)\n"
         "diffpol.rollout.evaluate(params, params.noise_schedule(), 1,\n"
         "                         (8, 10), 'ddim', seeds=(0,))\n"
         "print('concurrent.futures' in sys.modules)\n"
@@ -386,4 +396,4 @@ def test_only_an_aln_call_loads_the_thread_pool():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "True", "False", "True"]

@@ -2,6 +2,8 @@
 weights, and the training loop."""
 
 import csv
+import os
+import signal
 import sys
 import threading
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import diffpol.nets
 import diffpol.training
 from diffpol.env import D_A, D_O, T_P, DemoDataset, generate_demos, \
     policy_features
@@ -772,3 +775,126 @@ class TestSamplerThread:
                                           want.final_traj_weights)
             np.testing.assert_array_equal(params.net.flat,
                                           want_params.net.flat)
+
+
+class TestAdamWorker:
+    """Every train() call forks one process that runs the denoiser's Adam
+    on layers 1..L-1, and reaps it however the call ends."""
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def before_worker_steps(monkeypatch, hook):
+        """Run hook(n) ahead of the worker's n-th layer update.  The
+        worker calls nets' own optimizer_step; train() calls its import."""
+        calls = []
+        step = diffpol.nets.optimizer_step
+
+        def hooked(*args):
+            calls.append(1)
+            hook(len(calls))
+            return step(*args)
+
+        monkeypatch.setattr(diffpol.nets, "optimizer_step", hooked)
+
+    @staticmethod
+    def raised_by(*args):
+        """What train(*args) raises, run on a thread joined with a
+        timeout so that a hang fails the test; None if nothing."""
+        raised = []
+
+        def run():
+            try:
+                train(*args)
+            except Exception as e:
+                raised.append(e)
+
+        t = threading.Thread(target=run)
+        t.start()
+        t.join(timeout=120)
+        assert not t.is_alive(), "train() did not return"
+        return raised[0] if raised else None
+
+    @pytest.mark.parametrize("mode", ["uniform", "aln"])
+    def test_no_child_outlives_a_call(self, mode):
+        train(tiny_config(total_steps=12, warmup=5), tiny_dataset(), mode)
+        self.assert_no_child()
+
+        ds = tiny_dataset()
+        ds.actions[ds.step0[2] + 4 + 7, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            train(tiny_config(), ds, mode)
+        self.assert_no_child()
+
+        def failing_eval(params):
+            raise InjectedError("eval failed")
+
+        with pytest.raises(InjectedError, match="^eval failed$"):
+            train(tiny_config(total_steps=12, warmup=5, eval_every=6),
+                  tiny_dataset(), mode, eval_fn=failing_eval)
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("mode", ["uniform", "aln"])
+    def test_worker_error_is_a_runtime_error(self, monkeypatch, mode):
+        def fail_fifth(n):
+            if n == 5:
+                raise InjectedError("worker update 5 failed")
+
+        self.before_worker_steps(monkeypatch, fail_fifth)
+        e = self.raised_by(tiny_config(total_steps=20, warmup=5),
+                           tiny_dataset(), mode)
+        assert isinstance(e, RuntimeError) \
+            and not isinstance(e, InjectedError)
+        assert str(e) == ("Adam worker process failed: InjectedError: "
+                          "worker update 5 failed")
+        self.assert_no_child()
+
+    def test_killed_worker_is_a_runtime_error(self, monkeypatch):
+        caller = os.getpid()
+
+        def kill_at_fifth(n):
+            if n == 5 and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self.before_worker_steps(monkeypatch, kill_at_fifth)
+        e = self.raised_by(tiny_config(total_steps=20, warmup=5),
+                           tiny_dataset(), "aln")
+        assert isinstance(e, RuntimeError)
+        assert str(e) == ("Adam worker process killed by signal "
+                          f"{int(signal.SIGKILL)} mid-run")
+        self.assert_no_child()
+
+    def test_worker_keeps_the_callers_numpy_error_state(self, monkeypatch,
+                                                        tmp_path):
+        log = tmp_path / "worker.log"
+
+        def record(n):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {sorted(set(np.geterr().values()))}\n")
+
+        self.before_worker_steps(monkeypatch, record)
+        with np.errstate(all="raise"):
+            train(tiny_config(total_steps=8, warmup=5), tiny_dataset(),
+                  "aln")
+        lines = log.read_text().splitlines()
+        assert len(lines) == 8 * 3  # layers 3, 2 and 1 of each step
+        assert set(lines) == {lines[0]}
+        pid, state = lines[0].split(" ", 1)
+        assert int(pid) != os.getpid() and state == "['raise']"
+
+    @pytest.mark.parametrize("mode", ["uniform", "aln"])
+    def test_fork_sees_only_the_callers_threads(self, monkeypatch, mode):
+        before = frozenset(threading.enumerate())
+        seen = []
+        fork = os.fork
+
+        def recording():
+            seen.append(frozenset(threading.enumerate()))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", recording)
+        train(tiny_config(total_steps=10, warmup=5), tiny_dataset(), mode)
+        assert seen == [before]
