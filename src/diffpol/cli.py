@@ -24,6 +24,10 @@ import sys
 from dataclasses import fields
 from typing import NamedTuple
 
+from . import pin_blas_threads
+
+pin_blas_threads()  # before the imports below load numpy
+
 from .env import TASK_DESCRIPTION, generate_demos, load_demos, save_demos
 from .nets import load_checkpoint, save_checkpoint
 from .rollout import EPISODES_PER_SEED, compare_speedup, evaluate, \

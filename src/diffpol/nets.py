@@ -10,7 +10,6 @@ central finite differences as an independent route.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -240,24 +239,6 @@ def optimizer_step(p: MlpParams, grads: MlpParams, st: AdamState) -> None:
         np.multiply(b, lr, out=b)
         np.divide(b, a, out=b)
         np.subtract(theta, b, out=theta)
-
-
-def serve_adam(cmd_fd: int, ack_fd: int, p: MlpParams, grads: MlpParams,
-               lr: float) -> None:
-    """Adam for the layers of ``p`` named over a pipe, with moments of
-    its own; returns at end of file on ``cmd_fd``.
-
-    Each byte read from ``cmd_fd`` is a layer index i: ``optimizer_step``
-    updates ``p.layer(i)`` from ``grads.layer(i)`` and then one byte
-    b"+" is written to ``ack_fd``.  Each layer's moments and step count
-    are its own, so a layer updated once per step gets, element for
-    element, the bits of a whole-vector ``optimizer_step``."""
-    layers = [(p.layer(i), grads.layer(i), AdamState(lr=lr))
-              for i in range(len(p.shapes))]
-    while msg := os.read(cmd_fd, 64):
-        for i in msg:
-            optimizer_step(*layers[i])
-            os.write(ack_fd, b"+")
 
 
 # -- denoiser: obs + noisy action window + step embedding -> noise estimate --

@@ -28,8 +28,11 @@ process updates layers L-1 .. 1, each as soon as the backward pass is
 done with it, while the pass goes on with the layers below; the calling
 thread updates layer 0, the last one the pass finishes.  Weights and
 gradient live in memory shared with the worker, and every read of the
-weights waits for its acknowledgements first.  Adam works element by
-element, so the bits are those of one whole-vector update.
+weights waits for its acknowledgements first.  Where the worker would
+have no core to itself (one CPU, or numpy's BLAS on more than one
+thread), the calling thread updates each layer itself instead.
+Adam works element by element, so the bits are those of one
+whole-vector update either way.
 
 The loop computes in ``TrainConfig.dtype`` (float32 by default): both
 nets' weights, gradients, Adam moments and batch arrays.  Random draws,
@@ -48,6 +51,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS, nets
 from .diffusion import BETA_END, BETA_START, MAX_T, forward_noise
 from .env import D_A, T_P, DemoDataset, policy_features
 from .nets import (
@@ -62,7 +66,6 @@ from .nets import (
     mlp_backward,
     mlp_forward,
     optimizer_step,
-    serve_adam,
 )
 
 WEIGHT_FLOOR = 1e-4
@@ -240,12 +243,73 @@ def weighted_sample_index(w: np.ndarray, rng: np.random.Generator,
     return rng.choice(w.size, size=size, p=w / w.sum())
 
 
-# -- the denoiser's Adam worker process --------------------------------------
+# -- the denoiser's Adam, layer by layer --------------------------------------
+
+# the worker's pipe protocol: each command is one byte, a layer index; each
+# update done is one ACK byte back, and a failure is FAILED and one line.
+# Layers 1..L-1 go through nets' own optimizer_step wherever they run, and
+# layer 0 and the sampler through this module's import of it, so that the
+# calling process's updates and the worker's can be told apart.
+_ACK, _FAILED = b"+", b"!"
+
+
+def _layer_adams(net: MlpParams, grads: MlpParams, lr: float) -> list:
+    """Each layer of ``net`` with its gradient and an Adam state of its
+    own, so that ``optimizer_step(*layers[i])`` updates layer i.  Adam
+    works element by element: a layer updated once per step gets the
+    bits of one whole-vector update."""
+    return [(net.layer(i), grads.layer(i), AdamState(lr=lr))
+            for i in range(len(net.shapes))]
+
+
+def _worker_has_a_core() -> bool:
+    """Whether an Adam worker process would have a CPU to itself: this
+    process may run on two or more, and numpy's BLAS runs one thread, as
+    the first of ``BLAS_THREAD_VARS`` set in the environment says (see
+    ``pin_blas_threads``).  With BLAS on every core, the worker would
+    only take turns with the gemms of the backward pass."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    named = [os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ]
+    return cores > 1 and named[:1] == ["1"]
+
+
+def _serve_adam(cmd_fd: int, ack_fd: int, layers: list) -> None:
+    """Update the layers named over ``cmd_fd`` and acknowledge each on
+    ``ack_fd``; returns at end of file on ``cmd_fd``."""
+    while msg := os.read(cmd_fd, 64):
+        for i in msg:
+            nets.optimizer_step(*layers[i])
+            os.write(ack_fd, _ACK)
+
+
+class _InlineAdam:
+    """``_AdamWorker``'s interface on the calling thread, for when a
+    worker would have no core to itself: ``send(i)`` updates layer i
+    there and then."""
+
+    def __init__(self, layers: list):
+        self._layers = layers
+
+    def send(self, layer: int) -> None:
+        nets.optimizer_step(*self._layers[layer])
+
+    def wait(self) -> None:
+        pass
+
+    def __enter__(self) -> "_InlineAdam":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
 
 
 class _AdamWorker:
-    """A forked process that runs Adam on layers 1..L-1 of ``net`` from
-    ``grads``, both in memory shared with it, as ``serve_adam`` does.
+    """A forked process that updates ``layers`` (from ``_layer_adams``,
+    in memory shared with it) as ``_serve_adam`` does; the Adam states
+    it updates are its own copies.
 
     ``send(i)`` hands it layer i once the caller has written the layer's
     gradient and stopped reading its weights; ``wait()`` returns once
@@ -258,7 +322,7 @@ class _AdamWorker:
     the parent dies.
     """
 
-    def __init__(self, net: MlpParams, grads: MlpParams, lr: float):
+    def __init__(self, layers: list):
         cmd_r, self._cmd = os.pipe()
         self._acks, ack_w = os.pipe()
         self._pending = 0
@@ -269,7 +333,7 @@ class _AdamWorker:
                 os.close(fd)
             raise
         if self.pid == 0:
-            _adam_worker_main(cmd_r, ack_w, net, grads, lr)
+            _adam_worker_main(cmd_r, ack_w, layers)
         os.close(cmd_r)
         os.close(ack_w)
 
@@ -283,7 +347,7 @@ class _AdamWorker:
     def wait(self) -> None:
         while self._pending:
             got = os.read(self._acks, 4096)
-            acks = len(got) - len(got.lstrip(b"+"))
+            acks = len(got) - len(got.lstrip(_ACK))
             self._pending -= acks
             if not got or acks < len(got):
                 raise RuntimeError(self._failure(got[acks + 1:]))
@@ -310,8 +374,7 @@ class _AdamWorker:
         os.close(self._acks)
 
 
-def _adam_worker_main(cmd_r: int, ack_w: int, net: MlpParams,
-                      grads: MlpParams, lr: float) -> None:
+def _adam_worker_main(cmd_r: int, ack_w: int, layers: list) -> None:
     """The worker process's whole life; never returns into the caller's
     frames.  It first closes every descriptor but its two pipe ends and
     stdio, so that it holds no end of another worker's pipes, whose end
@@ -322,11 +385,11 @@ def _adam_worker_main(cmd_r: int, ack_w: int, net: MlpParams,
         os.closerange(3, lo)
         os.closerange(lo + 1, hi)
         os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
-        serve_adam(cmd_r, ack_w, net, grads, lr)
+        _serve_adam(cmd_r, ack_w, layers)
         status = 0
     except Exception as e:  # reported on the pipe; the parent raises it
         text = " ".join(f"{type(e).__name__}: {e}".split())
-        os.write(ack_w, b"!" + text.encode()[:1024])
+        os.write(ack_w, _FAILED + text.encode()[:1024])
     finally:
         os._exit(status)
 
@@ -442,11 +505,16 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     steps with a float64 copy of the parameters, and its return value
     recorded in the report.  The returned parameters are float64.
 
-    Processes: every call forks one ``_AdamWorker``, before any thread
-    of its own starts, and reaps it before it returns or raises.  The
-    worker updates the denoiser's layers 1..L-1 during each backward
-    pass; this thread updates layer 0 with ``optimizer_step``.  A failed
-    or killed worker is a RuntimeError naming the failure.
+    Processes: when the process may run on two or more CPUs and numpy's
+    BLAS runs one thread (``diffpol.pin_blas_threads``, which the
+    ``diffpol`` CLI calls), every call forks one ``_AdamWorker``, before
+    any thread of its own starts, and reaps it before it returns or
+    raises.  The worker updates the denoiser's layers 1..L-1 during
+    each backward pass; this thread updates layer 0 with
+    ``optimizer_step``.  A failed or killed worker is a RuntimeError
+    naming the failure.  Otherwise the worker would have no core to
+    itself, and this thread updates every layer as the pass finishes
+    it, with the same bits.
 
     Threads: an aln call owns one worker thread, which exists only
     inside the call, whether it returns or raises; uniform mode starts
@@ -484,7 +552,7 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
     params = replace(params, net=net, beta_start=config.beta_start,
                      beta_end=config.beta_end)
     sched = params.noise_schedule()
-    layer0 = (net.layer(0), grads.layer(0), AdamState(lr=config.lr))
+    layers = _layer_adams(net, grads, config.lr)
     adaptive = mode == "aln"
     # own generator (seed + 1), so uniform mode's draws do not depend on it
     ts = make_timestep_sampler(
@@ -546,7 +614,8 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
         pool = ThreadPoolExecutor(max_workers=1)
     else:
         pool = nullcontext()
-    with _AdamWorker(net, grads, config.lr) as worker, pool:
+    adam = _AdamWorker if _worker_has_a_core() else _InlineAdam
+    with adam(layers) as worker, pool:
         for step in range(config.total_steps):
             if adaptive:
                 idxs = weighted_sample_index(tw, rng, size=B)
@@ -567,7 +636,7 @@ def train(config: TrainConfig, dataset: DemoDataset, mode: str,
             worker.wait()  # the forward pass reads every layer
             denoiser_batch_grads(params, feat_b, ak_b, ks, eps_b,
                                  start_sampler_side, grads, worker.send)
-            optimizer_step(*layer0)
+            optimizer_step(*layers[0])
             if pending is not None:  # the two sides join here
                 tw, entropy = pending.result()
 

@@ -415,10 +415,14 @@ class TestTrain:
     def test_failed_adam_worker_exits_1_before_out(self, tmp_path, demo_file,
                                                    capsys, monkeypatch):
         """The worker process calls nets' optimizer_step, train() its own
-        import, so this fails the worker's first update only."""
+        import, so this fails the worker's first update only; two CPUs
+        and one BLAS thread, whatever the machine has, fork the worker."""
         def failing(*args):
             raise FloatingPointError("overflow encountered in multiply")
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for var in diffpol.BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
         monkeypatch.setattr(diffpol.nets, "optimizer_step", failing)
         out = tmp_path / "run"
         assert main(["train", "--steps", "3", *TINY, "--data", demo_file,
@@ -792,3 +796,29 @@ class TestManifest:
         main(["gen-data", "--n", "2", "--seed", "1", "--out", str(a)])
         assert run_from_manifest(str(a / "manifest.json"), str(b)) == 0
         assert (a / "demos.bin").read_bytes() == (b / "demos.bin").read_bytes()
+
+
+class TestBlasThreads:
+    """The CLI runs numpy's BLAS on one thread, so that training's Adam
+    worker process has a core of its own: set before numpy loads, unless
+    the environment names a count; numpy loaded first is left alone."""
+
+    @pytest.mark.parametrize("first, given, want", [
+        ("", {}, ["1", "1", "1"]),
+        ("", {"OMP_NUM_THREADS": "2"}, [None, "2", None]),
+        ("import numpy\n", {}, [None, None, None]),
+    ])
+    def test_pinned_before_numpy_loads(self, first, given, want):
+        src = pathlib.Path(diffpol.rollout.__file__).parents[1]
+        code = (first + "import os, diffpol.cli\n"
+                "print([os.environ.get(v) for v in diffpol.BLAS_THREAD_VARS])\n"
+                "print(len(os.listdir('/proc/self/task')))\n")
+        env = {k: v for k, v in os.environ.items()
+               if k not in diffpol.BLAS_THREAD_VARS}
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(env, PYTHONPATH=str(src), **given),
+                              capture_output=True, text=True, check=True)
+        seen, threads = proc.stdout.splitlines()
+        assert seen == repr(want)
+        if want[0] == "1":
+            assert threads == "1"  # OpenBLAS started no thread of its own

@@ -26,7 +26,6 @@ from diffpol.nets import (
     mlp_forward,
     optimizer_step,
     save_checkpoint,
-    serve_adam,
     _embed_table,
 )
 from diffpol.training import TrainConfig, make_timestep_sampler, train
@@ -548,7 +547,7 @@ class TestAdam:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_per_layer_updates_match_the_whole_vector(self, dtype):
         """Adam on each layer with its own moments gives, bit for bit,
-        the whole-vector update: serve_adam's split of the work."""
+        the whole-vector update: the split training's Adam relies on."""
         rng = np.random.default_rng(15)
         sizes = [100, 300, 200, 7]
         whole = init_mlp(rng, sizes).astype(dtype)
@@ -567,28 +566,6 @@ class TestAdam:
             np.concatenate([s.m for s in states]), st.m)
         np.testing.assert_array_equal(
             np.concatenate([s.v for s in states]), st.v)
-
-    def test_serve_adam_updates_the_layers_it_reads(self):
-        """Each layer index read is one update of that layer and one
-        b"+" written back; end of file ends the loop."""
-        rng = np.random.default_rng(16)
-        p = init_mlp(rng, [5, 6, 4, 3])
-        g = init_mlp(rng, [5, 6, 4, 3])
-        want = p.astype(np.float64)
-        states = [AdamState(lr=0.01) for _ in p.shapes]
-        for i in (2, 1, 2):
-            optimizer_step(want.layer(i), g.layer(i), states[i])
-        cmd_r, cmd_w = os.pipe()
-        ack_r, ack_w = os.pipe()
-        try:
-            os.write(cmd_w, bytes([2, 1, 2]))
-            os.close(cmd_w)
-            serve_adam(cmd_r, ack_w, p, g, lr=0.01)
-            assert os.read(ack_r, 64) == b"+++"
-        finally:
-            for fd in (cmd_r, ack_r, ack_w):
-                os.close(fd)
-        np.testing.assert_array_equal(p.flat, want.flat)
 
     def test_rejects_mismatched_gradient(self):
         p = init_mlp(np.random.default_rng(0), [2, 3, 1])
@@ -699,6 +676,27 @@ class TestGoldenLossesFloat32:
         assert set(doc["final_sha256_float32"]) == {"uniform", "aln"}
         for mode, want in doc["losses_float32"].items():
             params, report = train(cfg, demos, mode)
+            assert [x.hex() for x in report.losses] == want, mode
+            assert final_sha256(params) == \
+                doc["final_sha256_float32"][mode], mode
+
+    @pytest.mark.parametrize("cores, blas_threads", [(1, "1"), (2, "2")])
+    def test_without_a_free_core_the_bits_hold_with_no_worker(
+            self, monkeypatch, cores, blas_threads):
+        """With one CPU, or with BLAS on two threads, no Adam worker is
+        forked: the calling thread updates every layer, bit for bit
+        alike."""
+        def no_fork():
+            raise AssertionError("forked an Adam worker")
+
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        monkeypatch.setattr(os, "fork", no_fork)
+        doc = json.loads((FIXTURES / "golden_losses.json").read_text())
+        demos = generate_demos(doc["demos"]["n"], seed=doc["demos"]["seed"])
+        for mode, want in doc["losses_float32"].items():
+            params, report = train(TrainConfig(**doc["config"]), demos, mode)
             assert [x.hex() for x in report.losses] == want, mode
             assert final_sha256(params) == \
                 doc["final_sha256_float32"][mode], mode

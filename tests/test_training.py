@@ -11,15 +11,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import diffpol
 import diffpol.nets
 import diffpol.training
 from diffpol.env import D_A, D_O, T_P, DemoDataset, generate_demos, \
     policy_features
-from diffpol.nets import _embed_table, init_params, load_checkpoint, \
-    mlp_backward, mlp_forward, save_checkpoint
+from diffpol.nets import AdamState, _embed_table, init_mlp, init_params, \
+    load_checkpoint, mlp_backward, mlp_forward, optimizer_step, \
+    save_checkpoint
 from diffpol.training import (
     WEIGHT_FLOOR,
     TrainConfig,
+    _layer_adams,
+    _serve_adam,
     _policy_entropy_grad,
     _renormalize,
     anneal_alpha,
@@ -781,6 +785,13 @@ class TestAdamWorker:
     """Every train() call forks one process that runs the denoiser's Adam
     on layers 1..L-1, and reaps it however the call ends."""
 
+    @pytest.fixture(autouse=True)
+    def a_free_core(self, monkeypatch):
+        """Two CPUs and one BLAS thread, whatever the machine has."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for var in diffpol.BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+
     @staticmethod
     def assert_no_child():
         with pytest.raises(ChildProcessError):
@@ -884,6 +895,28 @@ class TestAdamWorker:
         assert set(lines) == {lines[0]}
         pid, state = lines[0].split(" ", 1)
         assert int(pid) != os.getpid() and state == "['raise']"
+
+    def test_serve_adam_updates_the_layers_it_reads(self):
+        """Each layer index read is one update of that layer and one
+        acknowledgement written back; end of file ends the loop."""
+        rng = np.random.default_rng(16)
+        p = init_mlp(rng, [5, 6, 4, 3])
+        g = init_mlp(rng, [5, 6, 4, 3])
+        want = p.astype(np.float64)
+        states = [AdamState(lr=0.01) for _ in p.shapes]
+        for i in (2, 1, 2):
+            optimizer_step(want.layer(i), g.layer(i), states[i])
+        cmd_r, cmd_w = os.pipe()
+        ack_r, ack_w = os.pipe()
+        try:
+            os.write(cmd_w, bytes([2, 1, 2]))
+            os.close(cmd_w)
+            _serve_adam(cmd_r, ack_w, _layer_adams(p, g, lr=0.01))
+            assert os.read(ack_r, 64) == b"+++"
+        finally:
+            for fd in (cmd_r, ack_r, ack_w):
+                os.close(fd)
+        np.testing.assert_array_equal(p.flat, want.flat)
 
     @pytest.mark.parametrize("mode", ["uniform", "aln"])
     def test_fork_sees_only_the_callers_threads(self, monkeypatch, mode):
